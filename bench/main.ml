@@ -771,22 +771,39 @@ let parallel_exp () =
    experiment measures what the incremental session buys: frames/s
    against the rebuild-per-frame baseline, and how much learnt knowledge
    survives the frame boundaries ([learnts_kept], summed at each group
-   retirement). Both runs must agree on frames / states / fixpoint — the
-   full set-equality check lives in the differential test suite. *)
+   retirement). Two regimes: narrow frontiers (one new state per frame,
+   capped at 48 frames, against the SDS rebuild), where the session's
+   learnt-clause reuse pays; and wide frontiers (upper-half targets, run
+   to fixpoint, against the blocking-lift rebuild), where everything
+   rests on the session lifting each model into a multi-state cube. Both
+   runs must agree on frames / states / fixpoint — the run exits 1
+   otherwise; the full set-equality check lives in the differential test
+   suite. *)
 let reach_exp () =
-  let max_steps = 48 in
   let entries =
     [
-      ("count16", Ps_gen.Counters.binary ~bits:16 (), T.value ~bits:16 0);
+      ("count16", Ps_gen.Counters.binary ~bits:16 (), T.value ~bits:16 0, Rh.E_sds, 48);
       ( "lfsr16",
         Lazy.force (Suite.find "lfsr16").Suite.circuit,
-        T.value ~bits:16 1 );
+        T.value ~bits:16 1,
+        Rh.E_sds,
+        48 );
+      ( "johnson16-upper",
+        Lazy.force (Suite.find "johnson16").Suite.circuit,
+        T.upper_half ~bits:16,
+        Rh.E_blocking_lift,
+        1000 );
+      ( "lfsr16-upper",
+        Lazy.force (Suite.find "lfsr16").Suite.circuit,
+        T.upper_half ~bits:16,
+        Rh.E_blocking_lift,
+        1000 );
     ]
   in
   let rows =
     List.map
-      (fun (name, circuit, target) ->
-        let base = Rh.backward ~engine:Rh.E_sds ~max_steps circuit target in
+      (fun (name, circuit, target, engine, max_steps) ->
+        let base = Rh.backward ~engine ~max_steps circuit target in
         let inc = Preimage.Reach_inc.run ~max_steps circuit target in
         let frames_b = List.length base.Rh.steps in
         let frames_i = List.length inc.Preimage.Reach_inc.frames in
@@ -830,6 +847,7 @@ let reach_exp () =
           :: !reach_rows;
         [
           name;
+          Rh.engine_name engine;
           string_of_int frames_b;
           ms base.Rh.time_s;
           ms inc.Preimage.Reach_inc.time_s;
@@ -843,9 +861,13 @@ let reach_exp () =
       entries
   in
   print_table "Reach: incremental session vs rebuild-per-frame baseline"
-    [ "workload"; "frames"; "base_ms"; "inc_ms"; "base_f/s"; "inc_f/s";
-      "speedup"; "learnts_kept"; "groups_retired"; "agree" ]
-    rows
+    [ "workload"; "baseline"; "frames"; "base_ms"; "inc_ms"; "base_f/s";
+      "inc_f/s"; "speedup"; "learnts_kept"; "groups_retired"; "agree" ]
+    rows;
+  if List.exists (fun r -> not r.rr_agree) !reach_rows then begin
+    print_endline "REACH FAILURE: the session disagrees with its baseline";
+    exit 1
+  end
 
 (* --- persist: durable-store overhead and resume payoff ----------------------- *)
 

@@ -23,6 +23,31 @@
     Only leaf positions are meaningful in the result. *)
 val justify : Ps_circuit.Netlist.t -> root:int -> values:bool array -> bool array
 
+(** {2 Repeated justification without allocation}
+
+    A loop that lifts one model after another (the incremental
+    reachability session) justifies against the same netlist thousands of
+    times. A [scratch] holds the visited/required buffers and the explicit
+    DFS stack once; each {!justify_roots} call reuses them, and reads net
+    values through a function, so no net-sized array is built per model. *)
+
+type scratch
+
+(** [scratch n] allocates the buffers for justifying over [n]. *)
+val scratch : Ps_circuit.Netlist.t -> scratch
+
+(** [justify_roots s ~roots ~value] justifies every root in [roots] (in
+    order, sharing visited nets and leaves across roots) under the net
+    valuation [value], which must be a consistent simulation on the roots'
+    cones. Afterwards {!required} answers for this call; the previous
+    call's answers are gone. The traversal is the one {!justify} makes, so
+    a single root yields the same leaves. *)
+val justify_roots : scratch -> roots:int list -> value:(int -> bool) -> unit
+
+(** [required s net] — did the last {!justify_roots} call on [s] require
+    the leaf [net]? *)
+val required : scratch -> int -> bool
+
 (** [lift_mask n ~root ~values ~proj_nets] is the justification projected
     onto the given nets: [mask.(i) = true] iff [proj_nets.(i)] is
     required. *)

@@ -62,27 +62,43 @@ let validate drivers names outputs =
   List.iter (check_net "outputs") outputs;
   tbl
 
-(* Topological sort of the gate part; detects combinational cycles. *)
+(* Topological sort of the gate part; detects combinational cycles. A
+   depth-first post-order walk with an explicit stack of gates, so a deep
+   netlist cannot overflow the call stack; the fanins are entered in
+   order, as a recursive walk would. *)
 let topo_sort drivers names =
   let n = Array.length drivers in
-  let state = Array.make n 0 in (* 0 unvisited, 1 on stack, 2 done *)
+  (* 0 unvisited, -1 done, k > 0 on the stack with fanin k-1 next *)
+  let state = Array.make n 0 in
+  let stack = Array.make n 0 in
+  let depth = ref 0 in
   let order = ref [] in
-  let rec visit i =
-    match drivers.(i) with
-    | Input | Latch _ -> state.(i) <- 2
-    | Gate (_, fanins) ->
-      if state.(i) = 1 then
-        invalid_arg
-          (Printf.sprintf "Netlist.make: combinational cycle through %S" names.(i));
-      if state.(i) = 0 then begin
+  let enter i =
+    if state.(i) > 0 then
+      invalid_arg
+        (Printf.sprintf "Netlist.make: combinational cycle through %S" names.(i));
+    if state.(i) = 0 then
+      match drivers.(i) with
+      | Input | Latch _ -> state.(i) <- -1
+      | Gate _ ->
         state.(i) <- 1;
-        Array.iter visit fanins;
-        state.(i) <- 2;
-        order := i :: !order
-      end
+        stack.(!depth) <- i;
+        incr depth
   in
   for i = 0 to n - 1 do
-    if state.(i) = 0 then visit i
+    enter i;
+    while !depth > 0 do
+      let g = stack.(!depth - 1) in
+      let k = state.(g) - 1 in
+      match drivers.(g) with
+      | Gate (_, fanins) when k < Array.length fanins ->
+        state.(g) <- k + 2;
+        enter fanins.(k)
+      | Gate _ | Input | Latch _ ->
+        decr depth;
+        state.(g) <- -1;
+        order := g :: !order
+    done
   done;
   Array.of_list (List.rev !order)
 
@@ -117,17 +133,27 @@ let make ~drivers ~names ~outputs =
     fanouts;
   }
 
+(* An explicit stack rather than a recursive walk, so a deep cone cannot
+   overflow the call stack. Nets are marked when pushed, so each is pushed
+   at most once. *)
 let cone t roots =
   let mem = Array.make (num_nets t) false in
-  let rec visit i =
+  let stack = Array.make (num_nets t) 0 in
+  let top = ref 0 in
+  let push i =
     if not mem.(i) then begin
       mem.(i) <- true;
-      match t.drivers.(i) with
-      | Gate (_, fanins) -> Array.iter visit fanins
-      | Input | Latch _ -> ()
+      stack.(!top) <- i;
+      incr top
     end
   in
-  List.iter visit roots;
+  List.iter push roots;
+  while !top > 0 do
+    decr top;
+    match t.drivers.(stack.(!top)) with
+    | Gate (_, fanins) -> Array.iter push fanins
+    | Input | Latch _ -> ()
+  done;
   mem
 
 let stats t =

@@ -1,5 +1,6 @@
 module B = Ps_bdd.Bdd
 module Cube = Ps_allsat.Cube
+module Lifting = Ps_allsat.Lifting
 module N = Ps_circuit.Netlist
 module T = Ps_circuit.Transition
 module Tseitin = Ps_circuit.Tseitin
@@ -38,6 +39,7 @@ type t = {
   tr : T.t;
   nstate : int;
   solver : Solver.t;
+  lift : Lifting.scratch;
   man : B.man;
   mutable reached : B.t;
   mutable frontier : B.t;
@@ -65,17 +67,17 @@ let target_bdd man cubes =
     (B.zero man) cubes
 
 (* A permanent blocking clause over the state variables excludes one cube
-   of already-reached states from every later preimage enumeration. Each
-   state is blocked at most once over the whole session, so the clause-set
-   growth is bounded by |backward reachable set| — never by (frames ×
-   reached), the quadratic blow-up of re-blocking per frame. *)
-let block_state_cube t cube =
-  let lits =
-    List.map
-      (fun (pos, v) -> Lit.make t.tr.T.state_nets.(pos) (not v))
-      (Cube.to_list cube)
-  in
-  ignore (Solver.add_clause t.solver lits)
+   of reached states from every later preimage enumeration. Each state is
+   blocked at most once over the whole session (a model always lies
+   outside the blocked cubes), so the clause-set growth is bounded by the
+   number of cubes the session finds — never by (frames × reached), the
+   quadratic blow-up of re-blocking per frame. *)
+let block_state_lits t lits =
+  ignore
+    (Solver.add_clause t.solver
+       (List.map (fun (pos, v) -> Lit.make t.tr.T.state_nets.(pos) (not v)) lits))
+
+let block_state_cube t cube = block_state_lits t (Cube.to_list cube)
 
 let create ?(trace = Trace.null) ?store ?resume circuit target =
   let tr = T.of_netlist circuit in
@@ -95,6 +97,7 @@ let create ?(trace = Trace.null) ?store ?resume circuit target =
       tr;
       nstate;
       solver;
+      lift = Lifting.scratch circuit;
       man;
       reached;
       frontier = reached;
@@ -186,6 +189,34 @@ let post_frontier_group t frontier_cubes =
     ignore (Solver.add_grouped t.solver g selectors));
   g
 
+(* The state cube of the current model, lifted by circuit justification.
+   The model's next state lies in exactly one frontier cube — the frontier
+   BDD's paths are disjoint, and that cube is the path the next state
+   follows — and the next-state nets that cube fixes are the roots.
+   Inputs stay at their model values (sound for ∃x): every state that
+   agrees with the model on the required state bits steps, under those
+   inputs, into the same frontier cube. So the cube lies inside
+   Pre(frontier), which lies inside the next reached set, and blocking it
+   permanently is sound. *)
+let lift_model t =
+  let value = Solver.model_value t.solver in
+  let rec roots f acc =
+    match B.topvar f with
+    | None ->
+      assert (B.is_one f) (* the model satisfies the frontier group *);
+      List.rev acc
+    | Some v ->
+      let net = t.tr.T.next_nets.(v) in
+      roots (if value net then B.high f else B.low f) (net :: acc)
+  in
+  Lifting.justify_roots t.lift ~roots:(roots t.frontier []) ~value;
+  let lits = ref [] in
+  for pos = t.nstate - 1 downto 0 do
+    let net = t.tr.T.state_nets.(pos) in
+    if Lifting.required t.lift net then lits := (pos, value net) :: !lits
+  done;
+  !lits
+
 let frame t =
   if fixpoint_reached t then false
   else begin
@@ -203,13 +234,14 @@ let frame t =
          });
     let g = post_frontier_group t frontier_cubes in
     let assumptions = [ Solver.group_lit t.solver g ] in
-    (* Plain blocking all-SAT over the state variables: every model is a
-       state minterm of Pre(frontier) \ reached (earlier frames' blocking
-       clauses already exclude the reached set), immediately blocked
-       permanently. *)
+    (* Blocking all-SAT over the state variables, one lifted cube per
+       model (see [lift_model]), each blocked permanently: earlier
+       frames' blocks already exclude the reached set, so every model is
+       a new state of Pre(frontier). *)
     let fresh = ref (B.zero t.man) in
     let sat_calls = ref 0 in
     let new_cubes = ref 0 in
+    let free_bits = ref false in
     let exhausted = ref false in
     while not !exhausted do
       incr sat_calls;
@@ -217,22 +249,23 @@ let frame t =
       | Solver.Unsat -> exhausted := true
       | Solver.Unknown -> assert false (* unbudgeted solve *)
       | Solver.Sat ->
-        let bits =
-          Array.map
-            (fun net -> Solver.model_value t.solver net)
-            t.tr.T.state_nets
-        in
+        let lits = lift_model t in
+        if List.compare_length_with lits t.nstate < 0 then free_bits := true;
         incr new_cubes;
-        fresh :=
-          B.bor !fresh
-            (B.cube t.man (List.init t.nstate (fun i -> (i, bits.(i)))));
-        block_state_cube t (Cube.of_assignment bits)
+        fresh := B.bor !fresh (B.cube t.man lits);
+        block_state_lits t lits
     done;
     Solver.retire_group t.solver g;
     let conflicts =
       Stats.get (Solver.stats t.solver) "conflicts" - conflicts0
     in
-    let fresh = !fresh in
+    (* A lifted cube may cover states reached in earlier frames; a
+       minterm cube is the model's own state, which blocking keeps out of
+       [reached], so the subtraction is only paid when some cube has a
+       free bit. *)
+    let fresh =
+      if !free_bits then B.band !fresh (B.bnot t.reached) else !fresh
+    in
     t.reached <- B.bor t.reached fresh;
     t.layers <- t.reached :: t.layers;
     t.frontier <- fresh;

@@ -16,26 +16,32 @@
       and permanently disabled — and arena-reclaimed — when the frame
       retires;
     - states already reached are excluded by {e permanent} blocking
-      clauses over the state variables, added only for the states a
+      clauses over the state variables, added only for the cubes a
       frame discovers (earlier frames' blocks persist, so no frame ever
       re-blocks the accumulated reached set);
     - learnt clauses survive every frame boundary (the
       ["learnts_kept"] solver statistic counts them at each group
       retirement).
 
-    The per-frame enumeration is plain blocking all-SAT over the state
-    variables, so each frame emits the {e minterms} of
-    [Pre(frontier) \ reached]; the reached set, layers and step counts
-    are bit-identical to {!Reach.backward}'s (the differential suite
-    checks this on hundreds of random circuits). Use
-    [Reach.backward ~incremental:true] for the drop-in interface, or
-    drive frames one at a time with {!create}/{!frame}. *)
+    The per-frame enumeration is blocking all-SAT over the state
+    variables in which every model is lifted into a state {e cube} by
+    circuit justification ({!Ps_allsat.Lifting.justify_roots}) of the
+    next-state nets fixed by the frontier cube the model's next state
+    lies in, inputs held at their model values. The cube lies inside
+    [Pre(frontier)], so blocking it permanently is sound, and on wide
+    frontiers one cube covers many states. The reached set, layers and
+    per-step state counts are identical to {!Reach.backward}'s (the
+    differential suite checks this on hundreds of random circuits).
+    Use [Reach.backward ~incremental:true] for the drop-in interface,
+    or drive frames one at a time with {!create}/{!frame}. *)
 
 (** Per-frame statistics, in frame order. *)
 type frame = {
   index : int;              (** 1-based frame number *)
   frontier_cubes : int;     (** cubes handed to this frame's group *)
-  new_cubes : int;          (** state minterms discovered (= new states) *)
+  new_cubes : int;          (** lifted state cubes found and blocked; a
+                                cube may cover many states, some reached
+                                by earlier frames *)
   blocking_clauses : int;   (** blocking clauses added {e this} frame —
                                 equals [new_cubes]; never grows with the
                                 total reached set *)

@@ -240,6 +240,58 @@ let lifting_sound =
       done;
       leaves_only && !sound)
 
+(* The displaced recursive justification, kept as the oracle: the
+   explicit-stack walk must choose exactly the same leaves, over several
+   roots that share visited nets. *)
+let recursive_justify n ~roots ~values =
+  let visited = Array.make (N.num_nets n) false in
+  let required = Array.make (N.num_nets n) false in
+  let rec visit net =
+    if not visited.(net) then begin
+      visited.(net) <- true;
+      match N.driver n net with
+      | N.Input | N.Latch _ -> required.(net) <- true
+      | N.Gate (kind, fanins) -> (
+        let cv =
+          match kind with
+          | Ps_circuit.Gate.And | Ps_circuit.Gate.Nand -> Some false
+          | Ps_circuit.Gate.Or | Ps_circuit.Gate.Nor -> Some true
+          | _ -> None
+        in
+        match cv with
+        (* controlled: the output a lone controlling input gives *)
+        | Some cv when values.(net) = Ps_circuit.Gate.eval kind [| cv |] ->
+          let candidates = ref [] in
+          Array.iter (fun f -> if values.(f) = cv then candidates := f :: !candidates) fanins;
+          visit
+            (match List.find_opt (fun f -> visited.(f)) !candidates with
+            | Some f -> f
+            | None -> List.hd !candidates)
+        | _ -> Array.iter visit fanins)
+    end
+  in
+  List.iter visit roots;
+  required
+
+let lifting_matches_recursive =
+  Helpers.qtest "explicit-stack justify = recursive justify" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.create ~seed in
+      let n = Helpers.random_comb rng ~nin:(2 + R.int rng 5) ~ngates:(1 + R.int rng 20) in
+      let env = Array.make (N.num_nets n) false in
+      List.iter (fun net -> env.(net) <- R.bool rng) (N.inputs n);
+      let values = Sim.eval n ~env in
+      let roots = List.init (1 + R.int rng 3) (fun _ -> R.int rng (N.num_nets n)) in
+      let s = A.Lifting.scratch n in
+      (* a previous call on the same scratch must not leak into this one *)
+      A.Lifting.justify_roots s ~roots:(N.inputs n) ~value:(Array.get values);
+      A.Lifting.justify_roots s ~roots ~value:(Array.get values);
+      let oracle = recursive_justify n ~roots ~values in
+      List.for_all
+        (fun net -> A.Lifting.required s net = oracle.(net))
+        (List.init (N.num_nets n) Fun.id))
+
 let test_lifting_prefers_shared () =
   (* AND(x, y) with output 0 and both inputs 0 requires only one of them. *)
   let b = Ps_circuit.Builder.create () in
@@ -253,6 +305,42 @@ let test_lifting_prefers_shared () =
   check_int "exactly one input required"
     1
     ((if req.(x) then 1 else 0) + if req.(y) then 1 else 0)
+
+(* Netlist construction (topological sort), cones and justification walk
+   the netlist with explicit stacks: a 100k-gate chain must go through
+   under a 32k-word stack limit, where a recursive walk raises
+   Stack_overflow. *)
+let test_lifting_deep_chain () =
+  let module Bu = Ps_circuit.Builder in
+  let depth = 100_000 in
+  let saved = (Gc.get ()).Gc.stack_limit in
+  Gc.set { (Gc.get ()) with Gc.stack_limit = 32 * 1024 };
+  Fun.protect
+    ~finally:(fun () -> Gc.set { (Gc.get ()) with Gc.stack_limit = saved })
+  @@ fun () ->
+  let b = Bu.create () in
+  let x = Bu.input b "x" in
+  let y = Bu.input b "y" in
+  let last = ref x in
+  for i = 1 to depth do
+    let name = Printf.sprintf "g%d" i in
+    last := if i mod 2 = 0 then Bu.buf b ~name !last else Bu.and_ b ~name [ !last; y ]
+  done;
+  Bu.output b !last;
+  let n = Bu.finalize b in
+  let cone = N.cone n [ !last ] in
+  check_int "cone is the whole chain" (depth + 2)
+    (Array.fold_left (fun k m -> if m then k + 1 else k) 0 cone);
+  let required ~x_value =
+    let env = Array.make (N.num_nets n) true in
+    env.(x) <- x_value;
+    let req = A.Lifting.justify n ~root:!last ~values:(Sim.eval n ~env) in
+    (req.(x), req.(y))
+  in
+  (* output 1: every AND needs both fanins *)
+  check_bool "x and y required" true (required ~x_value:true = (true, true));
+  (* output 0: the chain itself controls every AND; y is a don't-care *)
+  check_bool "only x required" true (required ~x_value:false = (true, false))
 
 (* --- Blocking + SDS cross-checks --------------------------------------------- *)
 
@@ -484,7 +572,10 @@ let () =
       ( "lifting",
         [
           lifting_sound;
+          lifting_matches_recursive;
           Alcotest.test_case "controlling choice" `Quick test_lifting_prefers_shared;
+          Alcotest.test_case "100k-gate chain, 32k-word stack" `Quick
+            test_lifting_deep_chain;
         ] );
       ( "engines",
         [

@@ -404,6 +404,39 @@ let test_reach_inc_blocking_constant () =
     (Ps_util.Stats.get st "groups_retired");
   check_int "no group left live" 0 (Ps_util.Stats.get st "groups_live")
 
+(* The session lifts every model into a state cube by circuit
+   justification. On wide frontiers one cube covers many states, so the
+   blocking clauses summed over all frames must stay far below the number
+   of reached states (a minterm-per-model session would block every
+   non-target state once). The reached set itself must still be the
+   baseline's. On the counter lifting cannot widen anything: see
+   [test_reach_inc_blocking_constant], one clause per frame. *)
+let test_reach_inc_lifts_cubes () =
+  let module RI = Preimage.Reach_inc in
+  List.iter
+    (fun name ->
+      let c = Lazy.force (Ps_gen.Suite.find name).Ps_gen.Suite.circuit in
+      let target = T.upper_half ~bits:8 in
+      let r = RI.run c target in
+      let baseline = Rh.backward ~engine:Rh.E_bdd c target in
+      check_bool (name ^ ": fixpoint") true r.RI.fixpoint;
+      let differs s =
+        let bits = Array.init 8 (fun i -> (s lsr i) land 1 = 1) in
+        Ps_bdd.Bdd.eval baseline.Rh.reached bits <> Ps_bdd.Bdd.eval r.RI.reached bits
+      in
+      check_int (name ^ ": states reached unlike the baseline") 0
+        (List.length (List.filter differs (List.init 256 Fun.id)));
+      let clauses =
+        List.fold_left (fun acc (f : RI.frame) -> acc + f.RI.blocking_clauses) 0
+          r.RI.frames
+      in
+      check_bool
+        (Printf.sprintf "%s: %d blocking clauses <= %g reached / 4" name clauses
+           r.RI.total_states)
+        true
+        (4.0 *. float_of_int clauses <= r.RI.total_states))
+    [ "johnson8"; "lfsr8" ]
+
 let test_reach_inc_session_stepwise () =
   (* Driving frames by hand matches the packaged run. *)
   let module RI = Preimage.Reach_inc in
@@ -475,6 +508,8 @@ let () =
         [
           Alcotest.test_case "per-frame blocking stays frontier-sized" `Quick
             test_reach_inc_blocking_constant;
+          Alcotest.test_case "wide frontiers block lifted cubes" `Quick
+            test_reach_inc_lifts_cubes;
           Alcotest.test_case "stepwise session = packaged run" `Quick
             test_reach_inc_session_stepwise;
         ] );

@@ -437,6 +437,47 @@ let test_reach_inc_kill_resume () =
         (List.length straight.RI.frames + 1)
         (List.length frame_cks)
 
+(* A killed and resumed session on a wide frontier (johnson8, upper-half
+   target), where each SAT model is lifted into a multi-state cube. The
+   reached set, layers and steps must match an uninterrupted run; the
+   search statistics need not. [new_cubes], [sat_calls] and [conflicts]
+   depend on the search once cubes are lifted: a resumed session blocks
+   the log's canonical BDD cubes, not the lifted cubes the killed session
+   blocked, so its later frames see a different clause set. *)
+let test_reach_inc_wide_kill_resume () =
+  with_log @@ fun path ->
+  let module RI = Preimage.Reach_inc in
+  let circuit = Lazy.force (Ps_gen.Suite.find "johnson8").circuit in
+  let target = Ps_gen.Targets.upper_half ~bits:8 in
+  let straight = RI.run circuit target in
+  check_bool "fixture reaches fixpoint" true straight.RI.fixpoint;
+  check_bool "fixture takes several frames" true
+    (List.length straight.RI.frames > 2);
+  let w = St.create ~checkpoint_every:0 ~path (meta 8) in
+  let _ = RI.run ~max_steps:1 ~store:w circuit target in
+  let bytes = read_file path in
+  write_file path (String.sub bytes 0 (String.length bytes - 3));
+  match St.resume ~checkpoint_every:0 ~path () with
+  | Error e -> Alcotest.fail e
+  | Ok (r, w2) ->
+      let resumed = RI.run ~store:w2 ~resume:r circuit target in
+      St.finalize w2 ~complete:resumed.RI.fixpoint ();
+      check_bool "resumed reaches fixpoint" true resumed.RI.fixpoint;
+      let cubes f =
+        let acc = ref [] in
+        Ps_bdd.Bdd.iter_cubes f ~nvars:8 (fun p -> acc := p :: !acc);
+        !acc
+      in
+      check_bool "same reached set" true
+        (cubes straight.RI.reached = cubes resumed.RI.reached);
+      check_bool "same layers" true
+        (List.map cubes straight.RI.layers = List.map cubes resumed.RI.layers);
+      let key (f : RI.frame) =
+        (f.RI.index, f.RI.frontier_cubes, f.RI.frontier_states, f.RI.total_states)
+      in
+      check_bool "same steps" true
+        (List.map key straight.RI.frames = List.map key resumed.RI.frames)
+
 let test_reach_backward_kill_resume () =
   with_log @@ fun path ->
   let module R = Preimage.Reach in
@@ -643,6 +684,8 @@ let () =
             test_allsat_resume_equivalence;
           Alcotest.test_case "reach_inc kill + resume bit-identical" `Quick
             test_reach_inc_kill_resume;
+          Alcotest.test_case "reach_inc wide-frontier kill + resume" `Quick
+            test_reach_inc_wide_kill_resume;
           Alcotest.test_case "reach backward kill + resume bit-identical"
             `Quick test_reach_backward_kill_resume;
           Alcotest.test_case "resume rejects a mismatched target" `Quick
