@@ -130,33 +130,121 @@ let table1 () =
 
 (* --- Table 2: all-SAT engine comparison ----------------------------------- *)
 
+(* The paper's classical baseline: one blocking clause per minterm all the
+   way, by way of a lift that keeps every position fixed — the lifted
+   loop never hands over to chronological enumeration. *)
+let blocking_classic ?limit solver proj =
+  let width = Ps_allsat.Project.width proj in
+  let t0 = Unix.gettimeofday () in
+  let r =
+    Ps_allsat.Blocking.enumerate ?limit ?budget:(bench_budget ())
+      ~trace:!bench_trace
+      ~lift:(fun _ -> Array.make width true)
+      solver proj
+  in
+  (r, Unix.gettimeofday () -. t0)
+
+let table2_row ~name ~engine ~complete ~graph ~solutions ~cubes stats time_s =
+  let dnf cell = if complete then cell else cell ^ "*" in
+  [
+    name; engine; dnf (g solutions); dnf (string_of_int cubes); graph;
+    string_of_int (Stats.get stats "sat_calls");
+    string_of_int (Stats.get stats "conflicts"); ms time_s;
+  ]
+
+let table2_header =
+  [ "circuit"; "engine"; "solutions"; "cubes"; "graph"; "sat_calls"; "conflicts"; "ms" ]
+
 let table2 () =
   let rows =
     List.concat_map
       (fun e ->
         let c = Lazy.force e.Suite.circuit in
         let inst = I.make c (Suite.default_target e) in
-        List.map
-          (fun m ->
-            let r = run_capped m inst in
-            [
-              e.Suite.name;
-              E.method_name m;
-              mark_dnf r (g r.E.solutions);
-              mark_dnf r (string_of_int r.E.n_cubes);
-              (match r.E.graph_nodes with Some n -> string_of_int n | None -> "-");
-              string_of_int (Stats.get (E.stats r) "sat_calls");
-              string_of_int (Stats.get (E.stats r) "conflicts");
-              ms r.E.time_s;
-            ])
-          E.all_methods)
+        let name = e.Suite.name in
+        let engines =
+          List.map
+            (fun m ->
+              let r = run_capped m inst in
+              table2_row ~name ~engine:(E.method_name m) ~complete:(E.complete r)
+                ~graph:
+                  (match r.E.graph_nodes with
+                  | Some n -> string_of_int n
+                  | None -> "-")
+                ~solutions:r.E.solutions ~cubes:r.E.n_cubes (E.stats r)
+                r.E.time_s)
+            E.all_methods
+        in
+        let r, time_s =
+          blocking_classic ~limit:blocking_cap (I.solver inst) inst.I.proj
+        in
+        let cubes = List.length r.Ps_allsat.Run.cubes in
+        engines
+        @ [
+            table2_row ~name ~engine:"blocking-classic"
+              ~complete:(Ps_allsat.Run.complete r) ~graph:"-"
+              ~solutions:(float_of_int cubes) ~cubes r.Ps_allsat.Run.stats time_s;
+          ])
       Suite.medium
   in
   print_table
     "Table 2: one-step preimage, SAT all-solutions engines (loose target: \
      top state bit set; * = cube cap hit)"
-    [ "circuit"; "engine"; "solutions"; "cubes"; "graph"; "sat_calls"; "conflicts"; "ms" ]
-    rows
+    table2_header rows;
+  (* Random 3-CNFs, projected onto their first variables: sparse near the
+     threshold (where the blocking loop rarely or never hands over to
+     chronological enumeration), moderate below it. Median of three runs
+     per engine. *)
+  let random_3cnf ~nvars ~ratio ~seed =
+    let rng = Ps_util.Rng.create ~seed in
+    Ps_sat.Cnf.of_clauses ~nvars
+      (List.init
+         (int_of_float (ratio *. float_of_int nvars))
+         (fun _ ->
+           List.init 3 (fun _ ->
+               Ps_sat.Lit.make (Ps_util.Rng.int rng nvars) (Ps_util.Rng.bool rng))))
+  in
+  let median3 f =
+    let runs = List.sort (fun (_, a) (_, b) -> compare a b) [ f (); f (); f () ] in
+    List.nth runs 1
+  in
+  let rows =
+    List.concat_map
+      (fun (nvars, ratio, width, seed) ->
+        let cnf = random_3cnf ~nvars ~ratio ~seed in
+        let proj = Ps_allsat.Project.of_vars (Array.init width Fun.id) in
+        let solver () =
+          let s = Ps_sat.Solver.create () in
+          ignore (Ps_sat.Solver.load s cnf);
+          s
+        in
+        let name = Printf.sprintf "rand3-n%d-r%.1f-w%d-s%d" nvars ratio width seed in
+        let row engine (r, time_s) =
+          let cubes = List.length r.Ps_allsat.Run.cubes in
+          table2_row ~name ~engine ~complete:(Ps_allsat.Run.complete r) ~graph:"-"
+            ~solutions:(float_of_int cubes) ~cubes r.Ps_allsat.Run.stats time_s
+        in
+        [
+          row "blocking"
+            (median3 (fun () ->
+                 let t0 = Unix.gettimeofday () in
+                 let r =
+                   Ps_allsat.Blocking.enumerate ~limit:blocking_cap
+                     ?budget:(bench_budget ()) ~trace:!bench_trace (solver ()) proj
+                 in
+                 (r, Unix.gettimeofday () -. t0)));
+          row "blocking-classic"
+            (median3 (fun () -> blocking_classic ~limit:blocking_cap (solver ()) proj));
+        ])
+      [
+        (200, 4.1, 40, 1); (200, 4.1, 40, 2); (200, 4.1, 40, 3);
+        (120, 3.8, 24, 1); (120, 3.8, 24, 2); (120, 3.8, 24, 3);
+      ]
+  in
+  print_table
+    "Table 2b: random 3-CNF, minterm blocking vs the classical loop \
+     (median of 3 runs)"
+    ("instance" :: List.tl table2_header) rows
 
 (* --- Table 3: SDS vs BDD --------------------------------------------------- *)
 
@@ -239,17 +327,25 @@ let fig1 () =
         let c = Ps_gen.Counters.binary ~bits () in
         let inst = I.make c (T.upper_half ~bits) in
         let solutions = (2.0 ** float_of_int (bits - 1)) +. 1.0 in
+        let row engine ~complete stats time_s =
+          let dnf cell = if complete then cell else cell ^ "*" in
+          [
+            string_of_int bits; g solutions; engine; dnf (ms time_s);
+            dnf (string_of_int (Stats.get stats "sat_calls"));
+          ]
+        in
+        let classic, time_s =
+          blocking_classic ~limit:blocking_cap (I.solver inst) inst.I.proj
+        in
         List.map
           (fun m ->
             let r = run_capped m inst in
-            [
-              string_of_int bits;
-              g solutions;
-              E.method_name m;
-              mark_dnf r (ms r.E.time_s);
-              mark_dnf r (string_of_int (Stats.get (E.stats r) "sat_calls"));
-            ])
-          [ E.Sds; E.BlockingLift; E.Blocking ])
+            row (E.method_name m) ~complete:(E.complete r) (E.stats r) r.E.time_s)
+          [ E.Sds; E.BlockingLift; E.Blocking ]
+        @ [
+            row "blocking-classic" ~complete:(Ps_allsat.Run.complete classic)
+              classic.Ps_allsat.Run.stats time_s;
+          ])
       [ 4; 6; 8; 10; 12; 14; 16 ]
   in
   print_table
@@ -714,11 +810,14 @@ let smoke () =
 
 (* --- parallel speedup: guiding-path sharding vs sequential ------------------- *)
 
-(* Full blocking enumerations whose clause database grows with every
-   emitted cube: sharding keeps each shard's database small, so the
-   speedup here is real even on a single core. Records one sequential
-   row and one jobs-N row per workload (with the measured speedup) in
-   the JSON summary. *)
+(* Full minterm enumerations of 2^15 solutions. Sequentially, the
+   blocking loop hands over to chronological enumeration after a few
+   dozen models, so no clause database grows with the cube count and
+   sharding buys nothing on one core; what is left is the multicore
+   gain minus the shards' set-up. The vpp columns (watcher visits per
+   propagation) show the database pressure of each run. Records one
+   sequential row and one jobs-N row per workload (with the measured
+   speedup) in the JSON summary. *)
 let parallel_exp () =
   let jobs = Option.value !bench_jobs ~default:4 in
   let entries =
@@ -739,6 +838,11 @@ let parallel_exp () =
             inst
         in
         let speedup = seq.E.time_s /. Float.max par.E.time_s 1e-9 in
+        let vpp r =
+          let st = E.stats r in
+          float_of_int (Stats.get st "watcher_visits")
+          /. Float.max 1.0 (float_of_int (Stats.get st "propagations"))
+        in
         let workload = "parallel-" ^ name in
         record_smoke ~workload ~engine:"blocking" ~time_s:seq.E.time_s
           ~solutions:seq.E.solutions ~cubes:seq.E.n_cubes (E.stats seq);
@@ -754,6 +858,8 @@ let parallel_exp () =
           string_of_int (Stats.get (E.stats par) "shards");
           string_of_int (Stats.get (E.stats par) "shard_resplits");
           f2 speedup;
+          f2 (vpp seq);
+          f2 (vpp par);
           (if seq.E.solutions = par.E.solutions then "yes" else "NO");
         ])
       entries
@@ -762,7 +868,7 @@ let parallel_exp () =
     (Printf.sprintf
        "Parallel: guiding-path sharding, sequential vs %d worker domains" jobs)
     [ "workload"; "solutions"; "seq_ms"; "par_ms"; "jobs"; "shards";
-      "resplits"; "speedup"; "agree" ]
+      "resplits"; "speedup"; "seq_vpp"; "par_vpp"; "agree" ]
     rows
 
 (* --- reach: incremental session vs rebuild-per-frame baseline ------------------ *)

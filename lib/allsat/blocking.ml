@@ -13,6 +13,19 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift solver proj =
   let sat_calls = ref 0 in
   let stopped = ref `Complete in
   let under_limit () = match limit with None -> true | Some l -> !n_cubes < l in
+  let emit cube =
+    cubes := cube :: !cubes;
+    Run.emit_cube sink cube;
+    incr n_cubes;
+    Stats.add stats "fixed_literals" (Cube.num_fixed cube);
+    if not (Trace.is_null trace) then
+      Trace.emit trace
+        (Trace.Cube { index = !n_cubes; fixed = Cube.num_fixed cube; width })
+  in
+  (* Minterm runs hand over to chronological enumeration once the
+     blocking clauses outnumber the problem clauses they started with. *)
+  let problem_clauses = Solver.n_clauses solver in
+  let blocked = ref 0 in
   let running = ref true in
   while !running do
     if not (under_limit ()) then begin
@@ -23,6 +36,20 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift solver proj =
     then begin
       stopped := Run.stopped_of_budget budget ~default:`Cancelled;
       running := false
+    end
+    else if Option.is_none lift && !blocked > problem_clauses then begin
+      incr sat_calls;
+      running := false;
+      match
+        Solver.enumerate_projected ?budget ~trace solver proj.Project.vars
+          (fun bits ->
+            emit (Cube.of_assignment bits);
+            under_limit ())
+      with
+      | Solver.Unsat -> ()
+      | Solver.Sat -> stopped := `CubeLimit
+      | Solver.Unknown ->
+        stopped := Run.stopped_of_budget budget ~default:`Cancelled
     end
     else begin
       incr sat_calls;
@@ -44,14 +71,9 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift solver proj =
             let bits = Array.map (fun v -> model.(v)) proj.Project.vars in
             Cube.of_masked_assignment bits mask
         in
-        cubes := cube :: !cubes;
-        Run.emit_cube sink cube;
-        incr n_cubes;
-        Stats.add stats "fixed_literals" (Cube.num_fixed cube);
-        if not (Trace.is_null trace) then
-          Trace.emit trace
-            (Trace.Cube { index = !n_cubes; fixed = Cube.num_fixed cube; width });
+        emit cube;
         let clause = Project.blocking_clause proj cube in
+        incr blocked;
         if clause = [] then
           (* The whole projected space is one cube: nothing left. *)
           running := false

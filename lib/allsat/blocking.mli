@@ -6,9 +6,13 @@
 
     Without lifting, the enumerated cubes are the projected {e minterms},
     pairwise disjoint, and the clause database grows by one clause per
-    solution — the blow-up the paper's solution graph avoids. With
-    lifting, each blocking clause prunes [2^free] solutions; cubes may
-    overlap but their union is exactly the projected solution set. *)
+    solution — the blow-up the paper's solution graph avoids. So once
+    the blocking clauses outnumber the problem clauses the solver held
+    on entry, the rest of the minterms are drained by chronological
+    enumeration inside the solver ({!Ps_sat.Solver.enumerate_projected}),
+    which adds no clause at all. With lifting, each blocking clause
+    prunes [2^free] solutions; cubes may overlap but their union is
+    exactly the projected solution set, and there is no hand-over. *)
 
 (** Deprecated alias for {!Run.t}, the unified engine result. *)
 type result = Run.t
@@ -28,9 +32,9 @@ type result = Run.t
 
     [budget] bounds the whole enumeration: it is polled before every
     SAT call and shared with the solver, so a deadline or conflict
-    limit interrupts even a single hard call. The result then carries
-    the budget's stop reason and the cubes found so far (an anytime
-    under-approximation).
+    limit interrupts even a single hard call or the chronological
+    phase. The result then carries the budget's stop reason and the
+    cubes found so far (an anytime under-approximation).
 
     [trace] receives a [Cube] event per emitted cube, the solver's
     events, and a final [Stopped] event.
@@ -38,8 +42,9 @@ type result = Run.t
     [sink] receives every emitted cube in discovery order, as it is
     found — the streaming hook of the durable solution store.
 
-    The solver is left unsatisfiable (all solutions blocked) iff the
-    run is [`Complete]. *)
+    Minterms found after the hand-over are not blocked in [solver]:
+    callers that continue re-block the returned cubes, as [--resume]
+    does. *)
 val enumerate :
   ?limit:int ->
   ?budget:Ps_util.Budget.t ->
@@ -50,8 +55,9 @@ val enumerate :
   Project.t ->
   Run.t
 
-(** [sat_calls r] is the number of solver invocations of the run (the
-    last one UNSAT when complete). *)
+(** [sat_calls r] is the number of entry calls into the solver: every
+    classical [solve], plus one for the chronological enumeration when
+    the run handed over. *)
 val sat_calls : Run.t -> int
 
 (** [total_minterms r] is the number of projected solutions when the

@@ -107,8 +107,7 @@ let run_blocking ?limit ?budget ?sink ~trace ~lift instance =
    natively (ternary seeding + assumptions — unit clauses alone would be
    unsound for them, the simulator would not see them); the blocking
    engines take it as unit clauses, which also keeps each shard's
-   blocking-clause database limited to its own subspace — the main
-   single-core win of sharding a blocking enumeration. *)
+   blocking-clause database limited to its own subspace. *)
 let shard_runner ~method_ instance ~prefix ~limit ~budget ~trace =
   let solver = Instance.solver instance in
   match sds_variant method_ with

@@ -55,6 +55,7 @@ type t = {
   mutable n_gc_words : int;
   mutable n_watch_visits : int;
   mutable n_blocker_skips : int;
+  mutable n_chrono_cubes : int;
   mutable conflict_core : Lit.t list;
   (* Retractable clause groups: activation variable -> live crefs of the
      group's arena clauses (unit group clauses are enqueued, not stored).
@@ -110,6 +111,7 @@ let create () =
     n_gc_words = 0;
     n_watch_visits = 0;
     n_blocker_skips = 0;
+    n_chrono_cubes = 0;
     conflict_core = [];
     groups = Hashtbl.create 16;
     n_groups_retired = 0;
@@ -189,6 +191,7 @@ let stats t =
   Stats.add st "reduce_dbs" t.n_reduce_dbs;
   Stats.add st "watcher_visits" t.n_watch_visits;
   Stats.add st "blocker_skips" t.n_blocker_skips;
+  Stats.add st "chrono_cubes" t.n_chrono_cubes;
   Stats.add st "arena_words" (Arena.len t.arena);
   Stats.add st "arena_bytes" (8 * Arena.len t.arena);
   Stats.add st "arena_live_words" (Arena.live_words t.arena);
@@ -872,6 +875,223 @@ let solve ?(assumptions = []) ?budget ?(trace = Trace.null) t =
         loop (attempt + 1)
     in
     loop 1
+  end
+
+(* --- projected enumeration by chronological backtracking ---------------- *)
+
+(* Projection variables are decided before all others, so levels 1..P
+   hold projection decisions and the levels above them only complete a
+   model. After a model, the deepest projection decision not yet flipped
+   is replaced, at its own level, by its negation. A flipped level has no
+   reason and is never flipped again; the highest one is the floor, and
+   backjumps and restarts stop there, so a flip is only undone when the
+   search moves on below it — by then its subtree is exhausted. A
+   conflict at the floor thus refutes the floor branch. Learnt clauses
+   resolve reason clauses only and stay consequences of the clause set;
+   no blocking clause is ever added (docs/ALGORITHMS.md §13). *)
+let enumerate_projected ?budget ?(trace = Trace.null) t proj on_model =
+  t.n_solve_calls <- t.n_solve_calls + 1;
+  t.have_model <- false;
+  t.conflict_core <- [];
+  let finish r =
+    t.budget <- None;
+    t.trace <- Trace.null;
+    if not (Trace.is_null trace) then
+      Trace.emit trace
+        (Trace.Solve
+           {
+             result =
+               (match r with Sat -> "sat" | Unsat -> "unsat" | Unknown -> "unknown");
+             conflicts = t.n_conflicts;
+           });
+    r
+  in
+  cancel_until t 0;
+  Array.iter (fun v -> ensure_vars t (v + 1)) proj;
+  if not t.ok then finish Unsat
+  else if (match budget with Some b -> Budget.check b <> None | None -> false)
+  then finish Unknown
+  else begin
+    t.budget <- budget;
+    t.trace <- trace;
+    let is_proj = Array.make t.n_vars false in
+    Array.iter (fun v -> is_proj.(v) <- true) proj;
+    let pvars = Array.of_list (List.sort_uniq compare (Array.to_list proj)) in
+    (* A variable in no clause never needs a value: it is popped from the
+       order once, set aside, and re-inserted at the end. *)
+    let occurs = Array.make t.n_vars false in
+    let mark cr =
+      for k = 0 to Arena.size t.arena cr - 1 do
+        occurs.(Lit.var (Arena.lit t.arena cr k)) <- true
+      done
+    in
+    Vec.iter mark t.clauses;
+    Vec.iter mark t.learnts;
+    let set_aside = ref [] in
+    let rec pick_other () =
+      if Iheap.is_empty t.order then -1
+      else begin
+        let v = Iheap.remove_max t.order in
+        if value_var t v <> v_undef then pick_other ()
+        else if occurs.(v) then v
+        else begin
+          set_aside := v :: !set_aside;
+          pick_other ()
+        end
+      end
+    in
+    (* [closed.(l)]: level [l] is a flip, or a unit learnt (below). *)
+    let closed = Array.make (t.n_vars + 1) false in
+    let floor = ref 0 in
+    (* Unit learnts derived above the root; added there at the end. *)
+    let units = ref [] in
+    let decision_lit lvl = t.trail.(Vec.get t.trail_lim (lvl - 1)) in
+    let open_level lit ~close =
+      new_decision_level t;
+      closed.(decision_level t) <- close;
+      if close then floor := decision_level t;
+      ignore (enqueue t lit cref_undef)
+    in
+    let rec deepest_open lvl =
+      if lvl = 0 then 0
+      else if (not closed.(lvl)) && is_proj.(Lit.var (decision_lit lvl)) then lvl
+      else deepest_open (lvl - 1)
+    in
+    (* Flip the deepest open projection decision at or below [lvl];
+       [false] when every branch is exhausted. *)
+    let next_branch lvl =
+      match deepest_open lvl with
+      | 0 -> false
+      | k ->
+        let l = decision_lit k in
+        cancel_until t (k - 1);
+        open_level (Lit.negate l) ~close:true;
+        true
+    in
+    (* Store a learnt clause without backjumping to its asserting level;
+       it asserts its first literal only if it is unit where we are. *)
+    let keep_learnt lits =
+      t.n_learnt <- t.n_learnt + 1;
+      if Array.length lits = 1 then units := lits.(0) :: !units
+      else begin
+        let cr = Arena.alloc t.arena ~learnt:true lits in
+        Vec.push t.learnts cr;
+        attach t cr;
+        cla_bump t cr;
+        if value_lit t lits.(1) = 0 then ignore (enqueue t lits.(0) cr)
+      end
+    in
+    let pick_proj () =
+      let act = !(t.activity) in
+      let best = ref (-1) in
+      Array.iter
+        (fun v ->
+          if t.assigns.(v) = v_undef && (!best < 0 || act.(v) > act.(!best)) then
+            best := v)
+        pvars;
+      !best
+    in
+    let last_props = ref t.n_propagations in
+    let decisions_unpolled = ref 0 in
+    let charge_props () =
+      match budget with
+      | None -> ()
+      | Some b ->
+        Budget.charge_propagations b (t.n_propagations - !last_props);
+        last_props := t.n_propagations
+    in
+    let out_of_budget () =
+      match budget with
+      | None -> false
+      | Some b -> (charge_props (); Budget.check b <> None)
+    in
+    let count_decision () =
+      t.n_decisions <- t.n_decisions + 1;
+      incr decisions_unpolled;
+      match budget with Some b -> Budget.charge_decisions b 1 | None -> ()
+    in
+    let decide v =
+      count_decision ();
+      open_level (Lit.make v t.phase.(v)) ~close:false
+    in
+    t.max_learnts <-
+      max t.max_learnts (float_of_int (Vec.size t.clauses) /. 3.0);
+    let attempt = ref 1 in
+    let conflicts = ref 0 in
+    let outcome = ref None in
+    while !outcome = None do
+      let confl = propagate t in
+      if confl <> cref_undef then begin
+        incr conflicts;
+        t.n_conflicts <- t.n_conflicts + 1;
+        (match budget with Some b -> Budget.tick_conflict b | None -> ());
+        let d = decision_level t in
+        if d = 0 then begin
+          (* Only reachable before the first flip: there is no model. *)
+          t.ok <- false;
+          outcome := Some Unsat
+        end
+        else begin
+          let lits, bt_level = analyze t confl in
+          if d > !floor then begin
+            cancel_until t (max bt_level !floor);
+            if Array.length lits = 1 && !floor > 0 then begin
+              (* The root is out of reach: assert the unit as a closed
+                 level of its own — its negation has no model. *)
+              keep_learnt lits;
+              open_level lits.(0) ~close:true
+            end
+            else record_learnt t lits
+          end
+          else if next_branch (d - 1) then begin
+            count_decision ();
+            keep_learnt lits
+          end
+          else begin
+            cancel_until t 0;
+            keep_learnt lits;
+            outcome := Some Unsat
+          end;
+          var_decay_activity t;
+          cla_decay_activity t;
+          if !outcome = None && out_of_budget () then outcome := Some Unknown
+        end
+      end
+      else if !conflicts >= restart_base * Luby.luby !attempt then begin
+        cancel_until t !floor;
+        t.n_restarts <- t.n_restarts + 1;
+        if not (Trace.is_null t.trace) then
+          Trace.emit t.trace
+            (Trace.Restart
+               { conflicts = t.n_conflicts; learnts = Vec.size t.learnts });
+        incr attempt;
+        conflicts := 0;
+        t.max_learnts <- t.max_learnts *. 1.1
+      end
+      else if !decisions_unpolled >= decision_poll_grain && out_of_budget ()
+      then outcome := Some Unknown
+      else begin
+        if !decisions_unpolled >= decision_poll_grain then
+          decisions_unpolled := 0;
+        if float_of_int (Vec.size t.learnts - t.n_trail) >= t.max_learnts then
+          reduce_db t;
+        let v = pick_proj () in
+        let v = if v >= 0 then v else pick_other () in
+        if v >= 0 then decide v
+        else begin
+          t.n_chrono_cubes <- t.n_chrono_cubes + 1;
+          if not (on_model (Array.map (fun v -> t.assigns.(v) = 1) proj)) then
+            outcome := Some Sat
+          else if next_branch (decision_level t) then count_decision ()
+          else outcome := Some Unsat
+        end
+      end
+    done;
+    charge_props ();
+    cancel_until t 0;
+    List.iter (Iheap.insert t.order) !set_aside;
+    List.iter (fun u -> ignore (add_clause t [ u ])) (List.rev !units);
+    finish (Option.get !outcome)
   end
 
 let model_value t v =

@@ -128,6 +128,36 @@ val solve :
   t ->
   result
 
+(** [enumerate_projected ?budget ?trace t proj f] reports every
+    assignment of the variables [proj] that extends to a model of the
+    clause set, each exactly once, by chronological backtracking inside
+    the CDCL loop (docs/ALGORITHMS.md §13). [f] receives the values of
+    [proj] (same positions, duplicates included) and returns [true] to
+    go on; it must not call into [t] except through the testing hooks
+    below.
+
+    Projection variables are decided first, chosen among themselves by
+    VSIDS activity. After each model the deepest projection decision not
+    yet flipped is flipped in place; flipped levels form a floor that
+    backjumps and restarts never go below, and a conflict at the floor
+    refutes that branch. No blocking clause is added: every learnt
+    clause follows from the clause set alone, so [t] answers the same
+    questions afterwards as before (a caller that wants the reported
+    assignments excluded must block them itself).
+
+    Returns [Unsat] once every assignment has been reported, [Sat] when
+    [f] returned [false], and [Unknown] when [budget] ran out (polled
+    like {!solve}: at every conflict and every batch of decisions; a
+    flip counts as a decision). Counts as one call in ["solve_calls"];
+    every reported assignment adds one to ["chrono_cubes"]. *)
+val enumerate_projected :
+  ?budget:Ps_util.Budget.t ->
+  ?trace:Ps_util.Trace.sink ->
+  t ->
+  Lit.var array ->
+  (bool array -> bool) ->
+  result
+
 (** [model_value t v] is the value of [v] in the satisfying assignment
     found by the last [solve] call that returned [Sat].
     Raises [Invalid_argument] if the last call did not return [Sat]. *)
@@ -147,7 +177,8 @@ val root_value : t -> Lit.var -> bool option
     ["restarts"], ["learnt"], ["deleted"], ["solve_calls"],
     ["minimized_lits"], ["reduce_dbs"], ["watcher_visits"],
     ["blocker_skips"] (watcher visits resolved by the blocker literal
-    alone, without touching clause memory), ["arena_words"],
+    alone, without touching clause memory), ["chrono_cubes"] (assignments
+    reported by {!enumerate_projected}), ["arena_words"],
     ["arena_bytes"], ["arena_live_words"], ["arena_gcs"],
     ["arena_gc_words"] (cumulative words reclaimed by compaction),
     ["groups_live"], ["groups_retired"], ["learnts_kept"] (see

@@ -488,13 +488,19 @@ let test_blocking_limit () =
   let n = Ps_circuit.Builder.finalize b in
   let proj = A.Project.of_vars (Array.of_list (N.inputs n)) in
   let cnf = Ts.encode n in
-  let s = Solver.create () in
-  ignore (Solver.load s cnf);
-  ignore (Solver.add_clause s [ Lit.pos g ]);
-  let r = A.Blocking.enumerate ~limit:5 s proj in
-  check_int "limit respected" 5 (List.length r.A.Run.cubes);
-  check_bool "incomplete" false (A.Run.complete r);
-  check_bool "stopped on cube limit" true (r.A.Run.stopped = `CubeLimit)
+  (* 12 cubes: past the hand-over to chronological enumeration *)
+  List.iter
+    (fun limit ->
+      let s = Solver.create () in
+      ignore (Solver.load s cnf);
+      ignore (Solver.add_clause s [ Lit.pos g ]);
+      let r = A.Blocking.enumerate ~limit s proj in
+      check_int "limit respected" limit (List.length r.A.Run.cubes);
+      check_bool "incomplete" false (A.Run.complete r);
+      check_bool "stopped on cube limit" true (r.A.Run.stopped = `CubeLimit);
+      check_bool "chronological phase reached" (limit > 5)
+        (Ps_util.Stats.get r.A.Run.stats "chrono_cubes" > 0))
+    [ 5; 12 ]
 
 let test_sds_success_learning_effective () =
   (* A disjunction of two identical subfunctions over disjoint variable

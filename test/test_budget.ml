@@ -35,11 +35,15 @@ let test_deadline_partial () =
 
 (* --- conflict budget: deterministic stop point ---------------------------- *)
 
+(* rand_c's all-ones state needs 91 conflicts for 384 minterms; the
+   budget of 60 runs out after the hand-over to chronological
+   enumeration. (Dense sets such as a counter's upper half are drained
+   with a handful of conflicts, too few for a budget to bite.) *)
 let test_conflict_budget_determinism () =
-  let c = Ps_gen.Counters.binary ~bits:14 () in
-  let inst = I.make c (T.upper_half ~bits:14) in
+  let e = Ps_gen.Suite.find "rand_c" in
+  let inst = I.make (Lazy.force e.Ps_gen.Suite.circuit) (Ps_gen.Suite.tight_target e) in
   let run () =
-    let budget = Budget.make ~conflicts:30 () in
+    let budget = Budget.make ~conflicts:60 () in
     E.run ~budget E.Blocking inst
   in
   let r1 = run () in

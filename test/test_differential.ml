@@ -8,9 +8,11 @@
      truth-table oracle when the cone is small enough, and produce the
      same canonicalized (minterm-expanded) solution set;
 
-   - random CNF / projection pairs (Ps_util.Rng-driven): blocking
-     enumeration — sequential and guiding-path parallel — against a
-     brute-force truth-table enumerator over all total assignments;
+   - random CNF / projection pairs (Ps_util.Rng-driven), plus formulas
+     dense in solutions on every fourth seed: blocking enumeration —
+     sequential and guiding-path parallel — against a brute-force
+     truth-table enumerator over all total assignments, as pairwise
+     disjoint minterms;
 
    - backward-reachability fixpoints: the incremental session
      (Reach_inc: one solver, retractable frame groups) against the
@@ -290,6 +292,26 @@ let cnf_instance seed =
   R.shuffle rng vars;
   (cnf, A.Project.of_vars (Array.sub vars 0 k))
 
+(* Every fourth seed also draws a formula dense in solutions: a few
+   3-literal clauses over distinct variables (each removes an eighth of
+   the assignments) and a wide projection. Its projected solutions
+   outnumber its clauses, so blocking enumeration hands over to
+   chronological enumeration partway through. *)
+let dense_seed seed = seed mod 4 = 3
+
+let dense_cnf_instance seed =
+  let rng = R.create ~seed:(0xD3C + seed) in
+  let nvars = 8 + R.int rng (if long then 6 else 4) in
+  let clause () =
+    let vars = Array.init nvars (fun v -> v) in
+    R.shuffle rng vars;
+    List.init 3 (fun i -> Ps_sat.Lit.make vars.(i) (R.bool rng))
+  in
+  let cnf = Cnf.of_clauses ~nvars (List.init (1 + R.int rng 4) (fun _ -> clause ())) in
+  let vars = Array.init nvars (fun v -> v) in
+  R.shuffle rng vars;
+  (cnf, A.Project.of_vars (Array.sub vars 0 (nvars - R.int rng 3)))
+
 let brute_force_projected cnf proj =
   let tbl = Hashtbl.create 256 in
   List.iter
@@ -318,21 +340,31 @@ let enumerate_cnf ?jobs cnf proj =
         A.Blocking.enumerate ?limit ?budget ~trace s proj)
       ()
 
-let run_cnf_seed seed =
-  let cnf, proj = cnf_instance seed in
+let check_cnf ~seed ~dense (cnf, proj) =
   let width = A.Project.width proj in
   let oracle = brute_force_projected cnf proj in
+  (* minterm enumeration: every cube fixes every position and no
+     minterm comes twice, so the cubes are pairwise disjoint *)
+  let check_minterms what (r : A.Run.t) =
+    if r.A.Run.stopped <> `Complete then
+      Alcotest.failf "cnf seed %d: %s run not complete" seed what;
+    if minterm_set width r.A.Run.cubes <> oracle then
+      Alcotest.failf "cnf seed %d: %s blocking differs from truth table" seed
+        what;
+    if
+      List.exists (fun c -> Cube.num_free c > 0) r.A.Run.cubes
+      || List.length r.A.Run.cubes <> List.length oracle
+    then Alcotest.failf "cnf seed %d: %s cubes are not disjoint minterms" seed what
+  in
   let seq = enumerate_cnf cnf proj in
-  if seq.A.Run.stopped <> `Complete then
-    Alcotest.failf "cnf seed %d: sequential run not complete" seed;
-  if minterm_set width seq.A.Run.cubes <> oracle then
-    Alcotest.failf "cnf seed %d: blocking differs from truth table" seed;
-  let par = enumerate_cnf ~jobs:2 cnf proj in
-  if par.A.Run.stopped <> `Complete then
-    Alcotest.failf "cnf seed %d: parallel run not complete" seed;
-  if minterm_set width par.A.Run.cubes <> oracle then
-    Alcotest.failf "cnf seed %d: parallel blocking differs from truth table"
-      seed
+  check_minterms "sequential" seq;
+  if dense && Ps_util.Stats.get seq.A.Run.stats "chrono_cubes" = 0 then
+    Alcotest.failf "cnf seed %d: dense formula never handed over" seed;
+  check_minterms "parallel" (enumerate_cnf ~jobs:2 cnf proj)
+
+let run_cnf_seed seed =
+  check_cnf ~seed ~dense:false (cnf_instance seed);
+  if dense_seed seed then check_cnf ~seed ~dense:true (dense_cnf_instance seed)
 
 let test_cnfs () =
   for seed = 0 to n_cnf_seeds - 1 do

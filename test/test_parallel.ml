@@ -152,9 +152,18 @@ let test_cancel_from_other_domain () =
   let flag = Budget.cancel_flag () in
   let budget = Budget.make ~cancel_with:flag () in
   let seen_cube = Atomic.make false in
+  (* a worker that reports a cube waits until the flag is tripped, so the
+     run cannot finish before the cancellation lands however fast the
+     enumeration drains the state space *)
   let trace =
     Trace.callback (fun ~time_s:_ ev ->
-        match ev with Trace.Cube _ -> Atomic.set seen_cube true | _ -> ())
+        match ev with
+        | Trace.Cube _ ->
+          Atomic.set seen_cube true;
+          while not (Budget.cancel_requested flag) do
+            Domain.cpu_relax ()
+          done
+        | _ -> ())
   in
   (* the canceller runs on its own domain and trips the shared flag as
      soon as any worker has produced a first cube *)
@@ -175,15 +184,18 @@ let test_cancel_from_other_domain () =
 (* --- global budget across shards --------------------------------------- *)
 
 let test_global_conflict_budget () =
-  let inst =
-    I.make (Ps_gen.Counters.binary ~bits:10 ()) [ Cube.make 10 ]
-  in
+  (* the 4-client arbiter's upper half: 240 preimage minterms, found
+     with about 150 conflicts across the 16 shards — a counter's full
+     state space, say, is drained by chronological enumeration with
+     next to none *)
+  let e = Ps_gen.Suite.find "arbiter4" in
+  let inst = I.make (Lazy.force e.Ps_gen.Suite.circuit) (Ps_gen.Suite.default_target e) in
+  let width = A.Project.width inst.I.proj in
   let full = E.run ~jobs:1 E.Blocking inst in
   let total_conflicts = Stats.get (E.stats full) "conflicts" in
   check_bool "run is complete" true (E.complete full);
-  (* the blocking enumeration of 2^10 minterms conflicts against its own
-     blocking clauses; if this workload ever stops conflicting the test
-     below would be vacuous *)
+  (* if this workload ever stops conflicting the test below would be
+     vacuous *)
   check_bool "workload produces conflicts" true (total_conflicts >= 8);
   let cap = total_conflicts / 2 in
   let budget = Budget.make ~conflicts:cap () in
@@ -200,10 +212,10 @@ let test_global_conflict_budget () =
     (Budget.conflicts_spent budget <= cap + slack);
   check_bool "under-approximation" true (r.E.n_cubes < full.E.n_cubes);
   (* truncated cubes are a subset of the full solution set *)
-  let full_set = minterm_set 10 (E.cubes full) in
+  let full_set = minterm_set width (E.cubes full) in
   List.iter
     (fun m -> check_bool "cube in full set" true (List.mem m full_set))
-    (minterm_set 10 (E.cubes r));
+    (minterm_set width (E.cubes r));
   check_sound inst (E.cubes r)
 
 (* --- dynamic re-splitting ----------------------------------------------- *)

@@ -505,6 +505,173 @@ let group_enumeration_matches_plain =
       in
       with_group && after_retire)
 
+(* --- Solver: projected enumeration by chronological backtracking ---------- *)
+
+module Budget = Ps_util.Budget
+
+(* Every report of [Solver.enumerate_projected], in order, and the result. *)
+let enum_reports ?budget ?(on_report = fun _ -> ()) s proj =
+  let reports = ref [] in
+  let r =
+    Solver.enumerate_projected ?budget s proj (fun bits ->
+        reports := Array.copy bits :: !reports;
+        on_report (List.length !reports);
+        true)
+  in
+  (r, List.rev !reports)
+
+let projected_models f proj =
+  List.sort_uniq compare
+    (List.map (fun m -> Array.map (fun v -> m.(v)) proj) (Cnf.brute_force_models f))
+
+let distinct xs = List.length (List.sort_uniq compare xs) = List.length xs
+
+(* Conflict-heavy: a random 3-CNF near the satisfiability threshold,
+   projected onto a third of its variables. *)
+let hard_instance seed =
+  let rng = R.create ~seed in
+  let nvars = 60 in
+  let clauses =
+    List.init 240 (fun _ ->
+        List.init 3 (fun _ -> Lit.make (R.int rng nvars) (R.bool rng)))
+  in
+  (Cnf.of_clauses ~nvars clauses, Array.init 20 (fun i -> 3 * i))
+
+let enumeration_matches_brute_force =
+  Helpers.qtest "projected enumeration = brute force, solver unchanged" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.create ~seed in
+      let nvars = 1 + R.int rng 10 in
+      let f =
+        Helpers.random_cnf rng ~nvars ~nclauses:(R.int rng (4 * nvars)) ~max_len:3
+      in
+      let proj = Array.init (R.int rng (nvars + 1)) (fun _ -> R.int rng nvars) in
+      let s = solver_of f in
+      let r, reports = enum_reports s proj in
+      let expected = projected_models f proj in
+      r = Solver.Unsat
+      && distinct reports
+      && List.sort compare reports = expected
+      && Solver.check_watches s = Ok ()
+      && (Solver.solve s = Solver.Sat) = (expected <> []))
+
+let test_enum_reduce_and_gc () =
+  let f, proj = hard_instance 7 in
+  let expected =
+    let r, reports = enum_reports (solver_of f) proj in
+    check_bool "reference run complete" true (r = Solver.Unsat);
+    List.sort compare reports
+  in
+  check_bool "premise: many models" true (List.length expected > 20);
+  let s = solver_of f in
+  let before = Solver.stats s in
+  let r, reports =
+    enum_reports s proj ~on_report:(fun n ->
+        if n mod 5 = 0 then Solver.dbg_reduce_db s;
+        if n mod 9 = 0 then Solver.dbg_gc s)
+  in
+  let after = Solver.stats s in
+  let grew k = Ps_util.Stats.get after k > Ps_util.Stats.get before k in
+  check_bool "reduce_db ran" true (grew "reduce_dbs");
+  check_bool "arena gc ran" true (grew "arena_gcs");
+  check_bool "learnt clauses" true (Solver.n_learnts s > 0);
+  check_bool "complete" true (r = Solver.Unsat);
+  check_bool "same models" true (List.sort compare reports = expected);
+  check_bool "no model twice" true (distinct reports);
+  check_bool "watches intact" true (Solver.check_watches s = Ok ());
+  check_int "chrono_cubes" (List.length reports)
+    (Ps_util.Stats.get after "chrono_cubes")
+
+let test_enum_width_zero () =
+  let f = Cnf.of_clauses ~nvars:3 [ [ Lit.pos 0; Lit.pos 1 ]; [ Lit.neg 2 ] ] in
+  let r, reports = enum_reports (solver_of f) [||] in
+  check_bool "complete" true (r = Solver.Unsat);
+  check_bool "one empty assignment" true (reports = [ [||] ]);
+  let unsat =
+    Cnf.of_clauses ~nvars:2
+      [ [ Lit.pos 0; Lit.pos 1 ]; [ Lit.neg 0 ]; [ Lit.neg 1 ] ]
+  in
+  let r, reports = enum_reports (solver_of unsat) [||] in
+  check_bool "unsat: complete" true (r = Solver.Unsat);
+  check_int "unsat: nothing reported" 0 (List.length reports)
+
+let test_enum_root_fixed_and_duplicates () =
+  (* x0 fixed true at the root; x1 free; x2 = x3 *)
+  let f =
+    Cnf.of_clauses ~nvars:4
+      [ [ Lit.pos 0 ]; [ Lit.neg 2; Lit.pos 3 ]; [ Lit.pos 2; Lit.neg 3 ] ]
+  in
+  let proj = [| 1; 0; 1; 2; 0; 3 |] in
+  let r, reports = enum_reports (solver_of f) proj in
+  check_bool "complete" true (r = Solver.Unsat);
+  check_bool "brute force" true
+    (List.sort compare reports = projected_models f proj);
+  check_int "x1 and x2 free: four assignments" 4 (List.length reports);
+  List.iter
+    (fun b ->
+      check_bool "duplicates agree" true (b.(0) = b.(2) && b.(1) = b.(4));
+      check_bool "root-fixed value" true b.(1);
+      check_bool "implied value" true (b.(3) = b.(5)))
+    reports
+
+(* Reference: one unbudgeted enumeration (checked against brute force by
+   the property above). *)
+let all_reports f proj = snd (enum_reports (solver_of f) proj)
+
+let test_enum_conflict_limit_deterministic () =
+  let f, proj = hard_instance 14 in
+  let run () =
+    let budget = Budget.make ~conflicts:100 () in
+    let s = solver_of f in
+    let r, reports = enum_reports ~budget s proj in
+    (r, reports, Ps_util.Stats.get (Solver.stats s) "decisions")
+  in
+  let r1, reports1, d1 = run () in
+  let r2, reports2, d2 = run () in
+  check_bool "stopped on the budget" true (r1 = Solver.Unknown);
+  check_bool "premise: partial" true
+    (List.length reports1 < List.length (all_reports f proj));
+  check_bool "same result" true (r2 = r1);
+  check_bool "same reports, same order" true (reports1 = reports2);
+  check_int "same decisions" d1 d2
+
+let test_enum_interrupted_partial () =
+  (* Cancellation: the flag trips at the 10th model; the stop comes at
+     the next poll and what came before is sound and disjoint. *)
+  let f, proj = hard_instance 7 in
+  let all = all_reports f proj in
+  let flag = Budget.cancel_flag () in
+  let budget = Budget.make ~cancel_with:flag () in
+  let s = solver_of f in
+  let r, reports =
+    enum_reports ~budget s proj ~on_report:(fun n ->
+        if n = 10 then Budget.cancel flag)
+  in
+  check_bool "cancelled" true (r = Solver.Unknown);
+  check_bool "budget records it" true (Budget.stopped budget = Some `Cancelled);
+  check_bool "partial" true
+    (List.length reports >= 10 && List.length reports < List.length all);
+  check_bool "sound" true (List.for_all (fun b -> List.mem b all) reports);
+  check_bool "disjoint" true (distinct reports);
+  check_bool "solver usable" true (Solver.solve s = Solver.Sat);
+  (* Deadline: 2^22 models of a formula over 24 variables cannot all be
+     reported in 50 ms. *)
+  let nvars = 24 in
+  let f =
+    Cnf.of_clauses ~nvars
+      [ [ Lit.pos 0; Lit.pos 1 ]; [ Lit.neg 1; Lit.pos 2 ]; [ Lit.neg 0; Lit.neg 2 ] ]
+  in
+  let proj = Array.init nvars (fun v -> v) in
+  let budget = Budget.make ~timeout_s:0.05 () in
+  let t0 = Unix.gettimeofday () in
+  let r, reports = enum_reports ~budget (solver_of f) proj in
+  check_bool "deadline" true (r = Solver.Unknown && Budget.stopped budget = Some `Deadline);
+  check_bool "prompt" true (Unix.gettimeofday () -. t0 < 2.0);
+  check_bool "some models" true (reports <> []);
+  check_bool "every report is a model" true (List.for_all (Cnf.eval f) reports);
+  check_bool "deadline: disjoint" true (distinct reports)
+
 let () =
   Alcotest.run "ps_sat"
     [
@@ -562,5 +729,18 @@ let () =
             test_unsat_core_under_groups;
           Alcotest.test_case "stable across arena gc" `Quick
             test_unsat_core_across_gc;
+        ] );
+      ( "enumerate",
+        [
+          enumeration_matches_brute_force;
+          Alcotest.test_case "watches intact after reduce/gc" `Quick
+            test_enum_reduce_and_gc;
+          Alcotest.test_case "width-0 projection" `Quick test_enum_width_zero;
+          Alcotest.test_case "root-fixed and duplicated variables" `Quick
+            test_enum_root_fixed_and_duplicates;
+          Alcotest.test_case "conflict limit is deterministic" `Quick
+            test_enum_conflict_limit_deterministic;
+          Alcotest.test_case "cancel/deadline partial is sound" `Quick
+            test_enum_interrupted_partial;
         ] );
     ]
