@@ -5,7 +5,8 @@ module Trace = Ps_util.Trace
 
 type result = Run.t
 
-let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift solver proj =
+let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift ?(prior = [])
+    solver proj =
   let stats = Stats.create () in
   let width = Project.width proj in
   let cubes = ref [] in
@@ -23,10 +24,18 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift solver proj =
         (Trace.Cube { index = !n_cubes; fixed = Cube.num_fixed cube; width })
   in
   (* Minterm runs hand over to chronological enumeration once the
-     blocking clauses outnumber the problem clauses they started with. *)
+     blocking clauses, [prior]'s included, outnumber the problem clauses
+     they started with. *)
   let problem_clauses = Solver.n_clauses solver in
   let blocked = ref 0 in
-  let running = ref true in
+  (* [false] once nothing is left to enumerate *)
+  let block cube =
+    incr blocked;
+    match Project.blocking_clause proj cube with
+    | [] -> false (* the whole projected space is one cube *)
+    | clause -> Solver.add_clause solver clause
+  in
+  let running = ref (List.for_all block prior) in
   while !running do
     if not (under_limit ()) then begin
       stopped := `CubeLimit;
@@ -72,12 +81,7 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift solver proj =
             Cube.of_masked_assignment bits mask
         in
         emit cube;
-        let clause = Project.blocking_clause proj cube in
-        incr blocked;
-        if clause = [] then
-          (* The whole projected space is one cube: nothing left. *)
-          running := false
-        else if not (Solver.add_clause solver clause) then running := false
+        if not (block cube) then running := false
     end
   done;
   Stats.add stats "cubes" !n_cubes;

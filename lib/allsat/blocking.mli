@@ -42,15 +42,21 @@ type result = Run.t
     [sink] receives every emitted cube in discovery order, as it is
     found — the streaming hook of the durable solution store.
 
+    [prior] are cubes already enumerated, say by a killed run being
+    resumed: each is blocked before the first call and counts as a
+    blocking clause towards the hand-over, so a run resumed late drains
+    the rest chronologically. They are not reported again.
+
     Minterms found after the hand-over are not blocked in [solver]:
-    callers that continue re-block the returned cubes, as [--resume]
-    does. *)
+    callers that continue pass the returned cubes as [prior] to a fresh
+    solver, as [--resume] does. *)
 val enumerate :
   ?limit:int ->
   ?budget:Ps_util.Budget.t ->
   ?trace:Ps_util.Trace.sink ->
   ?sink:Run.sink ->
   ?lift:(bool array -> bool array) ->
+  ?prior:Cube.t list ->
   Ps_sat.Solver.t ->
   Project.t ->
   Run.t
