@@ -709,8 +709,10 @@ let analyze_final t p =
         if r = cref_undef then
           (* a decision here is necessarily an assumption (this analysis
              only runs while assumptions alone are decided); the trail
-             literal is the assumption itself *)
-          (if x <> v0 then core := t.trail.(i) :: !core)
+             literal is the assumption itself. On [p]'s own variable it
+             is ~p: the assumptions contradict each other, and the core
+             needs both. *)
+          core := t.trail.(i) :: !core
         else begin
           let sz = Arena.size t.arena r in
           for k = 1 to sz - 1 do

@@ -416,6 +416,20 @@ let test_unsat_core_nonminimal () =
   Alcotest.check sat "core refutes" Solver.Unsat
     (Solver.solve ~assumptions:core s)
 
+let test_unsat_core_contradictory () =
+  (* Assumptions [~a; b; a] contradict each other on a alone: the core
+     is exactly {~a, a}, and it refutes on its own. *)
+  let s = Solver.create () in
+  Solver.ensure_vars s 2;
+  let a = Lit.pos 0 and b = Lit.pos 1 in
+  Alcotest.check sat "unsat" Solver.Unsat
+    (Solver.solve ~assumptions:[ Lit.negate a; b; a ] s);
+  let core = List.sort compare (Solver.unsat_core s) in
+  Alcotest.(check (list int))
+    "both polarities" (List.sort compare [ Lit.negate a; a ]) core;
+  Alcotest.check sat "core refutes" Solver.Unsat
+    (Solver.solve ~assumptions:core s)
+
 let test_unsat_core_under_groups () =
   (* The refuting constraint lives in a group: the core must name the
      activation literal (the culprit), not the irrelevant assumption. *)
@@ -725,6 +739,8 @@ let () =
           Alcotest.test_case "minimal" `Quick test_unsat_core_minimal;
           Alcotest.test_case "non-minimal contract" `Quick
             test_unsat_core_nonminimal;
+          Alcotest.test_case "contradictory assumptions" `Quick
+            test_unsat_core_contradictory;
           Alcotest.test_case "under activation groups" `Quick
             test_unsat_core_under_groups;
           Alcotest.test_case "stable across arena gc" `Quick
