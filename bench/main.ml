@@ -425,10 +425,13 @@ let fig4 () =
         let r_on = E.run E.Sds inst in
         let r_off = E.run E.SdsNoMemo inst in
         let nodes r = Stats.get (E.stats r) "search_nodes" in
+        let stat_on k = string_of_int (Stats.get (E.stats r_on) k) in
         [
           e.Suite.name;
           string_of_int (nodes r_on);
-          string_of_int (Stats.get (E.stats r_on) "memo_hits");
+          stat_on "memo_hits";
+          stat_on "sat_calls";
+          stat_on "model_hits";
           ms r_on.E.time_s;
           string_of_int (nodes r_off);
           ms r_off.E.time_s;
@@ -439,7 +442,8 @@ let fig4 () =
   print_table
     "Figure 4 (ablation): success-driven learning on vs off (search nodes, \
      node reduction factor)"
-    [ "circuit"; "nodes_on"; "memo_hits"; "ms_on"; "nodes_off"; "ms_off"; "node_ratio" ]
+    [ "circuit"; "nodes_on"; "memo_hits"; "sat_calls"; "model_hits"; "ms_on";
+      "nodes_off"; "ms_off"; "node_ratio" ]
     rows
 
 (* --- Figure 5: XOR-dominated regime ----------------------------------------------- *)

@@ -3,8 +3,6 @@ module Stats = Ps_util.Stats
 module Budget = Ps_util.Budget
 module Trace = Ps_util.Trace
 
-type result = Run.t
-
 let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift ?(prior = [])
     solver proj =
   let stats = Stats.create () in

@@ -14,10 +14,6 @@
     prunes [2^free] solutions; cubes may overlap but their union is
     exactly the projected solution set, and there is no hand-over. *)
 
-(** Deprecated alias for {!Run.t}, the unified engine result. *)
-type result = Run.t
-[@@ocaml.deprecated "use Ps_allsat.Run.t"]
-
 (** [enumerate ?limit ?budget ?trace ?lift solver proj] drains all
     solutions of the clauses already loaded in [solver], projected onto
     [proj], returning the unified {!Run.t}.

@@ -34,20 +34,47 @@ let config ?use_memo ?(use_sat = true) variant =
 
 let default_config = config Sds
 
-type result = Run.t
+(* Memo keys. A signature is the frontier walk as a sequence of ints
+   (net × 3 + ternary code) with a rolling hash of that sequence. Two
+   keys are equal only when their depths and whole sequences are: the
+   hash merely picks the bucket, so a collision costs a comparison and
+   can never return another node's subgraph. *)
+module Key = struct
+  type t = { depth : int; hash : int; words : int array; len : int }
 
-let tri_char = function G.F -> '0' | G.T -> '1' | G.X -> 'x'
+  let equal a b =
+    a.hash = b.hash && a.depth = b.depth && a.len = b.len
+    &&
+    let rec same i = i = a.len || (a.words.(i) = b.words.(i) && same (i + 1)) in
+    same 0
+
+  let hash k =
+    let h = k.hash lxor (k.depth * 0x1e3779b97f4a7c15) in
+    h lxor (h lsr 29)
+end
+
+module Memo = Hashtbl.Make (Key)
+
+let tri_code = function G.F -> 0 | G.T -> 1 | G.X -> 2
 
 let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
     ?sink ?prefix ~netlist ~root ~proj_nets ~solver () =
   let n = Array.length proj_nets in
   let nnets = N.num_nets netlist in
-  Array.iter
-    (fun net ->
-      if net < 0 || net >= nnets then invalid_arg "Sds.search: bad projection net")
-    proj_nets;
+  (* The ternary simulator only reads leaves, and a net owns a single
+     position: a gate or a repeated net would be enumerated wrongly. *)
   let pos_of_net = Array.make nnets (-1) in
-  Array.iteri (fun i net -> pos_of_net.(net) <- i) proj_nets;
+  Array.iteri
+    (fun i net ->
+      if net < 0 || net >= nnets then invalid_arg "Sds.search: bad projection net";
+      (match N.driver netlist net with
+      | N.Input | N.Latch _ -> ()
+      | N.Gate _ ->
+        invalid_arg "Sds.search: projection net is not an input or latch");
+      if pos_of_net.(net) >= 0 then
+        invalid_arg "Sds.search: repeated projection net";
+      pos_of_net.(net) <- i)
+    proj_nets;
   let man = Sg.new_man ~width:n in
   let stats = Stats.create () in
   let env = Array.make nnets G.X in
@@ -66,43 +93,52 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
      objective can still see (any variable outside the frontier is a
      don't-care here). With dynamic decisions the graph is a {e free}
      BDD (per-path variable orders), which is exactly the
-     representation the original solver built from its search tree. *)
+     representation the original solver built from its search tree.
+
+     The walk visits each net at most once, so [nnets] words always
+     suffice; the buffer is shared by every node of the recursion. *)
   let visited = Array.make nnets (-1) in
   let visit_epoch = ref 0 in
-  let sig_buf = Buffer.create 256 in
+  let sig_words = Array.make nnets 0 in
+  let sig_len = ref 0 in
+  let sig_hash = ref 0 in
   let candidate = ref (-1) in
+  let rec mark epoch net =
+    if visited.(net) <> epoch then begin
+      visited.(net) <- epoch;
+      let v = values.(net) in
+      let w = (net * 3) + tri_code v in
+      sig_words.(!sig_len) <- w;
+      incr sig_len;
+      sig_hash := (!sig_hash lxor w) * 0x100000001b3;
+      if v = G.X then
+        match N.driver netlist net with
+        | N.Gate (_, fanins) ->
+          for i = 0 to Array.length fanins - 1 do
+            mark epoch fanins.(i)
+          done
+        | N.Input | N.Latch _ ->
+          if !candidate = -1 && pos_of_net.(net) >= 0 then candidate := net
+    end
+  in
   let signature () =
     incr visit_epoch;
-    let epoch = !visit_epoch in
-    Buffer.clear sig_buf;
+    sig_len := 0;
+    sig_hash := 0;
     candidate := -1;
-    let rec mark net =
-      if visited.(net) <> epoch then begin
-        visited.(net) <- epoch;
-        let v = values.(net) in
-        Buffer.add_string sig_buf (string_of_int net);
-        Buffer.add_char sig_buf (tri_char v);
-        if v = G.X then begin
-          match N.driver netlist net with
-          | N.Gate (_, fanins) -> Array.iter mark fanins
-          | N.Input | N.Latch _ ->
-            if !candidate = -1 && pos_of_net.(net) >= 0 then candidate := net
-        end
-      end
-    in
-    mark root;
-    Buffer.contents sig_buf
+    mark !visit_epoch root
   in
   (* Static keys include the depth (the branch variable is a function of
      the depth); dynamic keys are the signature alone (the branch
      variable is a function of the signature), which shares subgraphs
      across depths too. *)
-  let memo : (int * string, Sg.t) Hashtbl.t = Hashtbl.create 1024 in
+  let memo : Sg.t Memo.t = Memo.create 1024 in
   let assumption_stack = ref [] in
   let n_search_nodes = ref 0 in
   let n_memo_hits = ref 0 in
   let n_ternary = ref 0 in
   let n_sat_calls = ref 0 in
+  let n_model_hits = ref 0 in
   let n_unsat_prunes = ref 0 in
   (* Anytime interruption: once [stop] is set, every pending subtree
      resolves to the 0-terminal without further work, so the recursion
@@ -129,9 +165,42 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
     end;
     !stop <> None
   in
-  let sat_probe () =
-    incr n_sat_calls;
-    Solver.solve ~assumptions:!assumption_stack ?budget ~trace solver
+  (* The model of the last [Sat] answer satisfies the clauses and every
+     assumption of that call, and SDS never adds a clause. So a node
+     whose whole assumption stack the model satisfies is satisfiable,
+     and needs no solver call. *)
+  let last_model = ref [||] in
+  let rec model_satisfies = function
+    | [] -> true
+    | l :: rest ->
+      let v = Lit.var l in
+      v < Array.length !last_model
+      && (!last_model).(v) = Lit.sign l
+      && model_satisfies rest
+  in
+  (* [satisfiable ()] decides F ∧ prefix. An [Unknown] answer sets
+     [stop] and reads as unsatisfiable, so the subtree resolves to the
+     0-terminal. *)
+  let satisfiable () =
+    if Array.length !last_model > 0 && model_satisfies !assumption_stack then begin
+      incr n_model_hits;
+      true
+    end
+    else begin
+      incr n_sat_calls;
+      match Solver.solve ~assumptions:!assumption_stack ?budget ~trace solver with
+      | Solver.Sat ->
+        last_model := Solver.model solver;
+        true
+      | Solver.Unsat ->
+        incr n_unsat_prunes;
+        false
+      | Solver.Unknown ->
+        ignore (check_stop ());
+        if !stop = None then
+          stop := Some (Run.stopped_of_budget budget ~default:`Cancelled);
+        false
+    end
   in
   let branch net k recurse =
     let pos = pos_of_net.(net) in
@@ -164,20 +233,17 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
         incr n_ternary;
         Sg.zero man
       | G.X ->
-        let sig_ = signature () in
+        if config.use_memo || config.decision = Dynamic then signature ();
         let branch_net =
           match config.decision with
           | Static -> if k = n then -1 else proj_nets.(k)
           | Dynamic -> !candidate
         in
         let key =
-          if config.use_memo then
-            Some ((match config.decision with Static -> k | Dynamic -> -1), sig_)
-          else None
+          { Key.depth = (match config.decision with Static -> k | Dynamic -> -1);
+            hash = !sig_hash; words = sig_words; len = !sig_len }
         in
-        let cached =
-          match key with Some key -> Hashtbl.find_opt memo key | None -> None
-        in
+        let cached = if config.use_memo then Memo.find_opt memo key else None in
         (match cached with
         | Some node ->
           incr n_memo_hits;
@@ -185,43 +251,27 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
             Trace.emit trace (Trace.Memo_hit { depth = k; hits = !n_memo_hits });
           node
         | None ->
+          (* The recursion reuses [sig_words]: copy this node's key out
+             before descending. *)
+          let key =
+            if config.use_memo then
+              Some { key with words = Array.sub sig_words 0 key.len }
+            else None
+          in
           let node =
-            if branch_net = -1 then begin
+            if branch_net = -1 then
               (* No projected variable can influence the objective anymore:
                  the remaining question is purely over the unprojected
-                 inputs — one satisfiability probe decides the subtree. *)
-              match sat_probe () with
-              | Solver.Sat -> Sg.one man
-              | Solver.Unsat ->
-                incr n_unsat_prunes;
-                Sg.zero man
-              | Solver.Unknown ->
-                ignore (check_stop ());
-                if !stop = None then
-                  stop := Some (Run.stopped_of_budget budget ~default:`Cancelled);
-                Sg.zero man
-            end
-            else if
-              config.use_sat
-              && (match sat_probe () with
-                 | Solver.Unsat ->
-                   incr n_unsat_prunes;
-                   true
-                 | Solver.Sat -> false
-                 | Solver.Unknown ->
-                   ignore (check_stop ());
-                   if !stop = None then
-                     stop :=
-                       Some (Run.stopped_of_budget budget ~default:`Cancelled);
-                   true)
-            then Sg.zero man
+                 inputs — one satisfiability check decides the subtree. *)
+              if satisfiable () then Sg.one man else Sg.zero man
+            else if config.use_sat && not (satisfiable ()) then Sg.zero man
             else branch branch_net k go
           in
           (* A subtree finished under an active stop is truncated:
              caching it would poison complete reruns of the same
              signature. *)
           (match key with
-          | Some key when !stop = None -> Hashtbl.add memo key node
+          | Some key when !stop = None -> Memo.add memo key node
           | _ -> ());
           node)
     end
@@ -260,6 +310,7 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
   Stats.add stats "memo_hits" !n_memo_hits;
   Stats.add stats "ternary_decides" !n_ternary;
   Stats.add stats "sat_calls" !n_sat_calls;
+  Stats.add stats "model_hits" !n_model_hits;
   Stats.add stats "unsat_prunes" !n_unsat_prunes;
   Stats.add stats "graph_nodes" (Sg.size graph);
   Stats.merge ~into:stats (Solver.stats solver);

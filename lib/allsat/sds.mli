@@ -15,7 +15,8 @@
       solution {e graph}.
     + A {b CDCL oracle} call (under the prefix as assumptions) refutes
       unsatisfiable subtrees immediately; its learnt clauses persist, so
-      successive probes get cheaper.
+      successive probes get cheaper. A probe whose prefix the last model
+      already satisfies is answered by that model, without a call.
 
     The result is the hash-consed {!Solution_graph} of all projected
     solutions, delivered as the unified {!Run.t}. *)
@@ -58,16 +59,12 @@ val config : ?use_memo:bool -> ?use_sat:bool -> variant -> config
 (** [config Sds]. *)
 val default_config : config
 
-(** Deprecated alias for {!Run.t}, the unified engine result. The
-    graph's stats carry ["search_nodes"], ["memo_hits"],
-    ["ternary_decides"], ["sat_calls"], ["unsat_prunes"],
-    ["graph_nodes"] plus the solver counters. *)
-type result = Run.t
-[@@ocaml.deprecated "use Ps_allsat.Run.t"]
-
 (** [search ~netlist ~root ~proj_nets ~solver ()] enumerates all
     assignments of [proj_nets] (in the given order) that extend to an
-    assignment of the remaining inputs making net [root] true.
+    assignment of the remaining inputs making net [root] true. Every
+    projection net must be an input or latch output (the ternary
+    simulator reads only leaves) and appear once; otherwise raises
+    [Invalid_argument].
 
     [solver] must already contain the Tseitin encoding of (at least) the
     cone of [root] with net-as-variable mapping ({!Ps_circuit.Tseitin}),
@@ -83,6 +80,11 @@ type result = Run.t
     subtree completed before the stop — truncated subtrees contribute
     the 0-terminal and are never memoized, so learning never poisons a
     later complete run.
+
+    The result's stats carry ["search_nodes"], ["memo_hits"],
+    ["ternary_decides"], ["sat_calls"] (solver calls made),
+    ["model_hits"] (probes answered by the last model without a call),
+    ["unsat_prunes"], ["graph_nodes"] plus the solver counters.
 
     [trace] receives [Memo_hit] events, the solver's events, and a
     final [Stopped] event.

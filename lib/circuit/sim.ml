@@ -11,18 +11,63 @@ let eval n ~env =
     (Netlist.topo_gates n);
   values
 
+(* The three-valued folds below read the fanins in place instead of
+   gathering them into an array for [Gate.eval3], so a pass allocates
+   nothing. [Netlist.make] has already checked every gate's arity. *)
+
+let not3 = function Gate.F -> Gate.T | Gate.T -> Gate.F | Gate.X -> Gate.X
+
+(* AND ([ctrl] = F) and OR ([ctrl] = T): a controlling fanin decides the
+   output, otherwise any X leaves it unknown. *)
+let dominated ctrl values fanins =
+  let acc = ref (not3 ctrl) in
+  let i = ref 0 in
+  let len = Array.length fanins in
+  while !acc != ctrl && !i < len do
+    let v = values.(fanins.(!i)) in
+    if v == ctrl || v == Gate.X then acc := v;
+    incr i
+  done;
+  !acc
+
+(* XOR: any X makes the parity unknown. *)
+let xor3 values fanins =
+  let acc = ref Gate.F in
+  let i = ref 0 in
+  let len = Array.length fanins in
+  while !acc != Gate.X && !i < len do
+    (match values.(fanins.(!i)) with
+    | Gate.X -> acc := Gate.X
+    | Gate.T -> acc := (if !acc == Gate.T then Gate.F else Gate.T)
+    | Gate.F -> ());
+    incr i
+  done;
+  !acc
+
 let eval3_into n ~env ~values =
   let nnets = Netlist.num_nets n in
   if Array.length env < nnets || Array.length values < nnets then
     invalid_arg "Sim.eval3_into: arrays too short";
   Array.blit env 0 values 0 nnets;
-  Array.iter
-    (fun g ->
-      match Netlist.driver n g with
-      | Netlist.Gate (kind, fanins) ->
-        values.(g) <- Gate.eval3 kind (Array.map (fun f -> values.(f)) fanins)
-      | Netlist.Input | Netlist.Latch _ -> assert false)
-    (Netlist.topo_gates n)
+  let topo = Netlist.topo_gates n in
+  for i = 0 to Array.length topo - 1 do
+    let g = topo.(i) in
+    match Netlist.driver n g with
+    | Netlist.Gate (kind, fanins) ->
+      values.(g) <-
+        (match kind with
+        | Gate.And -> dominated Gate.F values fanins
+        | Gate.Nand -> not3 (dominated Gate.F values fanins)
+        | Gate.Or -> dominated Gate.T values fanins
+        | Gate.Nor -> not3 (dominated Gate.T values fanins)
+        | Gate.Xor -> xor3 values fanins
+        | Gate.Xnor -> not3 (xor3 values fanins)
+        | Gate.Not -> not3 values.(fanins.(0))
+        | Gate.Buf -> values.(fanins.(0))
+        | Gate.Const0 -> Gate.F
+        | Gate.Const1 -> Gate.T)
+    | Netlist.Input | Netlist.Latch _ -> assert false
+  done
 
 let eval3 n ~env =
   let values = Array.make (Netlist.num_nets n) Gate.X in

@@ -555,6 +555,106 @@ let test_sds_graph_is_reduced () =
   Alcotest.(check (float 0.0)) "single solution" 1.0 (Sg.count_models (Option.get r.A.Run.graph));
   check_int "chain graph" 8 (Sg.size (Option.get r.A.Run.graph))
 
+let test_sds_rejects_bad_projection () =
+  (* r = a ∧ c. The ternary simulator reads only leaves and a net owns
+     one position, so a repeated net or a gate in the projection would
+     be enumerated wrongly: [|a; a|] used to yield the cube "-1" (which
+     claims the inconsistent a=0, a=1) and [|r|] no cube at all. *)
+  let b = Ps_circuit.Builder.create () in
+  let a = Ps_circuit.Builder.input b "a" in
+  let c = Ps_circuit.Builder.input b "c" in
+  let r = Ps_circuit.Builder.and_ b ~name:"r" [ a; c ] in
+  Ps_circuit.Builder.output b r;
+  let n = Ps_circuit.Builder.finalize b in
+  let cnf = Ts.encode n in
+  let solver () =
+    let s = Solver.create () in
+    ignore (Solver.load s cnf);
+    ignore (Solver.add_clause s [ Lit.pos r ]);
+    s
+  in
+  let rejects what proj_nets =
+    match A.Sds.search ~netlist:n ~root:r ~proj_nets ~solver:(solver ()) () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "repeated net" [| a; a |];
+  rejects "gate net" [| r |];
+  let ok = A.Sds.search ~netlist:n ~root:r ~proj_nets:[| a; c |] ~solver:(solver ()) () in
+  Alcotest.(check (list string)) "a, c" [ "11" ]
+    (List.map Cube.to_string ok.A.Run.cubes)
+
+(* Recorded from the engine as it was before probes were answered from
+   the last model and memo keys became integer signatures: per circuit
+   of [Suite.medium] and per variant, search nodes, memo hits, graph
+   nodes, probes (then one solver call each), and an MD5 prefix of the
+   cube list. The memo keys must keep meaning the same thing, so all of
+   these stay equal; only the split of probes into solver calls and
+   model hits may move. *)
+let sds_golden =
+  [
+    (* name, (nodes, hits, graph, probes, cubes digest) for sds, then sds-dynamic *)
+    ("s27", (7, 2, 1, 5, "9efc314b"), (3, 0, 1, 3, "9efc314b"));
+    ("count8", (31, 12, 10, 17, "3f7b8473"), (31, 0, 10, 17, "b202e4df"));
+    ("count12", (47, 20, 14, 25, "de6b03d7"), (47, 0, 14, 25, "19610a6f"));
+    ("mod100", (35, 12, 9, 20, "399c26e8"), (33, 0, 9, 19, "2c25c58c"));
+    ("johnson16", (31, 14, 3, 15, "e2c9373a"), (3, 0, 3, 1, "e2c9373a"));
+    ("gray8", (31, 12, 10, 17, "3f7b8473"), (31, 0, 10, 17, "b202e4df"));
+    ("lfsr16", (31, 14, 3, 15, "e2c9373a"), (3, 0, 3, 1, "e2c9373a"));
+    ("traffic", (11, 1, 6, 6, "1d6430c9"), (19, 0, 6, 10, "f36269d1"));
+    ("seqdet8", (17, 7, 3, 9, "791a2219"), (3, 0, 3, 2, "791a2219"));
+    ("arbiter4", (151, 60, 6, 90, "eb09ac84"), (31, 0, 6, 30, "db7b05f0"));
+    ("arbiter6", (883, 378, 8, 504, "b7864673"), (127, 0, 8, 126, "5a96b947"));
+    ("fifo4", (51, 20, 8, 27, "2eb727c5"), (35, 4, 10, 19, "6eb2ec63"));
+    ("fifo16", (203, 96, 12, 103, "c77e94a7"), (67, 8, 16, 35, "9a63c2ff"));
+    ("rand_b", (35, 14, 4, 19, "858001cf"), (7, 0, 4, 5, "b2cd42e6"));
+    ("rand_c", (29, 12, 4, 15, "f0277e41"), (5, 0, 4, 3, "f0277e41"));
+  ]
+
+let test_sds_golden () =
+  let module E = Preimage.Engine in
+  let module Suite = Ps_gen.Suite in
+  check_int "every medium circuit" (List.length Suite.medium)
+    (List.length sds_golden);
+  List.iter
+    (fun e ->
+      let name = e.Suite.name in
+      let sds, dyn =
+        match List.find_opt (fun (n, _, _) -> n = name) sds_golden with
+        | Some (_, sds, dyn) -> (sds, dyn)
+        | None -> Alcotest.failf "%s: no golden row" name
+      in
+      let inst =
+        Preimage.Instance.make (Lazy.force e.Suite.circuit)
+          (Suite.default_target e)
+      in
+      List.iter
+        (fun (m, (nodes, hits, graph, probes, digest)) ->
+          let what k = Printf.sprintf "%s %s %s" name (E.method_name m) k in
+          let r = E.run m inst in
+          let stat = Ps_util.Stats.get (E.stats r) in
+          check_int (what "search_nodes") nodes (stat "search_nodes");
+          check_int (what "memo_hits") hits (stat "memo_hits");
+          check_int (what "graph_nodes") graph (stat "graph_nodes");
+          check_int (what "probes") probes
+            (stat "sat_calls" + stat "model_hits");
+          Alcotest.(check string) (what "cubes") digest
+            (String.sub
+               (Digest.to_hex
+                  (Digest.string
+                     (String.concat "," (List.map Cube.to_string (E.cubes r)))))
+               0 8);
+          (match Preimage.Check.engines_agree inst [ r ] with
+          | Ok _ -> ()
+          | Error msg -> Alcotest.failf "%s: %s" (what "bdd") msg);
+          if name = "fifo16" then begin
+            check_bool (what "model_hits > 0") true (stat "model_hits" > 0);
+            check_bool (what "fewer solver calls") true
+              (stat "sat_calls" < probes)
+          end)
+        [ (E.Sds, sds); (E.SdsDynamic, dyn) ])
+    Suite.medium
+
 let () =
   Alcotest.run "ps_allsat"
     [
@@ -594,5 +694,8 @@ let () =
           Alcotest.test_case "success-driven learning effective" `Quick
             test_sds_success_learning_effective;
           Alcotest.test_case "graph reduction" `Quick test_sds_graph_is_reduced;
+          Alcotest.test_case "sds rejects bad projections" `Quick
+            test_sds_rejects_bad_projection;
+          Alcotest.test_case "sds golden medium suite" `Quick test_sds_golden;
         ] );
     ]

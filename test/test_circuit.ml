@@ -77,6 +77,57 @@ let eval3_refines_eval =
       done;
       !consistent)
 
+let eval3_into_matches_gate_eval3 =
+  (* The simulator's in-place folds against the per-gate oracle: random
+     netlists over every gate kind (constants, arity-1 AND/OR, XOR/XNOR
+     over X fanins included), leaves drawn from 0/1/X. The [values]
+     array is reused across two environments, so a stale entry would
+     show. *)
+  Helpers.qtest "eval3_into = per-gate Gate.eval3" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.create ~seed in
+      let nleaves = 1 + R.int rng 5 in
+      let ngates = 1 + R.int rng 25 in
+      let drivers =
+        Array.init (nleaves + ngates) (fun i ->
+            if i < nleaves then N.Input
+            else
+              let kind = R.pick rng G.all_kinds in
+              let arity =
+                match kind with
+                | G.Const0 | G.Const1 -> 0
+                | G.Not | G.Buf -> 1
+                | _ -> 1 + R.int rng 4
+              in
+              N.Gate (kind, Array.init arity (fun _ -> R.int rng i)))
+      in
+      let n =
+        N.make ~drivers
+          ~names:(Array.init (Array.length drivers) (Printf.sprintf "n%d"))
+          ~outputs:[ Array.length drivers - 1 ]
+      in
+      let oracle env =
+        let v = Array.copy env in
+        Array.iter
+          (fun g ->
+            match N.driver n g with
+            | N.Gate (kind, fanins) ->
+              v.(g) <- G.eval3 kind (Array.map (fun f -> v.(f)) fanins)
+            | N.Input | N.Latch _ -> ())
+          (N.topo_gates n);
+        v
+      in
+      let values = Array.make (N.num_nets n) G.X in
+      List.for_all
+        (fun () ->
+          let env =
+            Array.init (N.num_nets n) (fun _ -> R.pick rng [ G.F; G.T; G.X ])
+          in
+          Sim.eval3_into n ~env ~values;
+          values = oracle env)
+        [ (); () ])
+
 let test_gate_strings () =
   List.iter
     (fun k ->
@@ -472,6 +523,7 @@ let () =
           Alcotest.test_case "run" `Quick test_sim_run;
           Alcotest.test_case "ternary X propagation" `Quick test_sim3_x_propagation;
           sim3_agrees_with_sim;
+          eval3_into_matches_gate_eval3;
         ] );
       ( "tseitin",
         [
