@@ -640,8 +640,10 @@ let verify_cmd =
             try Ps_store.Verify.run ~trace ~cnf r
             with Invalid_argument msg -> die "verify: %s" msg
           in
-          Format.printf "cubes=%d sat_calls=%d sound=%b complete=%b@."
+          Format.printf
+            "cubes=%d sat_calls=%d propagations=%d sound=%b complete=%b@."
             report.Ps_store.Verify.cubes report.Ps_store.Verify.sat_calls
+            report.Ps_store.Verify.propagations
             report.Ps_store.Verify.sound (Ps_store.Verify.complete report);
           if Ps_store.Verify.ok report then
             Format.printf

@@ -188,7 +188,12 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
     end
     else begin
       incr n_sat_calls;
-      match Solver.solve ~assumptions:!assumption_stack ?budget ~trace solver with
+      (* outermost first, so consecutive probes share the solver's
+         assumption levels *)
+      match
+        Solver.solve ~assumptions:(List.rev !assumption_stack) ?budget ~trace
+          solver
+      with
       | Solver.Sat ->
         last_model := Solver.model solver;
         true

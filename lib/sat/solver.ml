@@ -57,6 +57,10 @@ type t = {
   mutable n_blocker_skips : int;
   mutable n_chrono_cubes : int;
   mutable conflict_core : Lit.t list;
+  (* The last [solve] call's assumptions. For every i below
+     min(decision level, length), level i+1 was opened for assumption i:
+     [solve] keeps the levels a new call shares with it. *)
+  mutable last_assumptions : Lit.t array;
   (* Retractable clause groups: activation variable -> live crefs of the
      group's arena clauses (unit group clauses are enqueued, not stored).
      Retired groups leave the table. *)
@@ -113,6 +117,7 @@ let create () =
     n_blocker_skips = 0;
     n_chrono_cubes = 0;
     conflict_core = [];
+    last_assumptions = [||];
     groups = Hashtbl.create 16;
     n_groups_retired = 0;
     n_learnts_kept = 0;
@@ -859,16 +864,24 @@ let solve ?(assumptions = []) ?budget ?(trace = Trace.null) t =
   else begin
     let assumptions = Array.of_list assumptions in
     Array.iter (fun l -> ensure_vars t (Lit.var l + 1)) assumptions;
+    (* Trail reuse: keep the levels of the assumptions this call shares
+       with the last one; [search] re-decides from the first that
+       differs (docs/ALGORITHMS.md §14). *)
+    let prev = t.last_assumptions in
+    let n =
+      min (decision_level t) (min (Array.length prev) (Array.length assumptions))
+    in
+    let rec shared k =
+      if k < n && prev.(k) = assumptions.(k) then shared (k + 1) else k
+    in
+    cancel_until t (shared 0);
+    t.last_assumptions <- assumptions;
     t.max_learnts <-
       max t.max_learnts (float_of_int (Vec.size t.clauses) /. 3.0);
     let rec loop attempt =
       match search t assumptions (restart_base * Luby.luby attempt) budget with
-      | S_sat ->
-        cancel_until t 0;
-        finish Sat
-      | S_unsat ->
-        cancel_until t 0;
-        finish Unsat
+      | S_sat -> finish Sat
+      | S_unsat -> finish Unsat
       | S_stopped ->
         cancel_until t 0;
         finish Unknown

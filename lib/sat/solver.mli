@@ -110,6 +110,17 @@ val learnts_kept : t -> int
     clause set under the given assumption literals. Learnt clauses
     persist across calls.
 
+    A call that returns [Sat] or [Unsat] leaves the solver above level
+    0, holding the decision levels of its assumptions; the next call
+    keeps those it shares with its own assumption list (same literals,
+    same positions, from the first on) and re-decides the rest
+    (docs/ALGORITHMS.md §14). Callers see no difference: {!add_clause},
+    {!add_grouped}, {!retire_group} and {!enumerate_projected} start
+    from level 0, {!root_value} reads only level-0 assignments, and
+    {!model}, {!model_value} and {!unsat_core} read what the call
+    captured. Callers that assume in a fixed outermost-first order
+    gain the most.
+
     [budget] makes the call interruptible: conflicts, decisions and
     propagations are charged against it as they happen and the deadline
     / cancellation flag is polled at every conflict and every batch of

@@ -11,6 +11,7 @@ type report = {
   unsound : Cube.t list;
   missing : Cube.t option;
   sat_calls : int;
+  propagations : int;
 }
 
 let complete r = r.missing = None
@@ -174,6 +175,7 @@ let run ?(trace = Trace.null) ~cnf (r : Store.recovered) =
       unsound = List.rev !unsound;
       missing;
       sat_calls = !sat_calls;
+      propagations = Ps_util.Stats.get (Solver.stats solver) "propagations";
     }
   in
   if not (Trace.is_null trace) then

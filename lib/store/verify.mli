@@ -18,7 +18,12 @@
       call (docs/ALGORITHMS.md §12).
 
     Both checks use only {!Ps_sat.Solver.solve} under assumptions and
-    {!Ps_sat.Solver.unsat_core}, never the enumeration code.
+    {!Ps_sat.Solver.unsat_core}, never the enumeration code. The
+    soundness calls follow the log's order and the gap calls the
+    descent's, so consecutive calls share assumption prefixes, whose
+    decision levels the solver keeps from one call to the next
+    (docs/ALGORITHMS.md §14). [propagations] in the report counts that
+    solver's work.
 
     The certificate is only meaningful for a log whose enumeration
     finished: callers must reject logs whose recovery was torn, dropped
@@ -33,6 +38,9 @@ type report = {
       (** a projected solution (a minterm) outside every logged cube, or
           [None] when the cubes cover every solution *)
   sat_calls : int;  (** one per cube, plus one per uncovered region proved *)
+  propagations : int;
+      (** literals propagated by the verifier's own solver over both
+          checks (its ["propagations"] statistic) *)
 }
 
 (** [certifiable r] is [None] when the recovered log is eligible for

@@ -686,6 +686,155 @@ let test_enum_interrupted_partial () =
   check_bool "every report is a model" true (List.for_all (Cnf.eval f) reports);
   check_bool "deadline: disjoint" true (distinct reports)
 
+(* --- Solver: trail reuse across solve calls ------------------------------ *)
+
+(* [solve] keeps the decision levels of the assumptions a call shares
+   with the previous call. Every answer must still be the one a fresh
+   solver gives on the same clauses. *)
+
+let trail_cases = if Sys.getenv_opt "PS_DIFF_LONG" <> None then 2000 else 200
+
+let random_lit rng nvars = Lit.make (R.int rng nvars) (R.bool rng)
+
+(* A random prefix of [prev], then up to four more literals; some of them
+   repeat a kept assumption or its complement. *)
+let next_assumptions rng nvars prev =
+  let keep = R.int rng (List.length prev + 1) in
+  let kept = List.filteri (fun i _ -> i < keep) prev in
+  kept
+  @ List.init (R.int rng 5) (fun _ ->
+        if kept <> [] && R.int rng 3 = 0 then
+          let l = R.pick rng kept in
+          if R.bool rng then l else Lit.negate l
+        else random_lit rng nvars)
+
+(* [s]'s answer under [assumptions] is a fresh solver's answer on [f],
+   and its model or core certifies it. *)
+let agrees_with_fresh s f assumptions =
+  let r = Solver.solve ~assumptions s in
+  r = Solver.solve ~assumptions (solver_of f)
+  &&
+  match r with
+  | Solver.Sat ->
+    let m = Solver.model s in
+    Cnf.eval f m
+    && List.for_all (fun l -> m.(Lit.var l) = Lit.sign l) assumptions
+  | Solver.Unsat ->
+    let core = Solver.unsat_core s in
+    List.for_all (fun l -> List.mem l assumptions) core
+    && Solver.solve ~assumptions:core (solver_of f) = Solver.Unsat
+  | Solver.Unknown -> false
+
+let trail_reuse_matches_fresh =
+  Helpers.qtest "trail reuse = fresh solver" ~count:trail_cases
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.create ~seed in
+      let nvars = 6 + R.int rng 7 in
+      let clause len = List.init len (fun _ -> random_lit rng nvars) in
+      let f =
+        ref
+          (Cnf.of_clauses ~nvars
+             (List.init (nvars + R.int rng (3 * nvars)) (fun _ -> clause 3)))
+      in
+      let s = solver_of !f in
+      let prev = ref [] in
+      let ok = ref true in
+      for _ = 1 to 30 do
+        if !ok then begin
+          (match R.int rng 10 with
+          | 0 | 1 ->
+            let c = clause (2 + R.int rng 2) in
+            f := Cnf.add_clause !f c;
+            ignore (Solver.add_clause s c)
+          | 2 ->
+            let proj = Array.init (1 + R.int rng 3) (fun _ -> R.int rng nvars) in
+            let _, got = enum_reports s proj in
+            let _, want = enum_reports (solver_of !f) proj in
+            ok := distinct got && List.sort compare got = List.sort compare want
+          | 3 -> ok := agrees_with_fresh s !f []
+          | _ ->
+            prev := next_assumptions rng nvars !prev;
+            ok := agrees_with_fresh s !f !prev);
+          ok := !ok && Solver.check_watches s = Ok ()
+        end
+      done;
+      !ok)
+
+(* x ∨ y, ¬x ∨ z: assuming x implies z above the root. Neither may read
+   as root-fixed while the solver keeps the assumption's level. *)
+let test_trail_root_value () =
+  let s =
+    solver_of
+      (Cnf.of_clauses ~nvars:3
+         [ [ Lit.pos 0; Lit.pos 1 ]; [ Lit.neg 0; Lit.pos 2 ] ])
+  in
+  Alcotest.check sat "sat under x" Solver.Sat
+    (Solver.solve ~assumptions:[ Lit.pos 0 ] s);
+  Alcotest.(check (option bool)) "x not root-fixed" None (Solver.root_value s 0);
+  Alcotest.(check (option bool)) "z not root-fixed" None (Solver.root_value s 2)
+
+let test_trail_add_clause () =
+  let s = solver_of (Cnf.of_clauses ~nvars:2 [ [ Lit.pos 0; Lit.pos 1 ] ]) in
+  let x = Lit.pos 0 in
+  Alcotest.check sat "sat under x" Solver.Sat (Solver.solve ~assumptions:[ x ] s);
+  check_bool "add ~x" true (Solver.add_clause s [ Lit.negate x ]);
+  Alcotest.check sat "unsat under x" Solver.Unsat
+    (Solver.solve ~assumptions:[ x ] s);
+  Alcotest.(check (list int)) "core" [ x ] (Solver.unsat_core s);
+  Alcotest.check sat "sat without assumptions" Solver.Sat (Solver.solve s)
+
+let test_trail_enumerate () =
+  let f = Cnf.of_clauses ~nvars:3 [ [ Lit.pos 0; Lit.pos 1; Lit.pos 2 ] ] in
+  let s = solver_of f in
+  Alcotest.check sat "sat under x, y" Solver.Sat
+    (Solver.solve ~assumptions:[ Lit.pos 0; Lit.neg 1 ] s);
+  let r, reports = enum_reports s [| 0; 1 |] in
+  Alcotest.check sat "exhausted" Solver.Unsat r;
+  check_bool "the full projection" true
+    (List.sort compare reports = projected_models f [| 0; 1 |]);
+  check_int "all four" 4 (List.length reports)
+
+(* Reach_inc's pattern: a frame's group is assumed, retired, and the next
+   frame's group assumed in its place. *)
+let test_trail_retire_group () =
+  let s = Solver.create () in
+  let a = Solver.new_var s and b = Solver.new_var s in
+  ignore (Solver.add_clause s [ Lit.pos a; Lit.pos b ]);
+  let g1 = Solver.new_group s in
+  ignore (Solver.add_grouped s g1 [ Lit.neg a ]);
+  let l1 = Solver.group_lit s g1 in
+  Alcotest.check sat "frame 1" Solver.Sat (Solver.solve ~assumptions:[ l1 ] s);
+  check_bool "frame 1 forces b" true (Solver.model_value s b);
+  Solver.retire_group s g1;
+  let g2 = Solver.new_group s in
+  ignore (Solver.add_grouped s g2 [ Lit.neg b ]);
+  let l2 = Solver.group_lit s g2 in
+  Alcotest.check sat "frame 2" Solver.Sat (Solver.solve ~assumptions:[ l2 ] s);
+  check_bool "frame 2 forces a" true (Solver.model_value s a);
+  Alcotest.check sat "retired group refuted" Solver.Unsat
+    (Solver.solve ~assumptions:[ l1; l2 ] s);
+  Alcotest.(check (list int)) "core names the retired group" [ l1 ]
+    (Solver.unsat_core s);
+  (match Solver.check_watches s with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "watch invariants: %s" msg)
+
+(* An interrupted call, then an unbudgeted one: the latter must answer
+   as a fresh solver does, whether the budget ran out in the search or
+   was spent on entry. *)
+let test_trail_after_unknown () =
+  let f, _ = hard_instance 14 in
+  let assumptions = List.init 6 (fun i -> Lit.make (7 * i) (i mod 2 = 0)) in
+  let s = solver_of f in
+  ignore (Solver.solve ~assumptions:(List.filteri (fun i _ -> i < 3) assumptions) s);
+  let budget = Budget.make ~conflicts:1 () in
+  Alcotest.check sat "stopped on the budget" Solver.Unknown
+    (Solver.solve ~assumptions ~budget s);
+  Alcotest.check sat "spent budget" Solver.Unknown
+    (Solver.solve ~assumptions ~budget s);
+  check_bool "then the fresh answer" true (agrees_with_fresh s f assumptions)
+
 let () =
   Alcotest.run "ps_sat"
     [
@@ -758,5 +907,19 @@ let () =
             test_enum_conflict_limit_deterministic;
           Alcotest.test_case "cancel/deadline partial is sound" `Quick
             test_enum_interrupted_partial;
+        ] );
+      ( "trail",
+        [
+          trail_reuse_matches_fresh;
+          Alcotest.test_case "root_value ignores kept levels" `Quick
+            test_trail_root_value;
+          Alcotest.test_case "add_clause drops kept levels" `Quick
+            test_trail_add_clause;
+          Alcotest.test_case "enumerate after assumptions" `Quick
+            test_trail_enumerate;
+          Alcotest.test_case "retired group, then solve" `Quick
+            test_trail_retire_group;
+          Alcotest.test_case "unbudgeted after Unknown" `Quick
+            test_trail_after_unknown;
         ] );
     ]

@@ -368,6 +368,40 @@ let test_verify_wide_lifted_log () =
   check_bool "ok" true (Verify.ok rep);
   check_bool "at most 2 sat calls" true (rep.Verify.sat_calls <= 2)
 
+(* The count12 upper-half minterm log: 2,049 cubes, each checked by one
+   soundness call, in the lexicographic order the blocking loop emits
+   them. Consecutive calls share most of their assumptions, and the
+   solver keeps the levels they share, so the verifier propagates less
+   than half as many literals as when every call started from level 0.
+   [parent_propagations] was measured with a solver that cancelled to
+   level 0 after every call. *)
+let test_verify_reuses_trail () =
+  with_log @@ fun path ->
+  let parent_propagations = 73_964 in
+  let inst =
+    Preimage.Instance.make
+      (Ps_gen.Counters.binary ~bits:12 ())
+      (Ps_gen.Targets.upper_half ~bits:12)
+  in
+  let cnf =
+    Ps_sat.Cnf.add_clause inst.Preimage.Instance.cnf
+      [ Ps_sat.Lit.pos inst.Preimage.Instance.root ]
+  in
+  let proj = inst.Preimage.Instance.proj in
+  let w =
+    St.create ~path
+      (meta ~vars:(Array.copy proj.Project.vars) (Project.width proj))
+  in
+  let solver = Solver.create () in
+  ignore (Solver.load solver cnf);
+  let r = Blocking.enumerate ~sink:(St.sink w) solver proj in
+  St.finalize w ~complete:(Run.complete r) ();
+  let rep = Verify.run ~cnf (recover_exn path) in
+  check_bool "ok" true (Verify.ok rep);
+  check_int "cubes" 2049 rep.Verify.cubes;
+  check_bool "at most half the parent's propagations" true
+    (2 * rep.Verify.propagations <= parent_propagations)
+
 let test_verify_rejects_unsound_cube () =
   with_log @@ fun path ->
   (* "00--" violates (v1 \/ v2): no minterm of it is a solution *)
@@ -773,6 +807,8 @@ let () =
             test_verify_core_closes_gaps;
           Alcotest.test_case "repeated projection variable" `Quick
             test_verify_repeated_projection_var;
+          Alcotest.test_case "reused trail halves propagations" `Quick
+            test_verify_reuses_trail;
         ] );
       ( "resume",
         [
