@@ -678,26 +678,6 @@ let record_smoke ?(jobs = 1) ?(speedup = 1.0) ~workload ~engine ~time_s
     }
     :: !smoke_rows
 
-(* Reachability rows live in their own JSON array: the interesting
-   quantities (frames/s, learnt retention across frames, retired groups)
-   do not fit the per-engine smoke shape. *)
-type reach_row = {
-  rr_workload : string;
-  rr_mode : string;            (* "baseline" | "incremental" *)
-  rr_frames : int;
-  rr_total_states : float;
-  rr_time_s : float;
-  rr_speedup : float;          (* this row's frames/s over baseline's; 1.0 for baseline *)
-  rr_learnts_kept : int;
-  rr_groups_retired : int;
-  rr_agree : bool;             (* reached/fixpoint identical to baseline *)
-}
-
-let reach_rows : reach_row list ref = ref []
-
-let frames_per_sec frames time_s =
-  if time_s > 0.0 then float_of_int frames /. time_s else 0.0
-
 (* Durable-store rows: what the crash-safe log costs on the write path
    ("memory" vs "store" pairs) and what a crash recovery saves over
    starting from scratch ("scratch" vs "resume" pairs). *)
@@ -728,25 +708,15 @@ let write_json_summary path =
           r.sm_workload r.sm_engine r.sm_time_s r.sm_solutions r.sm_cubes
           r.sm_conflicts r.sm_propagations pps r.sm_jobs r.sm_speedup
       in
-      let reach_row r =
-        Printf.sprintf
-          {|    {"workload":"%s","mode":"%s","frames":%d,"total_states":%g,"time_s":%.6f,"frames_per_sec":%.1f,"speedup":%.3f,"learnts_kept":%d,"groups_retired":%d,"agree":%b}|}
-          r.rr_workload r.rr_mode r.rr_frames r.rr_total_states r.rr_time_s
-          (frames_per_sec r.rr_frames r.rr_time_s)
-          r.rr_speedup r.rr_learnts_kept r.rr_groups_retired r.rr_agree
-      in
       let persist_row r =
         Printf.sprintf
           {|    {"workload":"%s","mode":"%s","cubes":%d,"time_s":%.6f,"ratio":%.3f,"bytes":%d,"verified":%b}|}
           r.pr_workload r.pr_mode r.pr_cubes r.pr_time_s r.pr_ratio r.pr_bytes
           r.pr_verified
       in
-      output_string oc "{\n  \"schema\": \"preimage-bench-smoke/4\",\n  \"rows\": [\n";
+      output_string oc "{\n  \"schema\": \"preimage-bench-smoke/5\",\n  \"rows\": [\n";
       output_string oc
         (String.concat ",\n" (List.rev_map row !smoke_rows));
-      output_string oc "\n  ],\n  \"reach\": [\n";
-      output_string oc
-        (String.concat ",\n" (List.rev_map reach_row !reach_rows));
       output_string oc "\n  ],\n  \"persist\": [\n";
       output_string oc
         (String.concat ",\n" (List.rev_map persist_row !persist_rows));
@@ -860,7 +830,6 @@ let parallel_exp () =
           ms par.E.time_s;
           string_of_int jobs;
           string_of_int (Stats.get (E.stats par) "shards");
-          string_of_int (Stats.get (E.stats par) "shard_resplits");
           f2 speedup;
           f2 (vpp seq);
           f2 (vpp par);
@@ -872,112 +841,8 @@ let parallel_exp () =
     (Printf.sprintf
        "Parallel: guiding-path sharding, sequential vs %d worker domains" jobs)
     [ "workload"; "solutions"; "seq_ms"; "par_ms"; "jobs"; "shards";
-      "resplits"; "speedup"; "seq_vpp"; "par_vpp"; "agree" ]
+      "speedup"; "seq_vpp"; "par_vpp"; "agree" ]
     rows
-
-(* --- reach: incremental session vs rebuild-per-frame baseline ------------------ *)
-
-(* The reachability fixpoint is the paper's headline application; this
-   experiment measures what the incremental session buys: frames/s
-   against the rebuild-per-frame baseline, and how much learnt knowledge
-   survives the frame boundaries ([learnts_kept], summed at each group
-   retirement). Two regimes: narrow frontiers (one new state per frame,
-   capped at 48 frames, against the SDS rebuild), where the session's
-   learnt-clause reuse pays; and wide frontiers (upper-half targets, run
-   to fixpoint, against the blocking-lift rebuild), where everything
-   rests on the session lifting each model into a multi-state cube. Both
-   runs must agree on frames / states / fixpoint — the run exits 1
-   otherwise; the full set-equality check lives in the differential test
-   suite. *)
-let reach_exp () =
-  let entries =
-    [
-      ("count16", Ps_gen.Counters.binary ~bits:16 (), T.value ~bits:16 0, Rh.E_sds, 48);
-      ( "lfsr16",
-        Lazy.force (Suite.find "lfsr16").Suite.circuit,
-        T.value ~bits:16 1,
-        Rh.E_sds,
-        48 );
-      ( "johnson16-upper",
-        Lazy.force (Suite.find "johnson16").Suite.circuit,
-        T.upper_half ~bits:16,
-        Rh.E_blocking_lift,
-        1000 );
-      ( "lfsr16-upper",
-        Lazy.force (Suite.find "lfsr16").Suite.circuit,
-        T.upper_half ~bits:16,
-        Rh.E_blocking_lift,
-        1000 );
-    ]
-  in
-  let rows =
-    List.map
-      (fun (name, circuit, target, engine, max_steps) ->
-        let base = Rh.backward ~engine ~max_steps circuit target in
-        let inc = Preimage.Reach_inc.run ~max_steps circuit target in
-        let frames_b = List.length base.Rh.steps in
-        let frames_i = List.length inc.Preimage.Reach_inc.frames in
-        let agree =
-          frames_b = frames_i
-          && base.Rh.fixpoint = inc.Preimage.Reach_inc.fixpoint
-          && base.Rh.total_states = inc.Preimage.Reach_inc.total_states
-        in
-        let fps_b = frames_per_sec frames_b base.Rh.time_s in
-        let fps_i = frames_per_sec frames_i inc.Preimage.Reach_inc.time_s in
-        let speedup = if fps_b > 0.0 then fps_i /. fps_b else 1.0 in
-        let learnts_kept =
-          Stats.get inc.Preimage.Reach_inc.solver_stats "learnts_kept"
-        in
-        let groups_retired =
-          Stats.get inc.Preimage.Reach_inc.solver_stats "groups_retired"
-        in
-        reach_rows :=
-          {
-            rr_workload = name;
-            rr_mode = "incremental";
-            rr_frames = frames_i;
-            rr_total_states = inc.Preimage.Reach_inc.total_states;
-            rr_time_s = inc.Preimage.Reach_inc.time_s;
-            rr_speedup = speedup;
-            rr_learnts_kept = learnts_kept;
-            rr_groups_retired = groups_retired;
-            rr_agree = agree;
-          }
-          :: {
-               rr_workload = name;
-               rr_mode = "baseline";
-               rr_frames = frames_b;
-               rr_total_states = base.Rh.total_states;
-               rr_time_s = base.Rh.time_s;
-               rr_speedup = 1.0;
-               rr_learnts_kept = 0;
-               rr_groups_retired = 0;
-               rr_agree = true;
-             }
-          :: !reach_rows;
-        [
-          name;
-          Rh.engine_name engine;
-          string_of_int frames_b;
-          ms base.Rh.time_s;
-          ms inc.Preimage.Reach_inc.time_s;
-          Printf.sprintf "%.0f" fps_b;
-          Printf.sprintf "%.0f" fps_i;
-          f2 speedup;
-          string_of_int learnts_kept;
-          string_of_int groups_retired;
-          (if agree then "yes" else "NO");
-        ])
-      entries
-  in
-  print_table "Reach: incremental session vs rebuild-per-frame baseline"
-    [ "workload"; "baseline"; "frames"; "base_ms"; "inc_ms"; "base_f/s";
-      "inc_f/s"; "speedup"; "learnts_kept"; "groups_retired"; "agree" ]
-    rows;
-  if List.exists (fun r -> not r.rr_agree) !reach_rows then begin
-    print_endline "REACH FAILURE: the session disagrees with its baseline";
-    exit 1
-  end
 
 (* --- persist: durable-store overhead and resume payoff ----------------------- *)
 
@@ -1242,7 +1107,7 @@ let () =
       ("table4", table4); ("fig1", fig1); ("fig2", fig2); ("fig3", fig3);
       ("fig4", fig4); ("fig5", fig5); ("table5", table5); ("fig6", fig6);
       ("table6", table6); ("fig7", fig7); ("smoke", smoke);
-      ("parallel", parallel_exp); ("reach", reach_exp);
+      ("parallel", parallel_exp);
       ("persist", persist_exp);
     ]
   in

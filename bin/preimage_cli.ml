@@ -16,23 +16,27 @@ module St = Ps_store.Store
 
 (* --- shared argument parsing ------------------------------------------ *)
 
-let load_circuit spec =
+let die fmt = Printf.ksprintf (fun s -> prerr_endline ("preimage_cli: " ^ s); exit 2) fmt
+
+(* Bad circuit or target arguments exit 2 with the offending argument
+   named, like every other usage error. *)
+let load_circuit ?(arg = "CIRCUIT") spec =
   match Ps_gen.Suite.find spec with
   | entry -> Lazy.force entry.Ps_gen.Suite.circuit
-  | exception Not_found ->
-    if Sys.file_exists spec then
+  | exception Not_found -> (
+    if not (Sys.file_exists spec) then
+      die "%s: unknown circuit %S (not a suite name — try 'suite' — and not a file)"
+        arg spec;
+    try
       if Filename.check_suffix spec ".v" then Ps_circuit.Verilog.parse_file spec
       else Ps_circuit.Bench.parse_file spec
-    else
-      failwith
-        (Printf.sprintf
-           "unknown circuit %S (not a suite name — try 'suite' — and not a file)"
-           spec)
+    with Failure msg | Sys_error msg -> die "%s: %s: %s" arg spec msg)
 
-let parse_target circuit spec =
+let parse_target ?(arg = "--target") circuit spec =
   let bits = List.length (N.latches circuit) in
   let names = Array.of_list (List.map (N.name circuit) (N.latches circuit)) in
-  Ps_gen.Targets.parse ~bits ~names spec
+  try Ps_gen.Targets.parse ~bits ~names spec
+  with Failure msg | Invalid_argument msg -> die "%s %S: %s" arg spec msg
 
 let circuit_arg =
   let doc = "Circuit: a suite name (see $(b,suite)) or a .bench file path." in
@@ -87,8 +91,6 @@ let jobs_arg =
            enumerated in its own solver. The merged result is deterministic \
            — the same cubes for any $(i,N), including $(b,--jobs 1). \
            Budgets are enforced globally across all shards.")
-
-let die fmt = Printf.ksprintf (fun s -> prerr_endline ("preimage_cli: " ^ s); exit 2) fmt
 
 let check_jobs = function
   | Some j when j < 1 -> die "--jobs must be at least 1 (got %d)" j
@@ -240,7 +242,7 @@ let preimage_cmd =
     let circuit = load_circuit spec in
     let target = parse_target circuit target_spec in
     match (ksteps, universal) with
-    | Some _, true -> failwith "--k and --universal are mutually exclusive"
+    | Some _, true -> die "-k and --universal are mutually exclusive"
     | Some k, false ->
       let r = Preimage.Kstep.preimage ~method_:engine circuit target ~k in
       Format.printf "k=%d engine=%s solutions=%g cubes=%d time=%.4fs@." k
@@ -319,15 +321,6 @@ let reach_cmd =
           ~doc:"$(b,sds) (default), $(b,sds-dynamic), $(b,blocking-lift), \
                 $(b,bdd), or $(b,incremental).")
   in
-  let incremental =
-    Arg.(
-      value & flag
-      & info [ "incremental" ]
-          ~doc:
-            "Incremental session: build the transition CNF once and keep one \
-             solver (and its learnt clauses) across all fixpoint frames. \
-             Shorthand for $(b,--engine incremental).")
-  in
   let trace_file =
     Arg.(
       value
@@ -350,8 +343,8 @@ let reach_cmd =
             "After the fixpoint, extract a witness input trace from this \
              state (0/1 string, state bit 0 first).")
   in
-  let run spec target_spec engine incremental max_steps trace_from trace_file
-      store_file resume_file =
+  let run spec target_spec engine max_steps trace_from trace_file store_file
+      resume_file =
     let circuit = load_circuit spec in
     let target = parse_target circuit target_spec in
     let nstate = List.length (N.latches circuit) in
@@ -387,8 +380,8 @@ let reach_cmd =
           in
           let r =
             try
-              R.backward ~engine ~incremental ~max_steps ~trace ?store ?resume
-                circuit target
+              R.backward ~engine ~max_steps ~trace ?store ?resume circuit
+                target
             with Invalid_argument msg -> die "%s" msg
           in
           (match store with
@@ -424,8 +417,8 @@ let reach_cmd =
   Cmd.v
     (Cmd.info "reach" ~doc:"Backward-reachability fixpoint")
     Term.(
-      const run $ circuit_arg $ target_arg $ engine $ incremental $ max_steps
-      $ trace_from $ trace_file $ store_arg $ resume_arg)
+      const run $ circuit_arg $ target_arg $ engine $ max_steps $ trace_from
+      $ trace_file $ store_arg $ resume_arg)
 
 (* --- allsat -------------------------------------------------------------- *)
 
@@ -694,7 +687,7 @@ let bmc_cmd =
   let run spec bad_spec init_spec max_depth vcd =
     let circuit = load_circuit spec in
     let bad = parse_target circuit bad_spec in
-    let init = parse_target circuit init_spec in
+    let init = parse_target ~arg:"--init" circuit init_spec in
     match Preimage.Bmc.check circuit ~init ~bad ~max_depth with
     | None -> Format.printf "safe up to depth %d@." max_depth
     | Some cex ->
@@ -771,7 +764,7 @@ let prove_cmd =
   let run spec bad_spec init_spec max_k unique =
     let circuit = load_circuit spec in
     let bad = parse_target circuit bad_spec in
-    let init = parse_target circuit init_spec in
+    let init = parse_target ~arg:"--init" circuit init_spec in
     match Preimage.Induction.prove ~unique_states:unique circuit ~init ~bad ~max_k with
     | Preimage.Induction.Proved k -> Format.printf "PROVED (inductive at k=%d)@." k
     | Preimage.Induction.Unknown k ->
@@ -804,7 +797,7 @@ let equiv_cmd =
           ~doc:"Initial state, 0/1 string (state bit 0 first; default all zeros).")
   in
   let run spec_a spec_b init_a init_b =
-    let a = load_circuit spec_a and b = load_circuit spec_b in
+    let a = load_circuit spec_a and b = load_circuit ~arg:"CIRCUIT_B" spec_b in
     let parse_bits circuit = function
       | None -> Array.make (List.length (N.latches circuit)) false
       | Some s -> Array.init (String.length s) (fun i -> s.[i] = '1')

@@ -8,31 +8,16 @@ module Trace = Ps_util.Trace
    (guiding paths): every assignment of the first [depth] projection
    positions is one shard, and the union of the shards' solution sets is
    exactly the full solution set — no blocking clauses, no overlap, no
-   coordination beyond the work queue. Each shard runs an ordinary
+   coordination beyond a shared shard counter. Each shard runs an ordinary
    sequential enumeration (any engine) in its own solver instance on a
-   pool of OCaml 5 domains.
+   pool of OCaml 5 domains. The partition is a function of the width
+   and [split_depth] alone — never of the worker count or the
+   scheduling — which is what makes merged results reproducible across
+   [jobs].
 
-   Dynamic re-splitting keeps the shards balanced: a shard whose
-   enumeration yields [resplit_threshold] cubes before completing is
-   abandoned and replaced by its two children (the prefix extended by
-   the next projection position), so a skewed solution distribution
-   deepens the partition only where the mass is. The shard tree this
-   builds is a function of the problem alone — never of the worker
-   count or the scheduling — which is what makes merged results
-   reproducible across [jobs].
-
-   The merged cube list is deterministic: shard results are sorted by
-   prefix (lexicographic, which is also enumeration order) and each
-   shard's cubes are re-anchored under its prefix. *)
-
-type task = { prefix : Cube.t; depth : int }
-
-(* What one worker did with one task. Kept carries the shard's cubes
-   already re-anchored under its prefix (the merge currency). *)
-type processed =
-  | Kept of Run.t * Cube.t list
-  | Resplit of Run.t  (* partial run, discarded; children enqueued *)
-  | Dropped           (* cancelled before it ran *)
+   The merged cube list is deterministic: shard results are taken in
+   prefix order (lexicographic, which is also enumeration order) and
+   each shard's cubes are re-anchored under its prefix. *)
 
 let guiding_paths ~width ~depth =
   if depth < 0 || depth > width then invalid_arg "Parallel.guiding_paths";
@@ -60,17 +45,9 @@ let re_anchor ~prefix ~depth cube =
 
 let default_split_depth width = min width 4
 
-(* Re-splitting discards the abandoned shard's partial enumeration, so
-   the threshold errs high: it only exists to break up pathologically
-   skewed shards, not to balance mildly uneven ones. *)
-let default_resplit_threshold = 8192
-
-let run ?(jobs = 1) ?split_depth ?(resplit_threshold = default_resplit_threshold)
-    ?max_split_depth ?limit ?budget ?(trace = Trace.null) ?sink ~width
-    ~run_shard () =
+let run ?(jobs = 1) ?split_depth ?limit ?budget ?(trace = Trace.null) ?sink
+    ~width ~run_shard () =
   if jobs < 1 then invalid_arg "Parallel.run: jobs must be >= 1";
-  if resplit_threshold < 1 then
-    invalid_arg "Parallel.run: resplit_threshold must be >= 1";
   (match limit with
   | Some l when l < 0 -> invalid_arg "Parallel.run: negative limit"
   | _ -> ());
@@ -81,25 +58,16 @@ let run ?(jobs = 1) ?split_depth ?(resplit_threshold = default_resplit_threshold
       if d < 0 then invalid_arg "Parallel.run: negative split_depth";
       min d width
   in
-  let max_split_depth =
-    match max_split_depth with
-    | None -> min width (split_depth + 6)
-    | Some d -> min width (max d split_depth)
-  in
   let trace = Trace.locked trace in
-  (* Work queue of shards. [pending] counts queued + in-flight tasks;
-     workers exit when it reaches zero. *)
-  let queue : task Queue.t = Queue.create () in
-  let mutex = Mutex.create () in
-  let cond = Condition.create () in
-  let pending = ref 0 in
-  let results : (task * Run.t * Cube.t list) list ref = ref [] in
-  let n_run = ref 0 in
-  let n_resplits = ref 0 in
-  let n_dropped = ref 0 in
-  let first_exn = ref None in
+  (* The shards, in prefix order. Workers claim them through [next]; each
+     slot of [results] is written by the one worker that ran the shard
+     (None: dropped or failed) and read after every domain has joined. *)
+  let shards = Array.of_list (guiding_paths ~width ~depth:split_depth) in
+  let next = Atomic.make 0 in
+  let results = Array.make (Array.length shards) None in
+  let first_exn = Atomic.make None in
   (* One domain tripping the budget (or the global cube cap) flips this
-     flag; every other worker drains the queue and stops promptly.
+     flag; every other worker drops the shards it claims from then on.
      In-flight shard runs stop on their own — they share the same
      atomic budget. *)
   let stop_requested = Atomic.make false in
@@ -107,38 +75,22 @@ let run ?(jobs = 1) ?split_depth ?(resplit_threshold = default_resplit_threshold
   let budget_tripped () =
     match budget with Some b -> Budget.check b <> None | None -> false
   in
-  let shard_limit depth =
-    if depth < max_split_depth then
-      Some
-        (match limit with
-        | Some l -> min l resplit_threshold
-        | None -> resplit_threshold)
-    else limit
-  in
   let is_budget_stop : Run.stopped -> bool = function
     | #Budget.stop -> true
     | `Complete | `CubeLimit -> false
   in
-  let process task =
+  let process prefix =
     if Atomic.get stop_requested || budget_tripped () then begin
       Atomic.set stop_requested true;
-      Dropped
+      None
     end
     else begin
-      let shard_name = Cube.to_string task.prefix in
+      let shard_name = Cube.to_string prefix in
       if not (Trace.is_null trace) then
         Trace.emit trace
-          (Trace.Shard_start { shard = shard_name; depth = task.depth });
-      let r : Run.t =
-        run_shard ~prefix:task.prefix ~limit:(shard_limit task.depth) ~budget
-          ~trace
-      in
+          (Trace.Shard_start { shard = shard_name; depth = split_depth });
+      let r : Run.t = run_shard ~prefix ~limit ~budget ~trace in
       let n_cubes = List.length r.Run.cubes in
-      let resplit =
-        r.Run.stopped = `CubeLimit
-        && n_cubes >= resplit_threshold
-        && task.depth < max_split_depth
-      in
       if not (Trace.is_null trace) then
         Trace.emit trace
           (Trace.Shard_done
@@ -146,115 +98,49 @@ let run ?(jobs = 1) ?split_depth ?(resplit_threshold = default_resplit_threshold
                shard = shard_name;
                cubes = n_cubes;
                conflicts = Stats.get r.Run.stats "conflicts";
-               stopped =
-                 (if resplit then "resplit" else Run.stopped_name r.Run.stopped);
+               stopped = Run.stopped_name r.Run.stopped;
              });
-      if resplit then Resplit r
-      else begin
-        if is_budget_stop r.Run.stopped then Atomic.set stop_requested true;
-        let total = n_cubes + Atomic.fetch_and_add total_cubes n_cubes in
-        (match limit with
-        | Some l when total >= l -> Atomic.set stop_requested true
-        | _ -> ());
-        let anchored =
-          List.map (re_anchor ~prefix:task.prefix ~depth:task.depth) r.Run.cubes
-        in
-        (* Durable per-shard scratch: distinct prefixes, so concurrent
-           calls from different workers never collide (see Run.sink). *)
-        (match sink with
-        | Some s -> s.Run.on_shard ~prefix:shard_name ~cubes:anchored
-        | None -> ());
-        Kept (r, anchored)
-      end
+      if is_budget_stop r.Run.stopped then Atomic.set stop_requested true;
+      let total = n_cubes + Atomic.fetch_and_add total_cubes n_cubes in
+      (match limit with
+      | Some l when total >= l -> Atomic.set stop_requested true
+      | _ -> ());
+      (* Kept shards carry their cubes re-anchored under the prefix (the
+         merge currency). *)
+      let anchored =
+        List.map (re_anchor ~prefix ~depth:split_depth) r.Run.cubes
+      in
+      (* Durable per-shard scratch: distinct prefixes, so concurrent
+         calls from different workers never collide (see Run.sink). *)
+      (match sink with
+      | Some s -> s.Run.on_shard ~prefix:shard_name ~cubes:anchored
+      | None -> ());
+      Some (r, anchored)
     end
   in
-  let children task =
-    List.map
-      (fun v ->
-        {
-          prefix = Cube.set task.prefix task.depth v;
-          depth = task.depth + 1;
-        })
-      [ Cube.False; Cube.True ]
+  let rec worker () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < Array.length shards then begin
+      (results.(i) <-
+         try process shards.(i)
+         with e ->
+           ignore (Atomic.compare_and_set first_exn None (Some e));
+           Atomic.set stop_requested true;
+           None);
+      worker ()
+    end
   in
-  let worker () =
-    let running = ref true in
-    while !running do
-      Mutex.lock mutex;
-      let rec take () =
-        if !pending = 0 then None
-        else if Atomic.get stop_requested && not (Queue.is_empty queue) then begin
-          (* Drop everything not yet started; in-flight tasks finish
-             (promptly — they observe the same budget/flag). *)
-          let n = Queue.length queue in
-          Queue.clear queue;
-          n_dropped := !n_dropped + n;
-          pending := !pending - n;
-          if !pending = 0 then Condition.broadcast cond;
-          if !pending = 0 then None else take ()
-        end
-        else
-          match Queue.take_opt queue with
-          | Some t -> Some t
-          | None ->
-            Condition.wait cond mutex;
-            take ()
-      in
-      let task = take () in
-      Mutex.unlock mutex;
-      match task with
-      | None -> running := false
-      | Some task ->
-        let outcome =
-          match process task with
-          | outcome -> outcome
-          | exception e ->
-            Mutex.lock mutex;
-            if !first_exn = None then first_exn := Some e;
-            Mutex.unlock mutex;
-            Atomic.set stop_requested true;
-            Dropped
-        in
-        Mutex.lock mutex;
-        (match outcome with
-        | Kept (r, anchored) ->
-          incr n_run;
-          results := (task, r, anchored) :: !results
-        | Resplit _ ->
-          incr n_resplits;
-          List.iter
-            (fun t ->
-              Queue.add t queue;
-              incr pending;
-              Condition.signal cond)
-            (children task)
-        | Dropped -> incr n_dropped);
-        decr pending;
-        if !pending = 0 then Condition.broadcast cond;
-        Mutex.unlock mutex
-    done
-  in
-  (* Seed the queue with the 2^split_depth guiding paths. *)
-  let seeds = guiding_paths ~width ~depth:split_depth in
-  List.iter
-    (fun prefix ->
-      Queue.add { prefix; depth = split_depth } queue;
-      incr pending)
-    seeds;
   (* The calling domain is worker 0; jobs-1 extra domains join it, so
      jobs=1 spawns nothing and runs the shards inline. *)
   let extra = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
   worker ();
   List.iter Domain.join extra;
-  (match !first_exn with Some e -> raise e | None -> ());
-  (* Deterministic merge: shards sorted by prefix = enumeration order
-     of the partition; within a shard, discovery order is preserved. *)
-  let sorted =
-    List.sort
-      (fun (a, _, _) (b, _, _) -> Cube.compare a.prefix b.prefix)
-      !results
-  in
-  let cubes = List.concat_map (fun (_, _, anchored) -> anchored) sorted in
+  (match Atomic.get first_exn with Some e -> raise e | None -> ());
+  (* Deterministic merge: shards in prefix order = enumeration order of
+     the partition; within a shard, discovery order is preserved. *)
+  let kept = List.filter_map Fun.id (Array.to_list results) in
+  let n_dropped = Array.length shards - List.length kept in
+  let cubes = List.concat_map snd kept in
   let truncated, cubes =
     match limit with
     | Some l when List.length cubes > l -> (true, List.filteri (fun i _ -> i < l) cubes)
@@ -262,25 +148,22 @@ let run ?(jobs = 1) ?split_depth ?(resplit_threshold = default_resplit_threshold
   in
   Run.emit_cubes sink cubes;
   let stats =
-    Stats.sum (List.map (fun (_, (r : Run.t), _) -> r.Run.stats) sorted)
+    Stats.sum (List.map (fun ((r : Run.t), _) -> r.Run.stats) kept)
   in
-  Stats.add stats "shards" !n_run;
-  Stats.add stats "shard_resplits" !n_resplits;
-  Stats.add stats "shards_dropped" !n_dropped;
+  Stats.add stats "shards" (List.length kept);
+  Stats.add stats "shards_dropped" n_dropped;
   Stats.add stats "par_jobs" jobs;
   List.iter
-    (fun (_, (r : Run.t), _) ->
+    (fun ((r : Run.t), _) ->
       Stats.set_max stats "shard_cubes_max" (List.length r.Run.cubes))
-    sorted;
+    kept;
   let stopped : Run.stopped =
     match (match budget with Some b -> Budget.stopped b | None -> None) with
     | Some s -> (s :> Run.stopped)
     | None ->
       if
-        truncated || !n_dropped > 0
-        || List.exists
-             (fun (_, (r : Run.t), _) -> r.Run.stopped <> `Complete)
-             sorted
+        truncated || n_dropped > 0
+        || List.exists (fun ((r : Run.t), _) -> r.Run.stopped <> `Complete) kept
       then `CubeLimit
       else `Complete
   in

@@ -5,31 +5,25 @@
     first [split_depth] projection positions. Each shard is one
     independent sequential enumeration (any engine) in its own solver
     instance, confined to its prefix; shards run on a pool of worker
-    domains fed from a shared work queue. Because the shards partition
+    domains that claim them in prefix order. Because the shards partition
     the space, their solution sets union losslessly: no blocking
-    clauses, no cross-shard coordination.
-
-    {b Dynamic re-splitting.} A shard whose enumeration reaches
-    [resplit_threshold] cubes before completing is abandoned and
-    replaced by its two children (prefix extended at the next
-    position), up to [max_split_depth]. The shard tree depends only on
-    the problem — never on [jobs] or the scheduling — so merged
-    results are reproducible across worker counts.
+    clauses, no cross-shard coordination. The partition depends only
+    on the width and [split_depth] — never on [jobs] or the scheduling
+    — so merged results are reproducible across worker counts.
 
     {b Global budget.} All shards share the caller's (atomic)
     {!Ps_util.Budget.t}, so a conflict/deadline budget is enforced
     globally: the first shard to exhaust it records the sticky stop
     reason, every in-flight shard observes it at its next poll, and
-    queued shards are dropped. The merged run then carries that stop
+    shards not yet started are dropped. The merged run then carries that stop
     reason and is a sound {e under-approximation} (every cube is a
     solution; the set is just not exhaustive).
 
-    {b Deterministic merge.} Shard results are sorted by prefix
+    {b Deterministic merge.} Shard results are merged in prefix order
     (lexicographic = enumeration order of the partition), each shard's
     cubes are re-anchored under its prefix, stats are summed
     ({!Ps_util.Stats.sum}) and extended with ["shards"],
-    ["shard_resplits"], ["shards_dropped"], ["par_jobs"] and
-    ["shard_cubes_max"], and the stop reasons are joined with priority
+    ["shards_dropped"], ["par_jobs"] and ["shard_cubes_max"], and the stop reasons are joined with priority
     budget-stop > [`CubeLimit] > [`Complete]. *)
 
 (** [guiding_paths ~width ~depth] is the ordered list of [2^depth]
@@ -42,12 +36,10 @@ val guiding_paths : width:int -> depth:int -> Cube.t list
     independent of [jobs] so results cannot vary with the pool size. *)
 val default_split_depth : int -> int
 
-val default_resplit_threshold : int
-
 (** [run ~width ~run_shard ()] enumerates the whole projection space of
     [width] positions by sharding it across [jobs] worker domains (the
     calling domain is worker 0, so [jobs = 1] spawns nothing and runs
-    the shards inline — same shard tree, same merged result).
+    the shards inline — same shards, same merged result).
 
     [run_shard ~prefix ~limit ~budget ~trace] must run one sequential
     enumeration confined to the guiding path [prefix] (a cube fixing a
@@ -59,19 +51,17 @@ val default_resplit_threshold : int
     re-anchored under the prefix at merge.
 
     [limit] caps the {e total} number of merged cubes (the global
-    analogue of the sequential engines' cube cap); when it trips, the
-    run stops with [`CubeLimit]. [trace] receives [Shard_start] /
-    [Shard_done] events per shard (a re-split shard reports
-    ["resplit"]) plus everything the shard enumerations emit, and a
-    final [Stopped] event.
+    analogue of the sequential engines' cube cap); every shard is run
+    with the same [limit], and when the merged total reaches it the run
+    stops with [`CubeLimit]. [trace] receives [Shard_start] /
+    [Shard_done] events per shard plus everything the shard
+    enumerations emit, and a final [Stopped] event.
 
     Exceptions raised by [run_shard] cancel the remaining work and are
     re-raised (first one wins) after the pool drains. *)
 val run :
   ?jobs:int ->
   ?split_depth:int ->
-  ?resplit_threshold:int ->
-  ?max_split_depth:int ->
   ?limit:int ->
   ?budget:Ps_util.Budget.t ->
   ?trace:Ps_util.Trace.sink ->

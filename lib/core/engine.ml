@@ -127,13 +127,12 @@ let shard_runner ~method_ instance ~prefix ~limit ~budget ~trace =
     in
     A.Blocking.enumerate ?limit ?budget ~trace ?lift:lift_fn solver proj
 
-let run_parallel ~jobs ?split_depth ?resplit_threshold ?limit ?budget ?sink
-    ~trace ~method_ instance =
+let run_parallel ~jobs ?split_depth ?limit ?budget ?sink ~trace ~method_
+    instance =
   let width = A.Project.width instance.Instance.proj in
   let t0 = now () in
   let r =
-    A.Parallel.run ~jobs ?split_depth ?resplit_threshold ?limit ?budget ~trace
-      ?sink ~width
+    A.Parallel.run ~jobs ?split_depth ?limit ?budget ~trace ?sink ~width
       ~run_shard:(shard_runner ~method_ instance)
       ()
   in
@@ -156,16 +155,16 @@ let run_parallel ~jobs ?split_depth ?resplit_threshold ?limit ?budget ?sink
     time_s;
   }
 
-let run ?budget ?(trace = Trace.null) ?limit ?jobs ?split_depth
-    ?resplit_threshold ?sink method_ instance =
+let run ?budget ?(trace = Trace.null) ?limit ?jobs ?split_depth ?sink method_
+    instance =
   if not (Trace.is_null trace) then
     Trace.emit trace
       (Trace.Phase { engine = method_name method_; phase = "start" });
   let r =
     match jobs with
     | Some jobs ->
-      run_parallel ~jobs ?split_depth ?resplit_threshold ?limit ?budget ?sink
-        ~trace ~method_ instance
+      run_parallel ~jobs ?split_depth ?limit ?budget ?sink ~trace ~method_
+        instance
     | None -> (
       match method_ with
       | Sds | SdsDynamic | SdsNoMemo ->

@@ -73,14 +73,13 @@ val complete : result -> bool
     disjoint prefix shards, each enumerated by [method_] on a fresh
     solver, on a pool of [jobs] worker domains. The merged result is
     deterministic — independent of [jobs] (including [jobs = 1], which
-    runs the same shard tree inline) — and [budget] is enforced
+    runs the same shards inline) — and [budget] is enforced
     globally across all shards. The merged run carries no solution
     graph, so [graph_nodes] is [None] even for the SDS methods;
     [trace] additionally receives per-shard [Shard_start] /
-    [Shard_done] events. [split_depth] (default [min width 4]) and
-    [resplit_threshold] tune the initial partition and the dynamic
-    re-splitting; omitting [jobs] runs the classic sequential path
-    (no sharding at all).
+    [Shard_done] events. [split_depth] (default [min width 4]) sets the
+    partition: [2^split_depth] shards; omitting [jobs] runs the classic
+    sequential path (no sharding at all).
 
     [sink] streams the enumerated cubes to an external consumer —
     typically the durable solution store ({!Ps_allsat.Run.sink}): the
@@ -93,7 +92,6 @@ val run :
   ?limit:int ->
   ?jobs:int ->
   ?split_depth:int ->
-  ?resplit_threshold:int ->
   ?sink:Ps_allsat.Run.sink ->
   method_ ->
   Instance.t ->

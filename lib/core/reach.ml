@@ -1,7 +1,6 @@
 module B = Ps_bdd.Bdd
-module Cube = Ps_allsat.Cube
 module T = Ps_circuit.Transition
-module Ss = Session_store
+module Ri = Reach_inc
 
 type engine = E_sds | E_sds_dynamic | E_blocking_lift | E_bdd | E_incremental
 
@@ -12,11 +11,16 @@ let engine_name = function
   | E_bdd -> "bdd"
   | E_incremental -> "incremental"
 
-type step = {
+type step = Ri.frame = {
   index : int;
+  frontier_cubes : int;
+  new_cubes : int;
+  blocking_clauses : int;
+  sat_calls : int;
+  conflicts : int;
+  learnts_start : int;
   frontier_states : float;
   total_states : float;
-  frontier_cubes : int;
   time_s : float;
 }
 
@@ -31,181 +35,49 @@ type result = {
   time_s : float;
 }
 
-let cube_of_path path =
-  Cube.of_string
-    (String.init (Array.length path) (fun i ->
-         match path.(i) with Some true -> '1' | Some false -> '0' | None -> '-'))
+(* A rebuild-per-frame preimage of one frame's instance, with the frame's
+   SAT calls and conflicts (0/0 for the native BDD engine). *)
+let sat_preimage m man instance =
+  let r = Engine.run m instance in
+  let s = Engine.stats r in
+  ( Check.result_bdd man r ~width:(B.nvars man),
+    Ps_util.Stats.get s "solve_calls",
+    Ps_util.Stats.get s "conflicts" )
 
-let cubes_of_bdd f ~width =
-  let acc = ref [] in
-  B.iter_cubes f ~nvars:width (fun path -> acc := cube_of_path path :: !acc);
-  List.rev !acc
+let bdd_preimage man instance =
+  (Check.preimage_bdd_in man (Bdd_engine.run instance) instance, 0, 0)
 
-let target_bdd man cubes =
-  List.fold_left
-    (fun acc c -> B.bor acc (B.cube man (Cube.to_list c)))
-    (B.zero man) cubes
-
-(* One rebuild-per-frame preimage; besides the preimage BDD, reports the
-   frame's SAT calls and conflicts (0/0 for the native BDD engine) so the
-   baseline emits the same per-frame trace events as the session. *)
-let preimage_of_cubes engine circuit frontier_cubes man ~width =
-  let instance = Instance.make circuit frontier_cubes in
-  let of_engine m =
-    let r = Engine.run m instance in
-    let s = Engine.stats r in
-    ( Check.result_bdd man r ~width,
-      Ps_util.Stats.get s "solve_calls",
-      Ps_util.Stats.get s "conflicts" )
+(* The rebuild enumerator: a fresh instance and engine run per frame,
+   nothing kept across frames. *)
+let rebuild preimage_of circuit =
+  let preimage ~frontier:_ ~reached frontier_cubes =
+    let pre, sat_calls, conflicts =
+      preimage_of (B.man_of reached) (Instance.make circuit frontier_cubes)
+    in
+    { Ri.fresh = B.band pre (B.bnot reached); blocked = None; sat_calls; conflicts }
   in
-  match engine with
-  | E_sds -> of_engine Engine.Sds
-  | E_sds_dynamic -> of_engine Engine.SdsDynamic
-  | E_blocking_lift -> of_engine Engine.BlockingLift
-  | E_bdd ->
-    let r = Bdd_engine.run instance in
-    (Check.preimage_bdd_in man r instance, 0, 0)
-  | E_incremental -> assert false (* dispatched to Reach_inc in [backward] *)
+  { Ri.reached = ignore; learnts = (fun () -> 0); preimage }
 
-let step_of_frame (f : Reach_inc.frame) =
-  {
-    index = f.Reach_inc.index;
-    frontier_states = f.Reach_inc.frontier_states;
-    total_states = f.Reach_inc.total_states;
-    frontier_cubes = f.Reach_inc.frontier_cubes;
-    time_s = f.Reach_inc.time_s;
-  }
-
-let backward_incremental ~max_steps ~trace ?store ?resume circuit target =
-  let r = Reach_inc.run ~max_steps ~trace ?store ?resume circuit target in
-  {
-    engine = E_incremental;
-    steps = List.map step_of_frame r.Reach_inc.frames;
-    fixpoint = r.Reach_inc.fixpoint;
-    total_states = r.Reach_inc.total_states;
-    reached = r.Reach_inc.reached;
-    man = r.Reach_inc.man;
-    layers = r.Reach_inc.layers;
-    time_s = r.Reach_inc.time_s;
-  }
-
-let backward ?(engine = E_sds) ?(incremental = false) ?(max_steps = 1000)
-    ?(trace = Ps_util.Trace.null) ?store ?resume circuit target =
-  if incremental || engine = E_incremental then
-    backward_incremental ~max_steps ~trace ?store ?resume circuit target
-  else begin
-  let t_start = Unix.gettimeofday () in
-  let tr = T.of_netlist circuit in
-  let nstate = Array.length tr.T.state_nets in
-  if nstate = 0 then invalid_arg "Reach.backward: circuit has no latches";
-  let man = B.new_man ~nvars:nstate in
-  let count f = B.count_models ~nvars:nstate f in
-  let reached = ref (target_bdd man target) in
-  let frontier = ref !reached in
-  let layers = ref [ !reached ] in
-  let steps = ref [] in
-  let index = ref 0 in
-  let fixpoint = ref false in
-  let count0 = B.count_models ~nvars:nstate !reached in
-  (match resume with
-  | None ->
-    let target_cubes = cubes_of_bdd !reached ~width:nstate in
-    Ss.persist_frame store ~frame:0 ~cubes:target_cubes
-      ~ints:[ ("frontier_cubes", List.length target_cubes) ]
-      ~floats:
-        [
-          ("frontier_states", count0);
-          ("total_states", count0);
-          ("time_s", 0.0);
-        ]
-  | Some r ->
-    (* Replay the log's frames: rebuild reached/layers/frontier from the
-       per-frame canonical cubes and the step records from the frame
-       checkpoints, then continue the fixpoint where the killed run
-       stopped. *)
-    List.iter
-      (fun (f : Ss.rframe) ->
-        let ck = f.Ss.ck in
-        if ck.Ps_store.Store.frame > 0 then begin
-          let fresh = Ss.bdd_of_cubes man f.Ss.cubes in
-          reached := B.bor !reached fresh;
-          layers := !reached :: !layers;
-          frontier := fresh;
-          index := ck.Ps_store.Store.frame;
-          steps :=
-            {
-              index = ck.Ps_store.Store.frame;
-              frontier_states = Ss.float_stat ck "frontier_states";
-              total_states = Ss.float_stat ck "total_states";
-              frontier_cubes = Ss.int_stat ck "frontier_cubes";
-              time_s = Ss.float_stat ck "time_s";
-            }
-            :: !steps
-        end)
-      (Ss.check_resume r ~man ~nstate ~target:!reached));
-  while (not !fixpoint) && !index < max_steps do
-    if B.is_zero !frontier then fixpoint := true
-    else begin
-      incr index;
-      let t0 = Unix.gettimeofday () in
-      let frontier_cubes = cubes_of_bdd !frontier ~width:nstate in
-      Ps_util.Trace.emit trace
-        (Ps_util.Trace.Frame_start
-           {
-             index = !index;
-             frontier_cubes = List.length frontier_cubes;
-             learnts = 0 (* rebuild-per-frame: every frame starts cold *);
-           });
-      let pre, sat_calls, conflicts =
-        preimage_of_cubes engine circuit frontier_cubes man ~width:nstate
-      in
-      let fresh = B.band pre (B.bnot !reached) in
-      reached := B.bor !reached fresh;
-      layers := !reached :: !layers;
-      frontier := fresh;
-      let step =
-        {
-          index = !index;
-          frontier_states = count fresh;
-          total_states = count !reached;
-          frontier_cubes = List.length frontier_cubes;
-          time_s = Unix.gettimeofday () -. t0;
-        }
-      in
-      steps := step :: !steps;
-      Ss.persist_frame store ~frame:!index
-        ~cubes:(cubes_of_bdd fresh ~width:nstate)
-        ~ints:[ ("frontier_cubes", step.frontier_cubes) ]
-        ~floats:
-          [
-            ("frontier_states", step.frontier_states);
-            ("total_states", step.total_states);
-            ("time_s", step.time_s);
-          ];
-      if not (Ps_util.Trace.is_null trace) then
-        Ps_util.Trace.emit trace
-          (Ps_util.Trace.Frame_done
-             {
-               index = !index;
-               new_cubes = List.length (cubes_of_bdd fresh ~width:nstate);
-               blocked = 0 (* no session: nothing persists across frames *);
-               sat_calls;
-               conflicts;
-             });
-      if B.is_zero fresh then fixpoint := true
-    end
-  done;
+let backward ?(engine = E_sds) ?max_steps ?trace ?store ?resume circuit target =
+  let enumerator =
+    match engine with
+    | E_sds -> Some (rebuild (sat_preimage Engine.Sds) circuit)
+    | E_sds_dynamic -> Some (rebuild (sat_preimage Engine.SdsDynamic) circuit)
+    | E_blocking_lift -> Some (rebuild (sat_preimage Engine.BlockingLift) circuit)
+    | E_bdd -> Some (rebuild bdd_preimage circuit)
+    | E_incremental -> None (* the session *)
+  in
+  let r = Ri.run ?enumerator ?max_steps ?trace ?store ?resume circuit target in
   {
     engine;
-    steps = List.rev !steps;
-    fixpoint = !fixpoint;
-    total_states = count !reached;
-    reached = !reached;
-    man;
-    layers = List.rev !layers;
-    time_s = Unix.gettimeofday () -. t_start;
+    steps = r.Ri.frames;
+    fixpoint = r.Ri.fixpoint;
+    total_states = r.Ri.total_states;
+    reached = r.Ri.reached;
+    man = r.Ri.man;
+    layers = r.Ri.layers;
+    time_s = r.Ri.time_s;
   }
-  end
 
 let mem r state_bits = B.eval r.reached state_bits
 
@@ -228,7 +100,7 @@ let trace r circuit ~from =
     let state = ref (Array.copy from) in
     let d = ref (depth_of from) in
     while !d > 0 do
-      let closer = cubes_of_bdd layers.(!d - 1) ~width:nstate in
+      let closer = Ri.cubes_of_bdd layers.(!d - 1) ~width:nstate in
       let inst = Instance.make ~include_inputs:true circuit closer in
       let solver = Instance.solver inst in
       let assumptions =

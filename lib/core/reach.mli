@@ -2,25 +2,36 @@
 
     [R0 = T], [R(k+1) = R(k) ∪ Pre(frontier)] with [frontier = the states
     added in step k]; terminates when no new states appear (guaranteed —
-    the state space is finite). The reached set is maintained as a BDD
-    over the state variables regardless of the per-step engine, so the
-    SAT engines and the native BDD engine are directly comparable. *)
+    the state space is finite). Every engine runs the same frame loop
+    ({!Reach_inc}): the reached set is a BDD over the state variables
+    whatever computes each frame's preimage, so the SAT engines, the
+    native BDD engine and the incremental session are directly
+    comparable. *)
 
 (** The per-step preimage method. [E_incremental] is different in kind:
     instead of rebuilding the transition CNF and a fresh solver at every
     frame, it drives a persistent {!Reach_inc} session (one CNF, one
     solver, retractable per-frame constraint groups, learnt clauses
-    surviving frame to frame). Its results are bit-identical to the
-    rebuild-per-frame engines'. *)
+    surviving frame to frame). Its reached sets, layers and state counts
+    are identical to the rebuild-per-frame engines'. *)
 type engine = E_sds | E_sds_dynamic | E_blocking_lift | E_bdd | E_incremental
 
 val engine_name : engine -> string
 
-type step = {
+(** The per-frame record, shared with {!Reach_inc.frame}. On the
+    rebuild-per-frame engines [learnts_start] and [blocking_clauses] are
+    0 and [new_cubes] is the canonical cube count of the frame's newly
+    reached set. *)
+type step = Reach_inc.frame = {
   index : int;              (** 1-based preimage step *)
+  frontier_cubes : int;     (** cubes handed to this step's preimage *)
+  new_cubes : int;
+  blocking_clauses : int;
+  sat_calls : int;
+  conflicts : int;
+  learnts_start : int;
   frontier_states : float;  (** states newly added by this step *)
   total_states : float;     (** |R| after this step *)
-  frontier_cubes : int;     (** cubes handed to the next step's target *)
   time_s : float;
 }
 
@@ -37,32 +48,24 @@ type result = {
   time_s : float;
 }
 
-(** [backward ?engine ?incremental ?max_steps ?trace circuit target]
-    runs the fixpoint. Default engine [E_sds], default [max_steps] 1000.
-
-    [~incremental:true] forces the {!Reach_inc} session regardless of
-    [engine] (equivalent to [~engine:E_incremental]); the result's
-    [engine] field is then [E_incremental].
+(** [backward ?engine ?max_steps ?trace circuit target] runs the
+    fixpoint. Default engine [E_sds], default [max_steps] 1000. Raises
+    [Invalid_argument] when the circuit has no latches.
 
     [trace] receives a {!Ps_util.Trace.Frame_start} /
-    {!Ps_util.Trace.Frame_done} pair per fixpoint frame (from either
-    path — the rebuild-per-frame baseline reports [learnts = 0] and
-    [blocked = 0], since nothing persists across its frames) plus the
-    underlying solver events.
+    {!Ps_util.Trace.Frame_done} pair per frame (the rebuild-per-frame
+    engines report [learnts = 0] and [blocked = 0], since nothing
+    persists across their frames), plus the session's solver events
+    under [E_incremental].
 
-    [store] persists the fixpoint into a durable solution log: the
-    target's canonical cubes under a [frame = 0] checkpoint, then each
-    frame's fresh-set cubes under a per-frame checkpoint — see
-    {!Session_store}. [resume] instead replays a recovered log
-    (rebuilding reached set, layers and steps bit-identically at the
-    set level) and continues the fixpoint from the frame after the last
-    checkpoint; replayed frames count toward [max_steps], so a killed
-    and resumed run ends at the same total frame count as an
-    uninterrupted one. Raises [Invalid_argument] when the log does not
-    match the circuit/target. *)
+    [store] persists the fixpoint into a durable solution log, one
+    ["frame"] checkpoint per frame; [resume] replays a recovered log
+    and continues from the frame after its last checkpoint — see
+    {!Reach_inc.create}. A log resumes under any engine, whichever
+    wrote it. Replayed frames count toward [max_steps]. Raises
+    [Invalid_argument] when the log does not match the circuit/target. *)
 val backward :
   ?engine:engine ->
-  ?incremental:bool ->
   ?max_steps:int ->
   ?trace:Ps_util.Trace.sink ->
   ?store:Ps_store.Store.writer ->

@@ -6,9 +6,9 @@ module T = Ps_circuit.Transition
 module Tseitin = Ps_circuit.Tseitin
 module Solver = Ps_sat.Solver
 module Lit = Ps_sat.Lit
+module Store = Ps_store.Store
 module Stats = Ps_util.Stats
 module Trace = Ps_util.Trace
-module Ss = Session_store
 
 type frame = {
   index : int;
@@ -23,6 +23,19 @@ type frame = {
   time_s : float;
 }
 
+type found = {
+  fresh : B.t;
+  blocked : int option;
+  sat_calls : int;
+  conflicts : int;
+}
+
+type enumerator = {
+  reached : Cube.t list -> unit;
+  learnts : unit -> int;
+  preimage : frontier:B.t -> reached:B.t -> Cube.t list -> found;
+}
+
 type result = {
   frames : frame list;
   fixpoint : bool;
@@ -35,20 +48,26 @@ type result = {
 }
 
 type t = {
-  circuit : N.t;
-  tr : T.t;
   nstate : int;
-  solver : Solver.t;
-  lift : Lifting.scratch;
   man : B.man;
+  enum : enumerator;
+  solver : Solver.t option;  (* the session's, when it is the enumerator *)
+  trace : Trace.sink;
+  store : Store.writer option;
   mutable reached : B.t;
   mutable frontier : B.t;
-  mutable layers : B.t list;   (* reverse order *)
-  mutable frames : frame list; (* reverse order *)
+  mutable frontier_cubes : Cube.t list;  (* canonical cubes of [frontier] *)
+  mutable layers : B.t list;             (* reverse order *)
+  mutable frames : frame list;           (* reverse order *)
   mutable index : int;
-  trace : Trace.sink;
-  store : Ps_store.Store.writer option;
   t_start : float;
+}
+
+type session = {
+  tr : T.t;
+  solver : Solver.t;
+  lift : Lifting.scratch;
+  trace : Trace.sink;
 }
 
 let cube_of_path path =
@@ -61,10 +80,22 @@ let cubes_of_bdd f ~width =
   B.iter_cubes f ~nvars:width (fun path -> acc := cube_of_path path :: !acc);
   List.rev !acc
 
-let target_bdd man cubes =
+let bdd_of_cubes man cubes =
   List.fold_left
     (fun acc c -> B.bor acc (B.cube man (Cube.to_list c)))
     (B.zero man) cubes
+
+(* --- the session enumerator ---------------------------------------------- *)
+
+(* One transition-relation CNF for the whole session: the cone of every
+   next-state net, encoded once into a persistent solver. *)
+let open_session ~trace circuit =
+  let tr = T.of_netlist circuit in
+  let cone = N.cone circuit (Array.to_list tr.T.next_nets) in
+  let solver = Solver.create () in
+  ignore (Solver.load solver (Tseitin.encode ~cone circuit));
+  Solver.ensure_vars solver (N.num_nets circuit);
+  { tr; solver; lift = Lifting.scratch circuit; trace }
 
 (* A permanent blocking clause over the state variables excludes one cube
    of reached states from every later preimage enumeration. Each state is
@@ -72,95 +103,10 @@ let target_bdd man cubes =
    outside the blocked cubes), so the clause-set growth is bounded by the
    number of cubes the session finds — never by (frames × reached), the
    quadratic blow-up of re-blocking per frame. *)
-let block_state_lits t lits =
+let block_state_lits s lits =
   ignore
-    (Solver.add_clause t.solver
-       (List.map (fun (pos, v) -> Lit.make t.tr.T.state_nets.(pos) (not v)) lits))
-
-let block_state_cube t cube = block_state_lits t (Cube.to_list cube)
-
-let create ?(trace = Trace.null) ?store ?resume circuit target =
-  let tr = T.of_netlist circuit in
-  let nstate = Array.length tr.T.state_nets in
-  if nstate = 0 then invalid_arg "Reach_inc.create: circuit has no latches";
-  (* One transition-relation CNF for the whole session: the cone of every
-     next-state net, encoded once into a persistent solver. *)
-  let cone = N.cone circuit (Array.to_list tr.T.next_nets) in
-  let solver = Solver.create () in
-  ignore (Solver.load solver (Tseitin.encode ~cone circuit));
-  Solver.ensure_vars solver (N.num_nets circuit);
-  let man = B.new_man ~nvars:nstate in
-  let reached = target_bdd man target in
-  let t =
-    {
-      circuit;
-      tr;
-      nstate;
-      solver;
-      lift = Lifting.scratch circuit;
-      man;
-      reached;
-      frontier = reached;
-      layers = [ reached ];
-      frames = [];
-      index = 0;
-      trace;
-      store;
-      t_start = Unix.gettimeofday ();
-    }
-  in
-  (match resume with
-  | None ->
-    (* The target set is reached from the start: block its cubes now,
-       and persist them as frame 0 of the session log. *)
-    let target_cubes = cubes_of_bdd reached ~width:nstate in
-    List.iter (block_state_cube t) target_cubes;
-    Ss.persist_frame store ~frame:0 ~cubes:target_cubes
-      ~ints:[ ("frontier_cubes", List.length target_cubes) ]
-      ~floats:
-        [
-          ("frontier_states", B.count_models ~nvars:nstate reached);
-          ("total_states", B.count_models ~nvars:nstate reached);
-          ("time_s", 0.0);
-        ]
-  | Some r ->
-    (* Resuming a killed session: rebuild the reached set, layers and
-       frame records from the log's frame checkpoints, block *every*
-       recovered cube permanently, and pick up at the next frame. *)
-    let frames =
-      Ss.check_resume r ~man ~nstate ~target:reached
-    in
-    List.iter
-      (fun (f : Ss.rframe) ->
-        List.iter (block_state_cube t) f.Ss.cubes;
-        if f.Ss.ck.Ps_store.Store.frame > 0 then begin
-          let fresh = Ss.bdd_of_cubes man f.Ss.cubes in
-          t.reached <- B.bor t.reached fresh;
-          t.layers <- t.reached :: t.layers;
-          t.frontier <- fresh;
-          t.index <- f.Ss.ck.Ps_store.Store.frame;
-          let ck = f.Ss.ck in
-          t.frames <-
-            {
-              index = ck.Ps_store.Store.frame;
-              frontier_cubes = Ss.int_stat ck "frontier_cubes";
-              new_cubes = Ss.int_stat ck "new_cubes";
-              blocking_clauses = Ss.int_stat ck "blocking_clauses";
-              sat_calls = Ss.int_stat ck "sat_calls";
-              conflicts = Ss.int_stat ck "conflicts";
-              learnts_start = Ss.int_stat ck "learnts_start";
-              frontier_states = Ss.float_stat ck "frontier_states";
-              total_states = Ss.float_stat ck "total_states";
-              time_s = Ss.float_stat ck "time_s";
-            }
-            :: t.frames
-        end)
-      frames);
-  t
-
-let fixpoint_reached t = B.is_zero t.frontier
-
-let solver t = t.solver
+    (Solver.add_clause s.solver
+       (List.map (fun (pos, v) -> Lit.make s.tr.T.state_nets.(pos) (not v)) lits))
 
 (* Post this frame's frontier constraint — "the next state lies in the
    frontier" — as a retractable clause group: a DNF-selector encoding of
@@ -168,25 +114,25 @@ let solver t = t.solver
    activation literal. A single cube needs no selectors (its literals go
    in directly); [k > 1] cubes get one auxiliary selector each plus the
    one-of disjunction. *)
-let post_frontier_group t frontier_cubes =
-  let g = Solver.new_group t.solver in
+let post_frontier_group s frontier_cubes =
+  let g = Solver.new_group s.solver in
   let lits_of_cube c =
-    List.map (fun (pos, v) -> Lit.make t.tr.T.next_nets.(pos) v) (Cube.to_list c)
+    List.map (fun (pos, v) -> Lit.make s.tr.T.next_nets.(pos) v) (Cube.to_list c)
   in
   (match frontier_cubes with
-  | [ c ] -> List.iter (fun l -> ignore (Solver.add_grouped t.solver g [ l ])) (lits_of_cube c)
+  | [ c ] -> List.iter (fun l -> ignore (Solver.add_grouped s.solver g [ l ])) (lits_of_cube c)
   | cubes ->
     let selectors =
       List.map
         (fun c ->
-          let a = Solver.new_var t.solver in
+          let a = Solver.new_var s.solver in
           List.iter
-            (fun l -> ignore (Solver.add_grouped t.solver g [ Lit.neg a; l ]))
+            (fun l -> ignore (Solver.add_grouped s.solver g [ Lit.neg a; l ]))
             (lits_of_cube c);
           Lit.pos a)
         cubes
     in
-    ignore (Solver.add_grouped t.solver g selectors));
+    ignore (Solver.add_grouped s.solver g selectors));
   g
 
 (* The state cube of the current model, lifted by circuit justification.
@@ -198,121 +144,265 @@ let post_frontier_group t frontier_cubes =
    inputs, into the same frontier cube. So the cube lies inside
    Pre(frontier), which lies inside the next reached set, and blocking it
    permanently is sound. *)
-let lift_model t =
-  let value = Solver.model_value t.solver in
+let lift_model s ~frontier =
+  let value = Solver.model_value s.solver in
   let rec roots f acc =
     match B.topvar f with
     | None ->
       assert (B.is_one f) (* the model satisfies the frontier group *);
       List.rev acc
     | Some v ->
-      let net = t.tr.T.next_nets.(v) in
+      let net = s.tr.T.next_nets.(v) in
       roots (if value net then B.high f else B.low f) (net :: acc)
   in
-  Lifting.justify_roots t.lift ~roots:(roots t.frontier []) ~value;
+  Lifting.justify_roots s.lift ~roots:(roots frontier []) ~value;
   let lits = ref [] in
-  for pos = t.nstate - 1 downto 0 do
-    let net = t.tr.T.state_nets.(pos) in
-    if Lifting.required t.lift net then lits := (pos, value net) :: !lits
+  for pos = Array.length s.tr.T.state_nets - 1 downto 0 do
+    let net = s.tr.T.state_nets.(pos) in
+    if Lifting.required s.lift net then lits := (pos, value net) :: !lits
   done;
   !lits
+
+(* Blocking all-SAT over the state variables, one lifted cube per model
+   (see [lift_model]), each blocked permanently: earlier frames' blocks
+   already exclude the reached set, so every model is a new state of
+   Pre(frontier). *)
+let preimage s ~frontier ~reached frontier_cubes =
+  let conflicts0 = Stats.get (Solver.stats s.solver) "conflicts" in
+  let g = post_frontier_group s frontier_cubes in
+  let assumptions = [ Solver.group_lit s.solver g ] in
+  let man = B.man_of frontier in
+  let nstate = Array.length s.tr.T.state_nets in
+  let fresh = ref (B.zero man) in
+  let sat_calls = ref 0 in
+  let new_cubes = ref 0 in
+  let free_bits = ref false in
+  let exhausted = ref false in
+  while not !exhausted do
+    incr sat_calls;
+    match Solver.solve ~assumptions ~trace:s.trace s.solver with
+    | Solver.Unsat -> exhausted := true
+    | Solver.Unknown -> assert false (* unbudgeted solve *)
+    | Solver.Sat ->
+      let lits = lift_model s ~frontier in
+      if List.compare_length_with lits nstate < 0 then free_bits := true;
+      incr new_cubes;
+      fresh := B.bor !fresh (B.cube man lits);
+      block_state_lits s lits
+  done;
+  Solver.retire_group s.solver g;
+  (* A lifted cube may cover states reached in earlier frames; a minterm
+     cube is the model's own state, which blocking keeps out of
+     [reached], so the subtraction is only paid when some cube has a free
+     bit ([B.bnot] walks the whole reached set). *)
+  {
+    fresh = (if !free_bits then B.band !fresh (B.bnot reached) else !fresh);
+    blocked = Some !new_cubes;
+    sat_calls = !sat_calls;
+    conflicts = Stats.get (Solver.stats s.solver) "conflicts" - conflicts0;
+  }
+
+let session_enumerator s : enumerator =
+  {
+    reached = List.iter (fun c -> block_state_lits s (Cube.to_list c));
+    learnts = (fun () -> Solver.n_learnts s.solver);
+    preimage = preimage s;
+  }
+
+(* --- the durable log ---------------------------------------------------- *)
+
+(* A frame's cubes, then its checkpoint carrying the frame record. *)
+let persist store (f : frame) cubes =
+  match store with
+  | None -> ()
+  | Some w ->
+    List.iter (fun c -> ignore (Store.append w c)) cubes;
+    Store.checkpoint ~kind:"frame" ~frame:f.index
+      ~ints:
+        [
+          ("frontier_cubes", f.frontier_cubes);
+          ("new_cubes", f.new_cubes);
+          ("blocking_clauses", f.blocking_clauses);
+          ("sat_calls", f.sat_calls);
+          ("conflicts", f.conflicts);
+          ("learnts_start", f.learnts_start);
+        ]
+      ~floats:
+        [
+          ("frontier_states", f.frontier_states);
+          ("total_states", f.total_states);
+          ("time_s", f.time_s);
+        ]
+      w ()
+
+let frame_of_checkpoint (ck : Store.checkpoint) =
+  let int k = Option.value (List.assoc_opt k ck.Store.ints) ~default:0 in
+  let float k = Option.value (List.assoc_opt k ck.Store.floats) ~default:0.0 in
+  {
+    index = ck.Store.frame;
+    frontier_cubes = int "frontier_cubes";
+    new_cubes = int "new_cubes";
+    blocking_clauses = int "blocking_clauses";
+    sat_calls = int "sat_calls";
+    conflicts = int "conflicts";
+    learnts_start = int "learnts_start";
+    frontier_states = float "frontier_states";
+    total_states = float "total_states";
+    time_s = float "time_s";
+  }
+
+(* The recovered cube stream segmented by "frame" checkpoint, in frame
+   order. Cubes logged under other checkpoints (e.g. "resume") roll into
+   the next frame; a segment's cubes precede its checkpoint. *)
+let frames_of_recovered (r : Store.recovered) =
+  let pending = ref [] in
+  let out = ref [] in
+  List.iter
+    (fun ((ck : Store.checkpoint), cs) ->
+      pending := !pending @ cs;
+      if ck.Store.kind = "frame" then begin
+        out := (ck, !pending) :: !out;
+        pending := []
+      end)
+    r.Store.segments;
+  List.rev !out
+
+let check_resume (r : Store.recovered) ~man ~nstate ~target =
+  if r.Store.meta.Store.width <> nstate then
+    invalid_arg
+      (Printf.sprintf
+         "resume: log is over %d state bits but the circuit has %d"
+         r.Store.meta.Store.width nstate);
+  match frames_of_recovered r with
+  | [] -> invalid_arg "resume: log has no frame checkpoint"
+  | (ck0, cubes0) :: _ as frames ->
+    if ck0.Store.frame <> 0 then
+      invalid_arg "resume: log's first frame checkpoint is not frame 0";
+    if not (B.equal (bdd_of_cubes man cubes0) target) then
+      invalid_arg "resume: log was recorded for a different target set";
+    frames
+
+(* --- the loop ----------------------------------------------------------- *)
+
+let count t f = B.count_models ~nvars:t.nstate f
+
+let create ?enumerator ?(trace = Trace.null) ?store ?resume circuit target =
+  let t_start = Unix.gettimeofday () in
+  let nstate = List.length (N.latches circuit) in
+  if nstate = 0 then invalid_arg "reachability: circuit has no latches";
+  let solver, enum =
+    match enumerator with
+    | Some e -> (None, e)
+    | None ->
+      let s = open_session ~trace circuit in
+      (Some s.solver, session_enumerator s)
+  in
+  let man = B.new_man ~nvars:nstate in
+  let target = bdd_of_cubes man target in
+  let t =
+    {
+      nstate;
+      man;
+      enum;
+      solver;
+      trace;
+      store;
+      reached = target;
+      frontier = target;
+      frontier_cubes = cubes_of_bdd target ~width:nstate;
+      layers = [ target ];
+      frames = [];
+      index = 0;
+      t_start;
+    }
+  in
+  (match resume with
+  | None ->
+    enum.reached t.frontier_cubes;
+    let n = count t target in
+    persist store
+      {
+        index = 0;
+        frontier_cubes = List.length t.frontier_cubes;
+        new_cubes = 0;
+        blocking_clauses = 0;
+        sat_calls = 0;
+        conflicts = 0;
+        learnts_start = 0;
+        frontier_states = n;
+        total_states = n;
+        time_s = 0.0;
+      }
+      t.frontier_cubes
+  | Some r ->
+    (* Replay the log: rebuild reached set, layers and frame records from
+       the per-frame canonical cubes and checkpoints, then continue at the
+       frame after the last checkpoint. *)
+    let frames = check_resume r ~man ~nstate ~target in
+    enum.reached (List.concat_map snd frames);
+    List.iter
+      (fun ((ck : Store.checkpoint), cubes) ->
+        if ck.Store.frame > 0 then begin
+          let fresh = bdd_of_cubes man cubes in
+          t.reached <- B.bor t.reached fresh;
+          t.layers <- t.reached :: t.layers;
+          t.frontier <- fresh;
+          t.index <- ck.Store.frame;
+          t.frames <- frame_of_checkpoint ck :: t.frames
+        end)
+      frames;
+    t.frontier_cubes <- cubes_of_bdd t.frontier ~width:nstate);
+  t
+
+let fixpoint_reached t = B.is_zero t.frontier
 
 let frame t =
   if fixpoint_reached t then false
   else begin
     t.index <- t.index + 1;
     let t0 = Unix.gettimeofday () in
-    let frontier_cubes = cubes_of_bdd t.frontier ~width:t.nstate in
-    let learnts_start = Solver.n_learnts t.solver in
-    let conflicts0 = Stats.get (Solver.stats t.solver) "conflicts" in
+    let learnts_start = t.enum.learnts () in
+    let frontier_cubes = List.length t.frontier_cubes in
     Trace.emit t.trace
       (Trace.Frame_start
-         {
-           index = t.index;
-           frontier_cubes = List.length frontier_cubes;
-           learnts = learnts_start;
-         });
-    let g = post_frontier_group t frontier_cubes in
-    let assumptions = [ Solver.group_lit t.solver g ] in
-    (* Blocking all-SAT over the state variables, one lifted cube per
-       model (see [lift_model]), each blocked permanently: earlier
-       frames' blocks already exclude the reached set, so every model is
-       a new state of Pre(frontier). *)
-    let fresh = ref (B.zero t.man) in
-    let sat_calls = ref 0 in
-    let new_cubes = ref 0 in
-    let free_bits = ref false in
-    let exhausted = ref false in
-    while not !exhausted do
-      incr sat_calls;
-      match Solver.solve ~assumptions ~trace:t.trace t.solver with
-      | Solver.Unsat -> exhausted := true
-      | Solver.Unknown -> assert false (* unbudgeted solve *)
-      | Solver.Sat ->
-        let lits = lift_model t in
-        if List.compare_length_with lits t.nstate < 0 then free_bits := true;
-        incr new_cubes;
-        fresh := B.bor !fresh (B.cube t.man lits);
-        block_state_lits t lits
-    done;
-    Solver.retire_group t.solver g;
-    let conflicts =
-      Stats.get (Solver.stats t.solver) "conflicts" - conflicts0
+         { index = t.index; frontier_cubes; learnts = learnts_start });
+    let found =
+      t.enum.preimage ~frontier:t.frontier ~reached:t.reached t.frontier_cubes
     in
-    (* A lifted cube may cover states reached in earlier frames; a
-       minterm cube is the model's own state, which blocking keeps out of
-       [reached], so the subtraction is only paid when some cube has a
-       free bit. *)
-    let fresh =
-      if !free_bits then B.band !fresh (B.bnot t.reached) else !fresh
-    in
-    t.reached <- B.bor t.reached fresh;
+    t.reached <- B.bor t.reached found.fresh;
     t.layers <- t.reached :: t.layers;
-    t.frontier <- fresh;
-    let count f = B.count_models ~nvars:t.nstate f in
-    let frame_rec =
+    t.frontier <- found.fresh;
+    (* The fresh set's canonical cubes are what the log records and what
+       the next frame hands its enumerator: one walk per frame. *)
+    t.frontier_cubes <- cubes_of_bdd found.fresh ~width:t.nstate;
+    let new_cubes =
+      Option.value found.blocked ~default:(List.length t.frontier_cubes)
+    in
+    let f =
       {
         index = t.index;
-        frontier_cubes = List.length frontier_cubes;
-        new_cubes = !new_cubes;
-        blocking_clauses = !new_cubes;
-        sat_calls = !sat_calls;
-        conflicts;
+        frontier_cubes;
+        new_cubes;
+        blocking_clauses = Option.value found.blocked ~default:0;
+        sat_calls = found.sat_calls;
+        conflicts = found.conflicts;
         learnts_start;
-        frontier_states = count fresh;
-        total_states = count t.reached;
+        frontier_states = count t found.fresh;
+        total_states = count t t.reached;
         time_s = Unix.gettimeofday () -. t0;
       }
     in
-    t.frames <- frame_rec :: t.frames;
-    (* Frame boundary = durability boundary: the fresh set's canonical
-       cubes followed by the frame checkpoint, so a killed session
-       resumes exactly here. *)
-    Ss.persist_frame t.store ~frame:t.index
-      ~cubes:(cubes_of_bdd fresh ~width:t.nstate)
-      ~ints:
-        [
-          ("frontier_cubes", frame_rec.frontier_cubes);
-          ("new_cubes", frame_rec.new_cubes);
-          ("blocking_clauses", frame_rec.blocking_clauses);
-          ("sat_calls", frame_rec.sat_calls);
-          ("conflicts", frame_rec.conflicts);
-          ("learnts_start", frame_rec.learnts_start);
-        ]
-      ~floats:
-        [
-          ("frontier_states", frame_rec.frontier_states);
-          ("total_states", frame_rec.total_states);
-          ("time_s", frame_rec.time_s);
-        ];
+    t.frames <- f :: t.frames;
+    (* Frame boundary = durability boundary: a killed run resumes here. *)
+    persist t.store f t.frontier_cubes;
     Trace.emit t.trace
       (Trace.Frame_done
          {
            index = t.index;
-           new_cubes = !new_cubes;
-           blocked = !new_cubes;
-           sat_calls = !sat_calls;
-           conflicts;
+           new_cubes;
+           blocked = f.blocking_clauses;
+           sat_calls = f.sat_calls;
+           conflicts = f.conflicts;
          });
     true
   end
@@ -321,17 +411,23 @@ let result t =
   {
     frames = List.rev t.frames;
     fixpoint = fixpoint_reached t;
-    total_states = B.count_models ~nvars:t.nstate t.reached;
+    total_states = count t t.reached;
     reached = t.reached;
     man = t.man;
     layers = List.rev t.layers;
     time_s = Unix.gettimeofday () -. t.t_start;
-    solver_stats = Solver.stats t.solver;
+    solver_stats =
+      (match t.solver with Some s -> Solver.stats s | None -> Stats.create ());
   }
 
-let run ?(max_steps = 1000) ?trace ?store ?resume circuit target =
-  let t = create ?trace ?store ?resume circuit target in
-  (* [t.index] counts frames over the whole session, including frames
+let solver (t : t) =
+  match t.solver with
+  | Some s -> s
+  | None -> invalid_arg "Reach_inc.solver: not a session"
+
+let run ?enumerator ?(max_steps = 1000) ?trace ?store ?resume circuit target =
+  let t = create ?enumerator ?trace ?store ?resume circuit target in
+  (* [t.index] counts frames over the whole run, including frames
      replayed from a resumed log — so max_steps means the same thing
      for an interrupted-and-resumed run as for an uninterrupted one. *)
   while (not (fixpoint_reached t)) && t.index < max_steps do

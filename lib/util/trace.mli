@@ -41,8 +41,7 @@ type event =
       stopped : string;
     }
       (** a shard's enumeration finished: cubes found, SAT conflicts
-          spent, and the shard's own stop reason (["resplit"] when the
-          shard was split further instead of kept) *)
+          spent, and the shard's own stop reason *)
   | Stopped of { reason : string }
       (** why the run ended (a {!Budget.stop} name or ["complete"]) *)
   | Frame_start of { index : int; frontier_cubes : int; learnts : int }

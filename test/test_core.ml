@@ -239,6 +239,50 @@ let test_brute_force_preimage_small () =
 
 (* --- Reach -------------------------------------------------------------------- *)
 
+let all_reach_engines =
+  [ Rh.E_sds; Rh.E_sds_dynamic; Rh.E_blocking_lift; Rh.E_bdd; Rh.E_incremental ]
+
+(* A purely combinational netlist: one input, no latches. *)
+let comb_free () =
+  let b = Ps_circuit.Builder.create () in
+  let x = Ps_circuit.Builder.input b "x" in
+  Ps_circuit.Builder.output b x;
+  Ps_circuit.Builder.finalize b
+
+let test_reach_no_latches () =
+  List.iter
+    (fun engine ->
+      Alcotest.check_raises (Rh.engine_name engine)
+        (Invalid_argument "reachability: circuit has no latches")
+        (fun () -> ignore (Rh.backward ~engine (comb_free ()) [ Cube.make 1 ])))
+    all_reach_engines
+
+(* The session against a rebuild engine on 16-bit suite circuits, in both
+   regimes: narrow frontiers (one state per frame, 48 frames, against
+   SDS) and wide ones (upper-half targets to fixpoint, against
+   blocking-lift). Steps, fixpoint and reached set must agree. *)
+let test_session_matches_rebuild_16bit () =
+  let suite name = Lazy.force (Ps_gen.Suite.find name).Ps_gen.Suite.circuit in
+  List.iter
+    (fun (name, target, engine, max_steps) ->
+      let c = suite name in
+      let base = Rh.backward ~engine ~max_steps c target in
+      let inc = Rh.backward ~engine:Rh.E_incremental ~max_steps c target in
+      let key (s : Rh.step) =
+        (s.Rh.index, s.Rh.frontier_states, s.Rh.total_states, s.Rh.frontier_cubes)
+      in
+      check_bool (name ^ ": same steps") true
+        (List.map key base.Rh.steps = List.map key inc.Rh.steps);
+      check_bool (name ^ ": same fixpoint") base.Rh.fixpoint inc.Rh.fixpoint;
+      let cubes r = Preimage.Reach_inc.cubes_of_bdd r.Rh.reached ~width:16 in
+      check_bool (name ^ ": same reached set") true (cubes base = cubes inc))
+    [
+      ("count16", T.value ~bits:16 0, Rh.E_sds, 48);
+      ("lfsr16", T.value ~bits:16 1, Rh.E_sds, 48);
+      ("johnson16", T.upper_half ~bits:16, Rh.E_blocking_lift, 1000);
+      ("lfsr16", T.upper_half ~bits:16, Rh.E_blocking_lift, 1000);
+    ]
+
 let test_reach_counter_full () =
   (* enabled counter eventually reaches all-ones from any state *)
   let c = Ps_gen.Counters.binary ~bits:4 () in
@@ -249,7 +293,7 @@ let test_reach_counter_full () =
         (Rh.engine_name engine ^ " reaches the full space")
         16.0 r.Rh.total_states;
       check_bool "fixpoint" true r.Rh.fixpoint)
-    [ Rh.E_sds; Rh.E_sds_dynamic; Rh.E_blocking_lift; Rh.E_bdd; Rh.E_incremental ]
+    all_reach_engines
 
 let test_reach_max_steps () =
   let c = Ps_gen.Counters.binary ~bits:4 () in
@@ -349,8 +393,8 @@ let reach_matches_kstep_union =
       let nstate = List.length (N.latches c) in
       let target = T.random ~bits:nstate ~ncubes:1 ~density:0.7 rng in
       let n = 1 + R.int rng 3 in
-      let check_mode ~incremental =
-        let r = Rh.backward ~incremental ~max_steps:n c target in
+      let check_mode engine =
+        let r = Rh.backward ~engine ~max_steps:n c target in
         let module B = Ps_bdd.Bdd in
         let man = r.Rh.man in
         let target_bdd =
@@ -369,7 +413,7 @@ let reach_matches_kstep_union =
         let last_layer = List.nth r.Rh.layers (List.length r.Rh.layers - 1) in
         B.equal kstep_union last_layer
       in
-      check_mode ~incremental:false && check_mode ~incremental:true)
+      check_mode Rh.E_sds && check_mode Rh.E_incremental)
 
 (* Regression for the per-frame blocking discipline: the session blocks
    only the states a frame discovers, so the blocking work per frame
@@ -453,17 +497,9 @@ let test_reach_inc_session_stepwise () =
   check_int "same frame count" (List.length packaged.RI.frames)
     (List.length r.RI.frames);
   check_float "same states" packaged.RI.total_states r.RI.total_states;
-  (* no latches: same contract as Reach.backward *)
-  let comb_free =
-    (* a purely combinational netlist: inputs only *)
-    let b = Ps_circuit.Builder.create () in
-    let x = Ps_circuit.Builder.input b "x" in
-    Ps_circuit.Builder.output b x;
-    Ps_circuit.Builder.finalize b
-  in
   Alcotest.check_raises "no latches"
-    (Invalid_argument "Reach_inc.create: circuit has no latches")
-    (fun () -> ignore (RI.create comb_free [ Cube.make 1 ]))
+    (Invalid_argument "reachability: circuit has no latches")
+    (fun () -> ignore (RI.create (comb_free ()) [ Cube.make 1 ]))
 
 let () =
   Alcotest.run "preimage_core"
@@ -503,6 +539,10 @@ let () =
           Alcotest.test_case "agrees with forward simulation" `Slow
             test_reach_membership_vs_simulation;
           reach_matches_kstep_union;
+          Alcotest.test_case "no latches: every engine" `Quick
+            test_reach_no_latches;
+          Alcotest.test_case "session = rebuild on 16-bit suite circuits"
+            `Quick test_session_matches_rebuild_16bit;
         ] );
       ( "reach_inc",
         [

@@ -545,7 +545,7 @@ let check_reach w =
   let target = witness_target w in
   let nstate = w.w_spec.Ps_gen.Random_seq.n_latches in
   let base = Reach.backward ~engine:Reach.E_sds circuit target in
-  let inc = Reach.backward ~incremental:true circuit target in
+  let inc = Reach.backward ~engine:Reach.E_incremental circuit target in
   if base.Reach.fixpoint <> inc.Reach.fixpoint then
     Some
       (Printf.sprintf "fixpoint differs: baseline %b, incremental %b"

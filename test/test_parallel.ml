@@ -1,6 +1,6 @@
 (* Tests for guiding-path parallel enumeration: determinism across
    worker counts, cross-domain cancellation, global budget enforcement,
-   and the dynamic re-splitting machinery. *)
+   and the fixed-depth shard partition. *)
 
 module I = Preimage.Instance
 module E = Preimage.Engine
@@ -218,7 +218,7 @@ let test_global_conflict_budget () =
     (minterm_set width (E.cubes r));
   check_sound inst (E.cubes r)
 
-(* --- dynamic re-splitting ----------------------------------------------- *)
+(* --- fixed-depth sharding ----------------------------------------------- *)
 
 (* Synthetic shard runner over a known solution set (all 2^6 minterms):
    enumerate the minterms below the prefix, honouring [limit] — exactly
@@ -236,7 +236,7 @@ let synthetic_run_shard ~prefix ~limit ~budget:_ ~trace:_ =
   in
   { Run.cubes; graph = None; stats = Stats.create (); stopped }
 
-let test_resplit () =
+let test_fixed_depth () =
   let events = ref [] in
   let trace =
     Trace.callback (fun ~time_s:_ ev ->
@@ -245,9 +245,10 @@ let test_resplit () =
           events := ev :: !events
         | _ -> ())
   in
+  let depth = 4 in
   let r =
-    Par.run ~jobs:2 ~split_depth:0 ~resplit_threshold:4 ~max_split_depth:6
-      ~trace ~width:6 ~run_shard:synthetic_run_shard ()
+    Par.run ~jobs:2 ~split_depth:depth ~trace ~width:6
+      ~run_shard:synthetic_run_shard ()
   in
   check_bool "complete" true (r.Run.stopped = `Complete);
   check_int "all 64 minterms" 64 (List.length r.Run.cubes);
@@ -257,28 +258,19 @@ let test_resplit () =
     (minterm_set 6 r.Run.cubes);
   (* shards are merged in prefix order (within a shard: discovery order) *)
   check_bool "shard groups sorted" true
-    (let prefix4 c = String.sub (Cube.to_string c) 0 4 in
+    (let prefix c = String.sub (Cube.to_string c) 0 depth in
      let rec ok = function
-       | a :: (b :: _ as tl) -> prefix4 a <= prefix4 b && ok tl
+       | a :: (b :: _ as tl) -> prefix a <= prefix b && ok tl
        | _ -> true
      in
      ok r.Run.cubes);
-  (* the root and every internal shard re-split: 1 + 2 + 4 + 8 = 15;
-     the 16 depth-4 shards hold exactly 4 minterms each and complete *)
-  check_int "resplits" 15 (Stats.get r.Run.stats "shard_resplits");
-  check_int "kept shards" 16 (Stats.get r.Run.stats "shards");
+  check_int "2^depth shards" (1 lsl depth) (Stats.get r.Run.stats "shards");
   check_int "no drops" 0 (Stats.get r.Run.stats "shards_dropped");
-  let starts, resplit_dones =
-    List.fold_left
-      (fun (s, rd) ev ->
-        match ev with
-        | Trace.Shard_start _ -> (s + 1, rd)
-        | Trace.Shard_done { stopped = "resplit"; _ } -> (s, rd + 1)
-        | _ -> (s, rd))
-      (0, 0) !events
+  let starts =
+    List.length
+      (List.filter (function Trace.Shard_start _ -> true | _ -> false) !events)
   in
-  check_int "shard_start events" 31 starts;
-  check_int "resplit shard_done events" 15 resplit_dones
+  check_int "shard_start events" (1 lsl depth) starts
 
 let test_parallel_limit () =
   (* the global cube cap truncates deterministically, in prefix order *)
@@ -333,7 +325,7 @@ let () =
         ] );
       ( "re-splitting",
         [
-          Alcotest.test_case "threshold re-split" `Quick test_resplit;
+          Alcotest.test_case "fixed-depth split" `Quick test_fixed_depth;
           Alcotest.test_case "global cube limit" `Quick test_parallel_limit;
           Alcotest.test_case "shard exception" `Quick
             test_shard_exception_propagates;

@@ -628,6 +628,43 @@ let test_reach_backward_kill_resume () =
         (List.map step_key straight.R.steps
         = List.map step_key resumed.R.steps)
 
+(* One frame loop serves every engine, so a log killed under one engine
+   resumes under another: the steps, layers and reached set must be an
+   uninterrupted run's. *)
+let test_reach_cross_engine_resume () =
+  let module R = Preimage.Reach in
+  let circuit = Lazy.force reach_circuit in
+  let nstate = List.length (Ps_circuit.Netlist.latches circuit) in
+  let target = reach_target nstate in
+  let cubes f = Preimage.Reach_inc.cubes_of_bdd f ~width:nstate in
+  List.iter
+    (fun (a, b) ->
+      with_log @@ fun path ->
+      let name = R.engine_name a ^ " -> " ^ R.engine_name b in
+      let straight = R.backward ~engine:b circuit target in
+      let w = St.create ~checkpoint_every:0 ~path (meta nstate) in
+      let _ = R.backward ~engine:a ~max_steps:2 ~store:w circuit target in
+      let bytes = read_file path in
+      write_file path (String.sub bytes 0 (String.length bytes - 3));
+      match St.resume ~checkpoint_every:0 ~path () with
+      | Error e -> Alcotest.fail e
+      | Ok (r, w2) ->
+        let resumed = R.backward ~engine:b ~store:w2 ~resume:r circuit target in
+        St.finalize w2 ~complete:resumed.R.fixpoint ();
+        check_bool (name ^ ": fixpoint") true resumed.R.fixpoint;
+        check_bool (name ^ ": same steps") true
+          (List.map step_key straight.R.steps
+          = List.map step_key resumed.R.steps);
+        check_bool (name ^ ": same layers") true
+          (List.map cubes straight.R.layers = List.map cubes resumed.R.layers);
+        check_bool (name ^ ": same reached set") true
+          (cubes straight.R.reached = cubes resumed.R.reached))
+    [
+      (R.E_sds, R.E_incremental);
+      (R.E_incremental, R.E_bdd);
+      (R.E_blocking_lift, R.E_sds_dynamic);
+    ]
+
 let test_reach_resume_rejects_wrong_target () =
   with_log @@ fun path ->
   let module RI = Preimage.Reach_inc in
@@ -826,6 +863,8 @@ let () =
             test_reach_resume_rejects_wrong_target;
           Alcotest.test_case "parallel producer, stored and verified" `Quick
             test_parallel_store_verified;
+          Alcotest.test_case "reach cross-engine kill + resume" `Quick
+            test_reach_cross_engine_resume;
         ] );
       ( "cube_set",
         [
