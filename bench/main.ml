@@ -131,18 +131,41 @@ let table1 () =
 (* --- Table 2: all-SAT engine comparison ----------------------------------- *)
 
 (* The paper's classical baseline: one blocking clause per minterm all the
-   way, by way of a lift that keeps every position fixed — the lifted
-   loop never hands over to chronological enumeration. *)
-let blocking_classic ?limit solver proj =
+   way, with no hand-over to chronological enumeration. *)
+let blocking_classic ?(limit = max_int) solver proj =
+  let module S = Ps_sat.Solver in
+  let module Tr = Ps_util.Trace in
+  let budget = bench_budget () and trace = !bench_trace in
   let width = Ps_allsat.Project.width proj in
   let t0 = Unix.gettimeofday () in
-  let r =
-    Ps_allsat.Blocking.enumerate ?limit ?budget:(bench_budget ())
-      ~trace:!bench_trace
-      ~lift:(fun _ -> Array.make width true)
-      solver proj
+  let cubes = ref [] and n = ref 0 and calls = ref 0 in
+  let rec loop () =
+    if !n >= limit then `CubeLimit
+    else begin
+      incr calls;
+      match S.solve ?budget ~trace solver with
+      | S.Unsat -> `Complete
+      | S.Unknown -> Ps_allsat.Run.stopped_of_budget budget ~default:`Cancelled
+      | S.Sat -> (
+        let cube = Ps_allsat.Project.cube_of_model proj (S.model solver) in
+        cubes := cube :: !cubes;
+        incr n;
+        if not (Tr.is_null trace) then
+          Tr.emit trace (Tr.Cube { index = !n; fixed = width; width });
+        match Ps_allsat.Project.blocking_clause proj cube with
+        | [] -> `Complete
+        | clause -> if S.add_clause solver clause then loop () else `Complete)
+    end
   in
-  (r, Unix.gettimeofday () -. t0)
+  let stopped = loop () in
+  if not (Tr.is_null trace) then
+    Tr.emit trace (Tr.Stopped { reason = Ps_allsat.Run.stopped_name stopped });
+  let stats = Stats.create () in
+  Stats.add stats "cubes" !n;
+  Stats.add stats "sat_calls" !calls;
+  Stats.merge ~into:stats (S.stats solver);
+  ( { Ps_allsat.Run.cubes = List.rev !cubes; graph = None; stats; stopped },
+    Unix.gettimeofday () -. t0 )
 
 let table2_row ~name ~engine ~complete ~graph ~solutions ~cubes stats time_s =
   let dnf cell = if complete then cell else cell ^ "*" in

@@ -23,7 +23,8 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift ?(prior = [])
   in
   (* Minterm runs hand over to chronological enumeration once the
      blocking clauses, [prior]'s included, outnumber the problem clauses
-     they started with. *)
+     they started with. Lifted runs start there and shrink every model
+     to a cube (docs/ALGORITHMS.md §13). *)
   let problem_clauses = Solver.n_clauses solver in
   let blocked = ref 0 in
   (* [false] once nothing is left to enumerate *)
@@ -32,6 +33,15 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift ?(prior = [])
     match Project.blocking_clause proj cube with
     | [] -> false (* the whole projected space is one cube *)
     | clause -> Solver.add_clause solver clause
+  in
+  let shrink =
+    Option.map
+      (fun lift model ->
+        let mask = lift model in
+        if Array.length mask <> width then
+          invalid_arg "Blocking.enumerate: lift mask has wrong width";
+        mask)
+      lift
   in
   let running = ref (List.for_all block prior) in
   while !running do
@@ -44,13 +54,13 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift ?(prior = [])
       stopped := Run.stopped_of_budget budget ~default:`Cancelled;
       running := false
     end
-    else if Option.is_none lift && !blocked > problem_clauses then begin
+    else if Option.is_some shrink || !blocked > problem_clauses then begin
       incr sat_calls;
       running := false;
       match
-        Solver.enumerate_projected ?budget ~trace solver proj.Project.vars
-          (fun bits ->
-            emit (Cube.of_assignment bits);
+        Solver.enumerate_projected ?budget ~trace ?shrink solver
+          proj.Project.vars (fun bits mask ->
+            emit (Cube.of_masked_assignment bits mask);
             under_limit ())
       with
       | Solver.Unsat -> ()
@@ -66,18 +76,7 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift ?(prior = [])
         stopped := Run.stopped_of_budget budget ~default:`Cancelled;
         running := false
       | Solver.Sat ->
-        let model = Solver.model solver in
-        let full = Project.cube_of_model proj model in
-        let cube =
-          match lift with
-          | None -> full
-          | Some lift ->
-            let mask = lift model in
-            if Array.length mask <> Project.width proj then
-              invalid_arg "Blocking.enumerate: lift mask has wrong width";
-            let bits = Array.map (fun v -> model.(v)) proj.Project.vars in
-            Cube.of_masked_assignment bits mask
-        in
+        let cube = Project.cube_of_model proj (Solver.model solver) in
         emit cube;
         if not (block cube) then running := false
     end

@@ -1,18 +1,19 @@
 (** All-solutions enumeration by blocking clauses — the classical baseline.
 
-    Repeatedly: solve; read the projected assignment out of the model;
-    optionally enlarge it into a cube via a lifting callback; add the
-    cube's negation as a permanent clause; continue until UNSAT.
+    Repeatedly: solve; read the projected minterm out of the model; add
+    its negation as a permanent clause; continue until UNSAT. The
+    minterms are pairwise disjoint, and the clause database grows by one
+    clause per solution — the blow-up the paper's solution graph avoids.
+    So once the blocking clauses outnumber the problem clauses the
+    solver held on entry, the rest of the minterms are drained by
+    chronological enumeration inside the solver
+    ({!Ps_sat.Solver.enumerate_projected}), which adds no clause at all.
 
-    Without lifting, the enumerated cubes are the projected {e minterms},
-    pairwise disjoint, and the clause database grows by one clause per
-    solution — the blow-up the paper's solution graph avoids. So once
-    the blocking clauses outnumber the problem clauses the solver held
-    on entry, the rest of the minterms are drained by chronological
-    enumeration inside the solver ({!Ps_sat.Solver.enumerate_projected}),
-    which adds no clause at all. With lifting, each blocking clause
-    prunes [2^free] solutions; cubes may overlap but their union is
-    exactly the projected solution set, and there is no hand-over. *)
+    With lifting, there is no classical loop: one chronological
+    enumeration shrinks each model to a cube inside the lifting
+    callback's cube (docs/ALGORITHMS.md §13). The cubes are pairwise
+    disjoint, their union is exactly the projected solution set, and the
+    solver gains no clause. *)
 
 (** [enumerate ?limit ?budget ?trace ?lift solver proj] drains all
     solutions of the clauses already loaded in [solver], projected onto
@@ -21,7 +22,10 @@
     [lift model] must return a mask over projection positions — the
     positions to keep fixed (the rest become don't-cares). It must be
     {e sound}: every minterm of the resulting cube must extend to a model.
-    Omitting it yields minterm enumeration.
+    Each reported cube fixes at least those positions (and every
+    position of a variable that occurs at several), so it may fix more
+    than the lift asks for. Omitting [lift] yields minterm enumeration.
+    Raises [Invalid_argument] when a mask has the wrong width.
 
     [limit] bounds the number of cubes (guard against exponential
     enumerations); the result is then stopped with [`CubeLimit].
@@ -41,11 +45,15 @@
     [prior] are cubes already enumerated, say by a killed run being
     resumed: each is blocked before the first call and counts as a
     blocking clause towards the hand-over, so a run resumed late drains
-    the rest chronologically. They are not reported again.
+    the rest chronologically. They are not reported again. A lifting
+    callback does not see their blocking clauses, so new lifted cubes
+    may overlap recovered ones; they are disjoint among themselves, and
+    prior and new cubes together cover the solution set exactly.
 
-    Minterms found after the hand-over are not blocked in [solver]:
-    callers that continue pass the returned cubes as [prior] to a fresh
-    solver, as [--resume] does. *)
+    Nothing found in the chronological phase is blocked in [solver]
+    (a lifted run adds only [prior]'s clauses): callers that continue
+    pass the returned cubes as [prior] to a fresh solver, as [--resume]
+    does. *)
 val enumerate :
   ?limit:int ->
   ?budget:Ps_util.Budget.t ->
@@ -59,12 +67,14 @@ val enumerate :
 
 (** [sat_calls r] is the number of entry calls into the solver: every
     classical [solve], plus one for the chronological enumeration when
-    the run handed over. *)
+    the run handed over. A lifted run makes that one call only (none
+    when blocking [prior] already leaves nothing). *)
 val sat_calls : Run.t -> int
 
-(** [total_minterms r] is the number of projected solutions when the
-    cubes are disjoint (minterm enumeration); for lifted (overlapping)
-    cubes it is an upper bound. *)
+(** [total_minterms r] sums the cubes' minterm counts: the number of
+    projected solutions when the cubes are disjoint, which they are
+    unless [prior] was given to a lifted run (new cubes may overlap
+    recovered ones); then it is an upper bound. *)
 val total_minterms : Run.t -> float
 
 (** [to_graph man r] accumulates the cubes into a solution graph (exact

@@ -5,7 +5,8 @@
     record, so callers never pattern-match on which engine produced it:
 
     - [cubes]: the enumerated solution cubes. For the blocking engines
-      these are in discovery order (possibly overlapping when lifted);
+      these are in discovery order and pairwise disjoint (a resumed
+      lifted run's may overlap the cubes it was resumed from);
       for SDS they are the disjoint paths of the solution graph.
     - [graph]: the hash-consed {!Solution_graph} (SDS engines only).
     - [stats]: engine + solver counters.

@@ -8,8 +8,9 @@
     - [SdsNoMemo] — ablation: same search without success-driven learning.
     - [Blocking] — classical baseline: one blocking clause per projected
       minterm.
-    - [BlockingLift] — baseline + cube enlargement: blocking clauses over
-      justification-lifted cubes.
+    - [BlockingLift] — baseline + cube enlargement: each model shrunk to
+      a justification-lifted cube inside one chronological enumeration
+      ({!Ps_allsat.Blocking}); disjoint cubes, no blocking clause.
 
     All methods return the {e same} solution set (cross-checked in the
     test suite); they differ in time, SAT calls, and representation

@@ -903,8 +903,15 @@ let solve ?(assumptions = []) ?budget ?(trace = Trace.null) t =
    search moves on below it — by then its subtree is exhausted. A
    conflict at the floor thus refutes the floor branch. Learnt clauses
    resolve reason clauses only and stay consequences of the clause set;
-   no blocking clause is ever added (docs/ALGORITHMS.md §13). *)
-let enumerate_projected ?budget ?(trace = Trace.null) t proj on_model =
+   no blocking clause is ever added (docs/ALGORITHMS.md §13).
+
+   With [shrink], each model is cut down to a cube before it is
+   reported: cancel to the floor, re-decide the projection literals the
+   model needs above it (in trail order), and report what is assigned
+   then. Every level above the floor is an unexplored subtree, so the
+   cube lies inside the subtree the floor leaves open, and the next flip
+   closes all of it. *)
+let enumerate_projected ?budget ?(trace = Trace.null) ?shrink t proj on_model =
   t.n_solve_calls <- t.n_solve_calls + 1;
   t.have_model <- false;
   t.conflict_core <- [];
@@ -1029,6 +1036,51 @@ let enumerate_projected ?budget ?(trace = Trace.null) t proj on_model =
       count_decision ();
       open_level (Lit.make v t.phase.(v)) ~close:false
     in
+    (* [required] marks the variables a model's cube needs (clear
+       between reports). A variable at several positions always stays
+       fixed: a cube cannot say that its positions agree. *)
+    let required, repeated =
+      match shrink with
+      | None -> ([||], [])
+      | Some _ ->
+        let n = Array.make t.n_vars 0 in
+        Array.iter (fun v -> n.(v) <- n.(v) + 1) proj;
+        (Array.make t.n_vars false,
+         List.filter (fun v -> n.(v) > 1) (Array.to_list pvars))
+    in
+    (* Shrink the model on the trail to its cube (see above) and return
+       the positions the cube fixes. *)
+    let shrink_to_cube shrink =
+      let mask = shrink (Array.init t.n_vars (fun v -> t.assigns.(v) = 1)) in
+      Array.iteri (fun i v -> if mask.(i) then required.(v) <- true) proj;
+      List.iter (fun v -> required.(v) <- true) repeated;
+      let keep = ref [] in
+      let above_floor =
+        if decision_level t > !floor then Vec.get t.trail_lim !floor
+        else t.n_trail
+      in
+      for i = t.n_trail - 1 downto above_floor do
+        let l = t.trail.(i) in
+        if required.(Lit.var l) then keep := l :: !keep
+      done;
+      Array.iter (fun v -> required.(v) <- false) proj;
+      cancel_until t !floor;
+      (* The literals agree with a total model, which satisfies every
+         clause: propagating them cannot conflict. *)
+      List.iter
+        (fun l ->
+          let value = value_lit t l in
+          assert (value <> 0);
+          if value = v_undef then begin
+            count_decision ();
+            open_level l ~close:false;
+            let confl = propagate t in
+            assert (confl = cref_undef)
+          end)
+        !keep;
+      Array.map (fun v -> t.assigns.(v) <> v_undef) proj
+    in
+    let all_fixed = Array.make (Array.length proj) true in
     t.max_learnts <-
       max t.max_learnts (float_of_int (Vec.size t.clauses) /. 3.0);
     let attempt = ref 1 in
@@ -1095,8 +1147,13 @@ let enumerate_projected ?budget ?(trace = Trace.null) t proj on_model =
         if v >= 0 then decide v
         else begin
           t.n_chrono_cubes <- t.n_chrono_cubes + 1;
-          if not (on_model (Array.map (fun v -> t.assigns.(v) = 1) proj)) then
-            outcome := Some Sat
+          let bits = Array.map (fun v -> t.assigns.(v) = 1) proj in
+          let mask =
+            match shrink with
+            | None -> all_fixed
+            | Some shrink -> shrink_to_cube shrink
+          in
+          if not (on_model bits mask) then outcome := Some Sat
           else if next_branch (decision_level t) then count_decision ()
           else outcome := Some Unsat
         end

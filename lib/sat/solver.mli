@@ -139,13 +139,26 @@ val solve :
   t ->
   result
 
-(** [enumerate_projected ?budget ?trace t proj f] reports every
+(** [enumerate_projected ?budget ?trace ?shrink t proj f] reports every
     assignment of the variables [proj] that extends to a model of the
-    clause set, each exactly once, by chronological backtracking inside
-    the CDCL loop (docs/ALGORITHMS.md §13). [f] receives the values of
-    [proj] (same positions, duplicates included) and returns [true] to
-    go on; it must not call into [t] except through the testing hooks
-    below.
+    clause set, by chronological backtracking inside the CDCL loop
+    (docs/ALGORITHMS.md §13). [f bits mask] receives one pairwise
+    disjoint cube per call: [bits] holds the values of [proj] (same
+    positions, duplicates included) and [mask] marks the positions the
+    cube fixes; [f] returns [true] to go on. It must not modify [mask]
+    or call into [t] except through the testing hooks below.
+
+    Without [shrink], every cube is a minterm ([mask] is all-true) and
+    every assignment is reported exactly once. With [shrink], each total
+    model is first passed to [shrink], which returns a mask over
+    projection positions, in the contract of a lifting callback: every
+    minterm of the model's cube restricted to the mask must extend to a
+    model. The reported cube then fixes the masked positions, every
+    position of a repeated variable, the projection literals assigned at
+    or below the floor and everything they imply; it lies inside the
+    lifted cube, so it is sound, and the
+    cubes together cover every assignment. (docs/ALGORITHMS.md §13,
+    "Shrinking a model to a cube".)
 
     Projection variables are decided first, chosen among themselves by
     VSIDS activity. After each model the deepest projection decision not
@@ -154,19 +167,21 @@ val solve :
     refutes that branch. No blocking clause is added: every learnt
     clause follows from the clause set alone, so [t] answers the same
     questions afterwards as before (a caller that wants the reported
-    assignments excluded must block them itself).
+    cubes excluded must block them itself).
 
-    Returns [Unsat] once every assignment has been reported, [Sat] when
+    Returns [Unsat] once every assignment has been covered, [Sat] when
     [f] returned [false], and [Unknown] when [budget] ran out (polled
     like {!solve}: at every conflict and every batch of decisions; a
-    flip counts as a decision). Counts as one call in ["solve_calls"];
-    every reported assignment adds one to ["chrono_cubes"]. *)
+    flip or a re-decided literal counts as a decision). Counts as one
+    call in ["solve_calls"]; every reported cube, lifted or not, adds
+    one to ["chrono_cubes"]. *)
 val enumerate_projected :
   ?budget:Ps_util.Budget.t ->
   ?trace:Ps_util.Trace.sink ->
+  ?shrink:(bool array -> bool array) ->
   t ->
   Lit.var array ->
-  (bool array -> bool) ->
+  (bool array -> bool array -> bool) ->
   result
 
 (** [model_value t v] is the value of [v] in the satisfying assignment

@@ -406,6 +406,48 @@ let lifted_blocking_covers_exactly =
       (* never more SAT calls than the minterm engine needs *)
       && A.Blocking.sat_calls r <= Hashtbl.length expected + 1)
 
+(* The lifted run shrinks models inside one chronological search: it
+   leaves no clause behind, so a second run on the same solver finds the
+   same solutions again, as disjoint cubes. *)
+let lifted_blocking_adds_no_clause =
+  Helpers.qtest "lifted blocking adds no clause" ~count:80
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.create ~seed in
+      let n, root, proj_nets, proj, mk_solver, expected = setup_engines rng in
+      let lift model =
+        A.Lifting.lift_mask n ~root ~values:(Array.sub model 0 (N.num_nets n)) ~proj_nets
+      in
+      let s = mk_solver () in
+      let clauses = Solver.n_clauses s in
+      let run () =
+        let r = A.Blocking.enumerate ~lift s proj in
+        let cubes = r.A.Run.cubes in
+        let rec disjoint = function
+          | [] -> true
+          | c :: rest ->
+            List.for_all (fun d -> not (Cube.intersects c d)) rest && disjoint rest
+        in
+        A.Run.complete r && disjoint cubes
+        && A.Blocking.total_minterms r = float_of_int (Hashtbl.length expected)
+        && A.Blocking.sat_calls r = 1
+        && Solver.n_clauses s = clauses
+      in
+      let first = run () in
+      let second = run () in
+      first && second
+      && (Solver.solve s = Solver.Sat) = (Hashtbl.length expected > 0))
+
+let test_lift_mask_width () =
+  let _, _, _, proj, mk_solver, _ = setup_engines (R.create ~seed:5) in
+  Alcotest.check_raises "wrong width"
+    (Invalid_argument "Blocking.enumerate: lift mask has wrong width")
+    (fun () ->
+      ignore
+        (A.Blocking.enumerate
+           ~lift:(fun _ -> Array.make (A.Project.width proj + 1) true)
+           (mk_solver ()) proj))
+
 let sds_matches_reference =
   Helpers.qtest "sds graph = reference solution set (memo on and off)" ~count:80
     QCheck.(int_range 0 1_000_000)
@@ -687,6 +729,8 @@ let () =
         [
           blocking_complete_and_disjoint;
           lifted_blocking_covers_exactly;
+          lifted_blocking_adds_no_clause;
+          Alcotest.test_case "lift mask width" `Quick test_lift_mask_width;
           sds_matches_reference;
           dynamic_free_graph_invariants;
           count_paths_matches_ordered_count;

@@ -1,6 +1,7 @@
 (* Tests for Ps_circuit: gate semantics, netlist validation, builder,
    .bench I/O, simulation (2- and 3-valued), Tseitin encoding, and the
-   transition views. *)
+   transition views. The executable also runs the suites of
+   [Test_netlist_tools]. *)
 
 module G = Ps_circuit.Gate
 module N = Ps_circuit.Netlist
@@ -483,57 +484,58 @@ let test_transition_coi () =
   let _, state_bits, _ = Tr.coi tr [ tr.Tr.next_nets.(3) ] in
   Alcotest.(check (list int)) "state support of nx3" [ 0; 1; 2; 3 ] state_bits
 
-let () =
-  Alcotest.run "ps_circuit"
-    [
-      ( "gate",
-        [
-          Alcotest.test_case "eval" `Quick test_gate_eval;
-          Alcotest.test_case "eval3 dominance" `Quick test_gate_eval3_dominance;
-          eval3_refines_eval;
-          Alcotest.test_case "kind strings" `Quick test_gate_strings;
-        ] );
-      ( "netlist",
-        [
-          Alcotest.test_case "validation" `Quick test_netlist_validation;
-          Alcotest.test_case "queries" `Quick test_netlist_queries;
-        ] );
-      ( "builder",
-        [
-          Alcotest.test_case "errors" `Quick test_builder_errors;
-          Alcotest.test_case "mux" `Quick test_builder_mux;
-          Alcotest.test_case "of_netlist" `Quick test_builder_of_netlist;
-        ] );
-      ( "bench",
-        [
-          Alcotest.test_case "s27 stats" `Quick test_bench_s27;
-          Alcotest.test_case "suite roundtrip" `Quick test_bench_roundtrip_suite;
-          Alcotest.test_case "parse errors" `Quick test_bench_errors;
-        ] );
-      ( "verilog",
-        [
-          Alcotest.test_case "parse" `Quick test_verilog_parse;
-          Alcotest.test_case "suite roundtrip" `Quick test_verilog_roundtrip_suite;
-          Alcotest.test_case "errors" `Quick test_verilog_errors;
-        ] );
-      ( "sim",
-        [
-          Alcotest.test_case "counter step" `Quick test_sim_counter_step;
-          Alcotest.test_case "arity errors" `Quick test_sim_errors;
-          Alcotest.test_case "run" `Quick test_sim_run;
-          Alcotest.test_case "ternary X propagation" `Quick test_sim3_x_propagation;
-          sim3_agrees_with_sim;
-          eval3_into_matches_gate_eval3;
-        ] );
-      ( "tseitin",
-        [
-          tseitin_models_are_simulations;
-          Alcotest.test_case "cone restriction" `Quick test_tseitin_cone_restriction;
-          Alcotest.test_case "wide xor" `Quick test_tseitin_wide_xor;
-        ] );
-      ( "transition",
-        [
-          Alcotest.test_case "views" `Quick test_transition_views;
-          Alcotest.test_case "cone of influence" `Quick test_transition_coi;
-        ] );
-    ]
+let suites =
+  [
+    ( "gate",
+      [
+        Alcotest.test_case "eval" `Quick test_gate_eval;
+        Alcotest.test_case "eval3 dominance" `Quick test_gate_eval3_dominance;
+        eval3_refines_eval;
+        Alcotest.test_case "kind strings" `Quick test_gate_strings;
+      ] );
+    ( "netlist",
+      [
+        Alcotest.test_case "validation" `Quick test_netlist_validation;
+        Alcotest.test_case "queries" `Quick test_netlist_queries;
+      ] );
+    ( "builder",
+      [
+        Alcotest.test_case "errors" `Quick test_builder_errors;
+        Alcotest.test_case "mux" `Quick test_builder_mux;
+        Alcotest.test_case "of_netlist" `Quick test_builder_of_netlist;
+      ] );
+    ( "bench",
+      [
+        Alcotest.test_case "s27 stats" `Quick test_bench_s27;
+        Alcotest.test_case "suite roundtrip" `Quick test_bench_roundtrip_suite;
+        Alcotest.test_case "parse errors" `Quick test_bench_errors;
+      ] );
+    ( "verilog",
+      [
+        Alcotest.test_case "parse" `Quick test_verilog_parse;
+        Alcotest.test_case "suite roundtrip" `Quick test_verilog_roundtrip_suite;
+        Alcotest.test_case "errors" `Quick test_verilog_errors;
+      ] );
+    ( "sim",
+      [
+        Alcotest.test_case "counter step" `Quick test_sim_counter_step;
+        Alcotest.test_case "arity errors" `Quick test_sim_errors;
+        Alcotest.test_case "run" `Quick test_sim_run;
+        Alcotest.test_case "ternary X propagation" `Quick test_sim3_x_propagation;
+        sim3_agrees_with_sim;
+        eval3_into_matches_gate_eval3;
+      ] );
+    ( "tseitin",
+      [
+        tseitin_models_are_simulations;
+        Alcotest.test_case "cone restriction" `Quick test_tseitin_cone_restriction;
+        Alcotest.test_case "wide xor" `Quick test_tseitin_wide_xor;
+      ] );
+    ( "transition",
+      [
+        Alcotest.test_case "views" `Quick test_transition_views;
+        Alcotest.test_case "cone of influence" `Quick test_transition_coi;
+      ] );
+  ]
+
+let () = Alcotest.run "ps_circuit" (suites @ Test_netlist_tools.suites)

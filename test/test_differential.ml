@@ -1,6 +1,6 @@
 (* Differential all-SAT oracle suite.
 
-   Hundreds of seeded random instances, four families:
+   Hundreds of seeded random instances, five families:
 
    - random sequential netlists (Ps_gen.Random_seq) turned into preimage
      instances: all five SAT engines plus the BDD baseline must agree
@@ -14,12 +14,17 @@
      truth-table enumerator over all total assignments, as pairwise
      disjoint minterms;
 
-   - certification: Verify.run on small random CNF / projection pairs
-     against the truth table, for the exact minterm cover, a lifted
-     cover with overlapping cubes, covers with a solution dropped (the
-     witness must be a missed solution) and a cover with a cube that
-     holds no solution (it must be the only culprit), also over
+   - lifted covers: circuit justification through the blocking-lift
+     engine and CNF lifting, sequential and sharded, must give pairwise
+     disjoint cubes whose union is the truth table, also over
      projections that repeat a variable;
+
+   - certification: Verify.run on small random CNF / projection pairs
+     against the truth table, for the exact minterm cover, the disjoint
+     lifted cover, a lifted cover with overlapping cubes, covers with a
+     solution dropped (the witness must be a missed solution) and a
+     cover with a cube that holds no solution (it must be the only
+     culprit), also over projections that repeat a variable;
 
    - backward-reachability fixpoints: the incremental session
      (Reach_inc: one solver, retractable frame groups) against the
@@ -329,14 +334,14 @@ let brute_force_projected cnf proj =
     (Cnf.brute_force_models cnf);
   List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
 
-let enumerate_cnf ?jobs cnf proj =
+let enumerate_cnf ?jobs ?lift cnf proj =
   let fresh_solver () =
     let s = Solver.create () in
     ignore (Solver.load s cnf);
     s
   in
   match jobs with
-  | None -> A.Blocking.enumerate (fresh_solver ()) proj
+  | None -> A.Blocking.enumerate ?lift (fresh_solver ()) proj
   | Some jobs ->
     A.Parallel.run ~jobs ~width:(A.Project.width proj)
       ~run_shard:(fun ~prefix ~limit ~budget ~trace ->
@@ -344,7 +349,7 @@ let enumerate_cnf ?jobs cnf proj =
         List.iter
           (fun lit -> ignore (Solver.add_clause s [ lit ]))
           (A.Project.lits_of_cube proj prefix);
-        A.Blocking.enumerate ?limit ?budget ~trace s proj)
+        A.Blocking.enumerate ?limit ?budget ~trace ?lift s proj)
       ()
 
 let check_cnf ~seed ~dense (cnf, proj) =
@@ -419,13 +424,70 @@ let verify_instance seed =
     (cnf, A.Project.of_vars (Array.of_list (before @ (v :: after))), true)
   end
 
-(* Covers per instance: the exact minterms and a lifted cover with
-   overlapping cubes certify; dropping a solution minterm, or a lifted
-   cube that no other cube makes up for, must yield a real solution
-   outside the cover as the witness; adding a cube with no solution
-   must name exactly that cube. Lifting frees positions, not variables,
-   so over a repeated variable its cubes hold minterms that are no
-   solution; those instances skip the lifted covers. *)
+(* --- lifted covers: disjoint cubes equal to the truth table --------------- *)
+
+(* Lifted enumeration shrinks each model to a cube inside one
+   chronological search, so its cubes never overlap: circuit
+   justification through the blocking-lift engine (sequential and
+   sharded) on the random netlists, and CNF lifting on random formulas
+   whose projection repeats a variable on every third seed. *)
+
+let rec pairwise_disjoint = function
+  | [] -> true
+  | c :: rest ->
+    List.for_all (fun d -> not (Cube.intersects c d)) rest
+    && pairwise_disjoint rest
+
+let check_lifted_circuit seed =
+  let inst = instance_of_witness (circuit_witness seed) in
+  List.iter
+    (fun jobs ->
+      let r = E.run ?jobs E.BlockingLift inst in
+      let what = if jobs = None then "sequential" else "sharded" in
+      if not (pairwise_disjoint (E.cubes r)) then
+        Alcotest.failf "lifted circuit seed %d: %s cubes overlap" seed what;
+      let exact =
+        if inst.I.include_inputs then Result.is_ok (Ch.engines_agree inst [ r ])
+        else Ch.matches_brute_force inst r
+      in
+      if not exact then
+        Alcotest.failf "lifted circuit seed %d: %s cover differs from the oracle"
+          seed what)
+    [ None; Some 2 ]
+
+let check_lifted_cnf seed =
+  let cnf, proj, _ = verify_instance seed in
+  let width = A.Project.width proj in
+  let oracle = brute_force_projected cnf proj in
+  let lift = A.Cnf_lift.make cnf proj in
+  List.iter
+    (fun jobs ->
+      let r = enumerate_cnf ?jobs ~lift cnf proj in
+      let what = if jobs = None then "sequential" else "sharded" in
+      if r.A.Run.stopped <> `Complete then
+        Alcotest.failf "lifted cnf seed %d: %s run not complete" seed what;
+      if not (pairwise_disjoint r.A.Run.cubes) then
+        Alcotest.failf "lifted cnf seed %d: %s cubes overlap" seed what;
+      if minterm_set width r.A.Run.cubes <> oracle then
+        Alcotest.failf "lifted cnf seed %d: %s cover differs from truth table"
+          seed what)
+    [ None; Some 2 ]
+
+let test_lifted_covers () =
+  for seed = 0 to n_cnf_seeds - 1 do
+    check_lifted_circuit seed;
+    check_lifted_cnf seed
+  done
+
+(* Covers per instance: the exact minterms, the lifted blocking run's
+   disjoint cubes and a cover of overlapping lifted cubes (each model's
+   own) certify; dropping a solution minterm, or a lifted cube that no
+   other cube makes up for, must yield a real solution outside the cover
+   as the witness; adding a cube with no solution must name exactly that
+   cube. A model's own lifted cube frees positions, not variables, so
+   over a repeated variable it holds minterms that are no solution;
+   those instances skip the overlapping cover (the blocking run keeps a
+   repeated variable fixed). *)
 let check_verify seed =
   let cnf, proj, repeated = verify_instance seed in
   let width = A.Project.width proj in
@@ -439,16 +501,33 @@ let check_verify seed =
       Alcotest.failf "verify seed %d: %s cover rejected" seed what
   in
   certified "exact" exact;
+  let lift = A.Cnf_lift.make cnf proj in
   let lifted =
+    let s = Solver.create () in
+    ignore (Solver.load s cnf);
+    (A.Blocking.enumerate ~lift s proj).A.Run.cubes
+  in
+  let overlapping =
     if repeated then []
     else
-      let s = Solver.create () in
-      ignore (Solver.load s cnf);
-      (A.Blocking.enumerate ~lift:(A.Cnf_lift.make cnf proj) s proj).A.Run.cubes
+      List.sort_uniq Cube.compare
+        (List.map
+           (fun m ->
+             Cube.of_masked_assignment
+               (Array.map (fun v -> m.(v)) proj.A.Project.vars)
+               (lift m))
+           (Cnf.brute_force_models cnf))
   in
-  if minterm_set width lifted <> oracle && not repeated then
-    Alcotest.failf "verify seed %d: lifted cover differs from truth table" seed;
-  if not repeated then certified "lifted" lifted;
+  let lifted_covers =
+    ("lifted", lifted) :: (if repeated then [] else [ ("overlapping", overlapping) ])
+  in
+  List.iter
+    (fun (what, cubes) ->
+      if minterm_set width cubes <> oracle then
+        Alcotest.failf "verify seed %d: %s cover differs from truth table" seed
+          what;
+      certified what cubes)
+    lifted_covers;
   let rng = R.create ~seed:(0x7E4 + seed) in
   (if exact <> [] then
      let dropped = R.pick rng exact in
@@ -460,18 +539,22 @@ let check_verify seed =
        Alcotest.failf "verify seed %d: dropped minterm %s not reported" seed
          (Cube.to_string dropped));
   (* a lifted cube's minterms may all be covered by its neighbours *)
-  (if lifted <> [] then
-     let dropped = R.pick rng lifted in
-     let rest = List.filter (fun c -> not (Cube.equal c dropped)) lifted in
-     let rep = verify_cover cnf proj rest in
-     let expect_complete = minterm_set width rest = oracle in
-     match rep.Verify.missing with
-     | None when expect_complete -> ()
-     | Some m when (not expect_complete) && solution m && not (covered rest m)
-       -> ()
-     | _ ->
-       Alcotest.failf "verify seed %d: lifted cover without %s misjudged" seed
-         (Cube.to_string dropped));
+  List.iter
+    (fun (what, cubes) ->
+      if cubes <> [] then begin
+        let dropped = R.pick rng cubes in
+        let rest = List.filter (fun c -> not (Cube.equal c dropped)) cubes in
+        let rep = verify_cover cnf proj rest in
+        let expect_complete = minterm_set width rest = oracle in
+        match rep.Verify.missing with
+        | None when expect_complete -> ()
+        | Some m when (not expect_complete) && solution m && not (covered rest m)
+          -> ()
+        | _ ->
+          Alcotest.failf "verify seed %d: %s cover without %s misjudged" seed
+            what (Cube.to_string dropped)
+      end)
+    lifted_covers;
   let non_solutions = ref [] in
   Cube.iter_minterms (Cube.make width) (fun bits ->
       let m = Cube.of_assignment bits in
@@ -610,5 +693,8 @@ let () =
                n_reach_seeds)
             `Quick test_reach;
           test_verify;
+          Alcotest.test_case
+            (Printf.sprintf "lifted covers are disjoint (%d seeds)" n_cnf_seeds)
+            `Quick test_lifted_covers;
         ] );
     ]

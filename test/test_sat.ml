@@ -1,10 +1,12 @@
-(* Tests for Ps_sat: literals, CNF container, DIMACS I/O and the CDCL
-   solver (validated against the brute-force oracle). *)
+(* Tests for Ps_sat: literals, CNF container, DIMACS I/O, the CDCL
+   solver (validated against the brute-force oracle) and CNF
+   preprocessing. *)
 
 module Lit = Ps_sat.Lit
 module Cnf = Ps_sat.Cnf
 module Solver = Ps_sat.Solver
 module Dimacs = Ps_sat.Dimacs
+module Simplify = Ps_sat.Simplify
 module R = Ps_util.Rng
 
 let check_bool = Alcotest.(check bool)
@@ -519,6 +521,98 @@ let group_enumeration_matches_plain =
       in
       with_group && after_retire)
 
+let test_unsat_core_basic () =
+  (* F = (!a | !b); assumptions a, b, c: core must avoid c *)
+  let s = Solver.create () in
+  Solver.ensure_vars s 3;
+  ignore (Solver.add_clause s [ Lit.neg 0; Lit.neg 1 ]);
+  let a = Lit.pos 0 and b = Lit.pos 1 and c = Lit.pos 2 in
+  Alcotest.(check bool) "unsat" true
+    (Solver.solve ~assumptions:[ a; b; c ] s = Solver.Unsat);
+  let core = Solver.unsat_core s in
+  check_bool "core subset of assumptions" true
+    (List.for_all (fun l -> List.mem l [ a; b; c ]) core);
+  check_bool "c not needed" true (not (List.mem c core));
+  (* the core itself is unsatisfying *)
+  Alcotest.(check bool) "core refutes" true
+    (Solver.solve ~assumptions:core s = Solver.Unsat)
+
+let unsat_core_sound =
+  Helpers.qtest "unsat cores are subsets that still refute" ~count:80
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.create ~seed in
+      let nvars = 2 + R.int rng 7 in
+      let cnf = Helpers.random_cnf rng ~nvars ~nclauses:(R.int rng 14) ~max_len:3 in
+      let s = Solver.create () in
+      if not (Solver.load s cnf) then true
+      else begin
+        let assumptions =
+          List.init nvars (fun v -> Lit.make v (R.bool rng))
+        in
+        match Solver.solve ~assumptions s with
+        | Solver.Sat -> true
+        | Solver.Unknown -> false
+        | Solver.Unsat ->
+          let core = Solver.unsat_core s in
+          List.for_all (fun l -> List.mem l assumptions) core
+          && Solver.solve ~assumptions:core s = Solver.Unsat
+      end)
+
+(* --- Simplify: CNF preprocessing ------------------------------------------ *)
+
+let simplify_preserves_models =
+  Helpers.qtest "simplify preserves the model set exactly" ~count:120
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.create ~seed in
+      let nvars = 1 + R.int rng 7 in
+      let cnf = Helpers.random_cnf rng ~nvars ~nclauses:(R.int rng 14) ~max_len:3 in
+      let simplified, report = Simplify.simplify cnf in
+      let models f = List.map Array.to_list (Cnf.brute_force_models f) in
+      if report.Simplify.unsat then models cnf = []
+      else models cnf = models simplified)
+
+let simplify_pure_preserves_sat =
+  Helpers.qtest "pure-literal elimination preserves satisfiability" ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.create ~seed in
+      let nvars = 1 + R.int rng 7 in
+      let cnf = Helpers.random_cnf rng ~nvars ~nclauses:(R.int rng 12) ~max_len:3 in
+      let simplified, report = Simplify.simplify ~pure_literals:true cnf in
+      let sat = Cnf.brute_force_sat cnf in
+      if report.Simplify.unsat then not sat
+      else sat = Cnf.brute_force_sat simplified)
+
+let test_simplify_cases () =
+  let lp = Lit.pos and ln = Lit.neg in
+  (* tautology dropped *)
+  let f = Cnf.of_clauses ~nvars:2 [ [ lp 0; ln 0 ]; [ lp 1 ] ] in
+  let g, report = Simplify.simplify f in
+  check_bool "not unsat" false report.Simplify.unsat;
+  check_int "only the unit remains" 1 (Cnf.nclauses g);
+  Alcotest.(check (list int)) "fixed" [ lp 1 ] report.Simplify.fixed;
+  (* unit propagation chain derives everything *)
+  let f =
+    Cnf.of_clauses ~nvars:3 [ [ lp 0 ]; [ ln 0; lp 1 ]; [ ln 1; lp 2 ] ]
+  in
+  let _, report = Simplify.simplify f in
+  check_int "all fixed" 3 (List.length report.Simplify.fixed);
+  (* contradiction *)
+  let f = Cnf.of_clauses ~nvars:1 [ [ lp 0 ]; [ ln 0 ] ] in
+  let _, report = Simplify.simplify f in
+  check_bool "unsat" true report.Simplify.unsat;
+  (* subsumption *)
+  let f = Cnf.of_clauses ~nvars:3 [ [ lp 0; lp 1 ]; [ lp 0; lp 1; lp 2 ] ] in
+  let g, _ = Simplify.simplify f in
+  check_int "subsumed dropped" 1 (Cnf.nclauses g);
+  (* self-subsuming resolution: (a|b) & (a|!b|c) -> (a|b) & (a|c) *)
+  let f = Cnf.of_clauses ~nvars:3 [ [ lp 0; lp 1 ]; [ lp 0; ln 1; lp 2 ] ] in
+  let g, report = Simplify.simplify f in
+  check_int "clauses kept" 2 (Cnf.nclauses g);
+  check_bool "a literal was removed" true (report.Simplify.removed_literals > 0)
+
 (* --- Solver: projected enumeration by chronological backtracking ---------- *)
 
 module Budget = Ps_util.Budget
@@ -527,7 +621,7 @@ module Budget = Ps_util.Budget
 let enum_reports ?budget ?(on_report = fun _ -> ()) s proj =
   let reports = ref [] in
   let r =
-    Solver.enumerate_projected ?budget s proj (fun bits ->
+    Solver.enumerate_projected ?budget s proj (fun bits _mask ->
         reports := Array.copy bits :: !reports;
         on_report (List.length !reports);
         true)
@@ -685,6 +779,124 @@ let test_enum_interrupted_partial () =
   check_bool "some models" true (reports <> []);
   check_bool "every report is a model" true (List.for_all (Cnf.eval f) reports);
   check_bool "deadline: disjoint" true (distinct reports)
+
+(* --- Solver: shrinking each model to a cube -------------------------------- *)
+
+module Cube = Ps_allsat.Cube
+
+(* Every cube of [Solver.enumerate_projected ~shrink], in order, and the
+   result; the callback returns [false] at the [stop_at]-th cube. *)
+let shrink_reports ?budget ?(on_report = fun _ -> ()) ?stop_at ~shrink s proj =
+  let cubes = ref [] in
+  let r =
+    Solver.enumerate_projected ?budget ~shrink s proj (fun bits mask ->
+        cubes := Cube.of_masked_assignment bits mask :: !cubes;
+        let n = List.length !cubes in
+        on_report n;
+        stop_at <> Some n)
+  in
+  (r, List.rev !cubes)
+
+let rec pairwise_disjoint = function
+  | [] -> true
+  | c :: rest ->
+    List.for_all (fun d -> not (Cube.intersects c d)) rest
+    && pairwise_disjoint rest
+
+(* Every minterm of every cube is one of [reports] (bit arrays). *)
+let cubes_within reports cubes =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun b -> Hashtbl.replace tbl b ()) reports;
+  List.for_all
+    (fun c ->
+      let ok = ref true in
+      Cube.iter_minterms c (fun b -> if not (Hashtbl.mem tbl b) then ok := false);
+      !ok)
+    cubes
+
+let minterms cubes =
+  List.fold_left (fun n c -> n +. Cube.minterm_count c) 0.0 cubes
+
+let test_shrink_to_nothing () =
+  (* x0 fixed and x3 implied false at the root; x1 and x2 unconstrained *)
+  let f = Cnf.of_clauses ~nvars:4 [ [ Lit.pos 0 ]; [ Lit.neg 0; Lit.neg 3 ] ] in
+  let r, cubes =
+    shrink_reports (solver_of f) [| 0; 1; 2; 3 |] ~shrink:(fun _ ->
+        Array.make 4 false)
+  in
+  Alcotest.check sat "complete" Solver.Unsat r;
+  check_bool "one cube of root literals" true
+    (List.map Cube.to_string cubes = [ "1--0" ])
+
+(* After a flip, the floor's decisions must stay fixed in every later
+   cube, even when the shrink needs none of them: cutting any lower
+   would reach back into a subtree that earlier cubes covered. *)
+let test_shrink_keeps_floor () =
+  let f =
+    Cnf.of_clauses ~nvars:4
+      [ [ Lit.pos 0; Lit.pos 1; Lit.pos 2; Lit.pos 3 ] ]
+  in
+  let calls = ref 0 in
+  let shrink _ =
+    incr calls;
+    if !calls = 1 then [| true; true; true |] else [| true; false; false |]
+  in
+  let r, cubes = shrink_reports (solver_of f) [| 0; 1; 2 |] ~shrink in
+  Alcotest.check sat "complete" Solver.Unsat r;
+  check_bool "premise: a later cube is lifted" true
+    (List.exists (fun c -> Cube.num_free c > 0) cubes);
+  check_bool "disjoint" true (pairwise_disjoint cubes);
+  check_bool "cover all eight" true (minterms cubes = 8.0)
+
+let test_shrink_partial () =
+  let f, proj = hard_instance 7 in
+  let reference = all_reports f proj in
+  let shrink = Ps_allsat.Cnf_lift.make f (Ps_allsat.Project.of_vars proj) in
+  let r, all = shrink_reports (solver_of f) proj ~shrink in
+  Alcotest.check sat "complete" Solver.Unsat r;
+  check_bool "premise: lifted cubes" true
+    (List.exists (fun c -> Cube.num_free c > 0) all);
+  check_bool "sound" true (cubes_within reference all);
+  check_bool "disjoint" true (pairwise_disjoint all);
+  check_bool "cover" true (minterms all = float_of_int (List.length reference));
+  (* the callback stops the run *)
+  let r, cubes = shrink_reports (solver_of f) proj ~shrink ~stop_at:3 in
+  Alcotest.check sat "limit: Sat" Solver.Sat r;
+  check_bool "limit: the first three cubes" true
+    (cubes = List.filteri (fun i _ -> i < 3) all);
+  (* a tripped budget stops it *)
+  let flag = Budget.cancel_flag () in
+  let budget = Budget.make ~cancel_with:flag () in
+  let s = solver_of f in
+  let r, cubes =
+    shrink_reports ~budget s proj ~shrink ~on_report:(fun n ->
+        if n = 3 then Budget.cancel flag)
+  in
+  Alcotest.check sat "budget: Unknown" Solver.Unknown r;
+  check_bool "budget: partial" true
+    (List.length cubes >= 3 && List.length cubes < List.length all);
+  check_bool "budget: sound" true (cubes_within reference cubes);
+  check_bool "budget: disjoint" true (pairwise_disjoint cubes);
+  check_bool "budget: solver usable" true (Solver.solve s = Solver.Sat)
+
+let all_true_shrink_is_no_shrink =
+  Helpers.qtest "all-true shrink = no shrink" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.create ~seed in
+      let nvars = 1 + R.int rng 10 in
+      let f =
+        Helpers.random_cnf rng ~nvars ~nclauses:(R.int rng (4 * nvars)) ~max_len:3
+      in
+      let proj = Array.init (R.int rng (nvars + 1)) (fun _ -> R.int rng nvars) in
+      let r, reports = enum_reports (solver_of f) proj in
+      let r', cubes =
+        shrink_reports (solver_of f) proj ~shrink:(fun _ ->
+            Array.make (Array.length proj) true)
+      in
+      r = r'
+      && List.sort Cube.compare (List.map Cube.of_assignment reports)
+         = List.sort Cube.compare cubes)
 
 (* --- Solver: trail reuse across solve calls ------------------------------ *)
 
@@ -894,6 +1106,14 @@ let () =
             test_unsat_core_under_groups;
           Alcotest.test_case "stable across arena gc" `Quick
             test_unsat_core_across_gc;
+          Alcotest.test_case "basic" `Quick test_unsat_core_basic;
+          unsat_core_sound;
+        ] );
+      ( "simplify",
+        [
+          simplify_preserves_models;
+          simplify_pure_preserves_sat;
+          Alcotest.test_case "crafted cases" `Quick test_simplify_cases;
         ] );
       ( "enumerate",
         [
@@ -907,6 +1127,13 @@ let () =
             test_enum_conflict_limit_deterministic;
           Alcotest.test_case "cancel/deadline partial is sound" `Quick
             test_enum_interrupted_partial;
+          Alcotest.test_case "shrink to root literals" `Quick
+            test_shrink_to_nothing;
+          Alcotest.test_case "shrink keeps the floor" `Quick
+            test_shrink_keeps_floor;
+          Alcotest.test_case "shrink: limit and budget partials" `Quick
+            test_shrink_partial;
+          all_true_shrink_is_no_shrink;
         ] );
       ( "trail",
         [

@@ -500,6 +500,43 @@ let test_allsat_resume_goes_chronological () =
       check_bool "resumed log verified" true
         (Verify.ok (Verify.run ~cnf (recover_exn path)))
 
+(* A lifted run stopped by its cube limit, then resumed with the
+   recovered cubes as [prior]: the lift does not see their blocking
+   clauses, so new cubes may overlap them, but recovered and continued
+   cubes together cover exactly what one uninterrupted run covers, and
+   the log verifies. *)
+let test_allsat_lifted_resume () =
+  with_log @@ fun path ->
+  (* 61,440 of the 2^16 projected assignments are solutions *)
+  let cnf = Dimacs.parse_string "p cnf 18 3\n1 2 17 0\n-3 4 18 0\n5 -6 -17 0\n" in
+  let vars = Array.init 16 Fun.id in
+  let proj = Project.of_vars vars in
+  let lift = Ps_allsat.Cnf_lift.make cnf proj in
+  let lifted ?limit ?sink ?prior () =
+    let solver = Solver.create () in
+    ignore (Solver.load solver cnf);
+    Blocking.enumerate ?limit ?sink ?prior ~lift solver proj
+  in
+  let full = lifted () in
+  check_bool "premise: more cubes than the limit" true
+    (List.length full.Run.cubes > 3);
+  let w = St.create ~path (meta ~vars 16) in
+  let first = lifted ~limit:3 ~sink:(St.sink w) () in
+  St.finalize w ~complete:(Run.complete first) ();
+  check_bool "stopped by the limit" true (first.Run.stopped = `CubeLimit);
+  match St.resume ~path () with
+  | Error e -> Alcotest.fail e
+  | Ok (r, w2) ->
+      check_int "recovered the stopped run" 3 (List.length r.St.cubes);
+      let rest = lifted ~prior:r.St.cubes ~sink:(St.sink w2) () in
+      St.finalize w2 ~complete:(Run.complete rest) ();
+      check_bool "resumed run complete" true (Run.complete rest);
+      check_int "one enumeration call" 1 (Blocking.sat_calls rest);
+      check_bool "recovered + continued = uninterrupted" true
+        (Cube_set.equal_union 16 full.Run.cubes (r.St.cubes @ rest.Run.cubes));
+      check_bool "resumed log verified" true
+        (Verify.ok (Verify.run ~cnf (recover_exn path)))
+
 (* --- reach store / resume ------------------------------------------------ *)
 
 let reach_circuit = lazy (Lazy.force (Ps_gen.Suite.find "count4").circuit)
@@ -853,6 +890,8 @@ let () =
             test_allsat_resume_equivalence;
           Alcotest.test_case "allsat resume drains chronologically" `Quick
             test_allsat_resume_goes_chronological;
+          Alcotest.test_case "lifted allsat stop + resume = full cover" `Quick
+            test_allsat_lifted_resume;
           Alcotest.test_case "reach_inc kill + resume bit-identical" `Quick
             test_reach_inc_kill_resume;
           Alcotest.test_case "reach_inc wide-frontier kill + resume" `Quick
