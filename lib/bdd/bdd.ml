@@ -1,3 +1,13 @@
+(* Node ids stay far below 2^31 (see [mk]), so an ordered pair of ids
+   packs into one int: the binary-operation caches need no key tuple. *)
+let pair a b = (a lsl 31) lor b
+
+module Itbl = Hashtbl.Make (struct
+  type t = int
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   id : int;
   level : int;                          (* terminals: max_int *)
@@ -8,14 +18,16 @@ type t = {
 
 and man = {
   nvars : int;
-  unique : (int * int * int, t) Hashtbl.t; (* (level, low.id, high.id) *)
+  mutable unique : t list array;        (* chains hashed on (level, low, high);
+                                           a node is its own key *)
+  mutable num_nodes : int;
   mutable next_id : int;
   mutable zero_n : t;
   mutable one_n : t;
-  cache_not : (int, t) Hashtbl.t;
-  cache_and : (int * int, t) Hashtbl.t;
-  cache_or : (int * int, t) Hashtbl.t;
-  cache_xor : (int * int, t) Hashtbl.t;
+  cache_not : t Itbl.t;
+  cache_and : t Itbl.t;                 (* keyed by [pair] of operand ids *)
+  cache_or : t Itbl.t;
+  cache_xor : t Itbl.t;
   cache_ite : (int * int * int, t) Hashtbl.t;
 }
 
@@ -26,14 +38,15 @@ let new_man ~nvars =
   let rec man =
     {
       nvars;
-      unique = Hashtbl.create 4096;
+      unique = Array.make 4096 [];
+      num_nodes = 0;
       next_id = 2;
       zero_n = zero;
       one_n = one;
-      cache_not = Hashtbl.create 1024;
-      cache_and = Hashtbl.create 4096;
-      cache_or = Hashtbl.create 4096;
-      cache_xor = Hashtbl.create 1024;
+      cache_not = Itbl.create 1024;
+      cache_and = Itbl.create 4096;
+      cache_or = Itbl.create 4096;
+      cache_xor = Itbl.create 1024;
       cache_ite = Hashtbl.create 1024;
     }
   and zero = { id = 0; level = terminal_level; low = zero; high = zero; man }
@@ -41,7 +54,7 @@ let new_man ~nvars =
   man
 
 let nvars m = m.nvars
-let num_nodes m = Hashtbl.length m.unique
+let num_nodes m = m.num_nodes
 let zero m = m.zero_n
 let one m = m.one_n
 let man_of f = f.man
@@ -62,16 +75,40 @@ let high f =
 let same_man a b =
   if a.man != b.man then invalid_arg "Bdd: mixing nodes from different managers"
 
+let slot m level low high =
+  ((((level * 0x9E3779B1) + low.id) * 0x85EBCA77) + high.id) land max_int
+  mod Array.length m.unique
+
+(* Double the unique table once it holds two nodes per chain. *)
+let grow m =
+  let old = m.unique in
+  m.unique <- Array.make (2 * Array.length old) [];
+  Array.iter
+    (List.iter (fun n ->
+         let i = slot m n.level n.low n.high in
+         m.unique.(i) <- n :: m.unique.(i)))
+    old
+
 let mk m level low high =
   if low == high then low
   else begin
-    let key = (level, low.id, high.id) in
-    match Hashtbl.find_opt m.unique key with
+    let rec find = function
+      | [] -> None
+      | n :: rest ->
+        if n.level = level && n.low == low && n.high == high then Some n
+        else find rest
+    in
+    match find m.unique.(slot m level low high) with
     | Some n -> n
     | None ->
+      (* 2^31 nodes would take well over 100 GB; [pair] relies on it. *)
+      if m.next_id >= 1 lsl 31 then failwith "Bdd: node ids exhausted";
       let n = { id = m.next_id; level; low; high; man = m } in
       m.next_id <- m.next_id + 1;
-      Hashtbl.add m.unique key n;
+      if m.num_nodes >= 2 * Array.length m.unique then grow m;
+      let i = slot m level low high in
+      m.unique.(i) <- n :: m.unique.(i);
+      m.num_nodes <- m.num_nodes + 1;
       n
   end
 
@@ -90,11 +127,11 @@ let rec bnot f =
   if is_zero f then f.man.one_n
   else if is_one f then f.man.zero_n
   else begin
-    match Hashtbl.find_opt f.man.cache_not f.id with
+    match Itbl.find_opt f.man.cache_not f.id with
     | Some r -> r
     | None ->
       let r = mk f.man f.level (bnot f.low) (bnot f.high) in
-      Hashtbl.add f.man.cache_not f.id r;
+      Itbl.add f.man.cache_not f.id r;
       r
   end
 
@@ -108,15 +145,15 @@ let rec band a b =
   else if is_one a then b
   else if is_one b then a
   else begin
-    let key = if a.id < b.id then (a.id, b.id) else (b.id, a.id) in
+    let key = if a.id < b.id then pair a.id b.id else pair b.id a.id in
     let m = a.man in
-    match Hashtbl.find_opt m.cache_and key with
+    match Itbl.find_opt m.cache_and key with
     | Some r -> r
     | None ->
       let l = min a.level b.level in
       let a0, a1 = cofactor a l and b0, b1 = cofactor b l in
       let r = mk m l (band a0 b0) (band a1 b1) in
-      Hashtbl.add m.cache_and key r;
+      Itbl.add m.cache_and key r;
       r
   end
 
@@ -127,15 +164,15 @@ let rec bor a b =
   else if is_zero a then b
   else if is_zero b then a
   else begin
-    let key = if a.id < b.id then (a.id, b.id) else (b.id, a.id) in
+    let key = if a.id < b.id then pair a.id b.id else pair b.id a.id in
     let m = a.man in
-    match Hashtbl.find_opt m.cache_or key with
+    match Itbl.find_opt m.cache_or key with
     | Some r -> r
     | None ->
       let l = min a.level b.level in
       let a0, a1 = cofactor a l and b0, b1 = cofactor b l in
       let r = mk m l (bor a0 b0) (bor a1 b1) in
-      Hashtbl.add m.cache_or key r;
+      Itbl.add m.cache_or key r;
       r
   end
 
@@ -147,15 +184,15 @@ let rec bxor a b =
   else if is_one a then bnot b
   else if is_one b then bnot a
   else begin
-    let key = if a.id < b.id then (a.id, b.id) else (b.id, a.id) in
+    let key = if a.id < b.id then pair a.id b.id else pair b.id a.id in
     let m = a.man in
-    match Hashtbl.find_opt m.cache_xor key with
+    match Itbl.find_opt m.cache_xor key with
     | Some r -> r
     | None ->
       let l = min a.level b.level in
       let a0, a1 = cofactor a l and b0, b1 = cofactor b l in
       let r = mk m l (bxor a0 b0) (bxor a1 b1) in
-      Hashtbl.add m.cache_xor key r;
+      Itbl.add m.cache_xor key r;
       r
   end
 

@@ -45,10 +45,10 @@ let variable_maps order ~nstate ~ninputs =
     go 0 0;
     (state_vars, input_vars)
 
-(* BDD of every net of the circuit cone, by topological walk. *)
-let build_functions man circuit tr state_vars input_vars =
-  let nnets = N.num_nets circuit in
-  let funcs = Array.make nnets (B.zero man) in
+(* BDD of every net of the next-state cone, by topological walk. *)
+let next_state_functions man tr ~state_vars ~input_vars =
+  let circuit = tr.T.netlist in
+  let funcs = Array.make (N.num_nets circuit) (B.zero man) in
   Array.iteri (fun i net -> funcs.(net) <- B.var man state_vars.(i)) tr.T.state_nets;
   Array.iteri (fun j net -> funcs.(net) <- B.var man input_vars.(j)) tr.T.input_nets;
   let apply kind args =
@@ -64,54 +64,103 @@ let build_functions man circuit tr state_vars input_vars =
     | G.Const0 -> B.zero man
     | G.Const1 -> B.one man
   in
+  let cone = N.cone circuit (Array.to_list tr.T.next_nets) in
   Array.iter
     (fun g ->
-      match N.driver circuit g with
-      | N.Gate (kind, fanins) ->
-        funcs.(g) <- apply kind (Array.map (fun f -> funcs.(f)) fanins)
-      | N.Input | N.Latch _ -> assert false)
+      if cone.(g) then
+        match N.driver circuit g with
+        | N.Gate (kind, fanins) ->
+          funcs.(g) <- apply kind (Array.map (fun f -> funcs.(f)) fanins)
+        | N.Input | N.Latch _ -> assert false)
     (N.topo_gates circuit);
-  funcs
+  Array.map (fun net -> funcs.(net)) tr.T.next_nets
 
-let target_bdd man target deltas =
-  List.fold_left
-    (fun acc c ->
-      let cube_bdd =
-        List.fold_left
-          (fun acc (i, v) ->
-            B.band acc (if v then deltas.(i) else B.bnot deltas.(i)))
-          (B.one man) (Cube.to_list c)
-      in
-      B.bor acc cube_bdd)
-    (B.zero man) target
+type context = {
+  man : B.man;
+  state_vars : int array;
+  input_vars : int array;
+  deltas : B.t array;
+  bit_of_var : int array;  (* state bit of a BDD variable, -1 for an input *)
+}
 
-let run ?(order = StatesFirst) instance =
-  let t0 = Unix.gettimeofday () in
-  let circuit = instance.Instance.circuit in
-  let tr = instance.Instance.tr in
+let create ?(order = StatesFirst) circuit =
+  let tr = T.of_netlist circuit in
   let nstate = Array.length tr.T.state_nets in
   let ninputs = Array.length tr.T.input_nets in
   let state_vars, input_vars = variable_maps order ~nstate ~ninputs in
   let man = B.new_man ~nvars:(nstate + ninputs) in
-  let funcs = build_functions man circuit tr state_vars input_vars in
-  let deltas = Array.map (fun net -> funcs.(net)) tr.T.next_nets in
-  let constr = target_bdd man instance.Instance.target deltas in
-  let constr = if instance.Instance.negate then B.bnot constr else constr in
-  let preimage =
-    if instance.Instance.include_inputs then constr
-    else B.exists (Array.to_list input_vars) constr
-  in
+  let bit_of_var = Array.make (nstate + ninputs) (-1) in
+  Array.iteri (fun i v -> bit_of_var.(v) <- i) state_vars;
   {
-    preimage;
     man;
     state_vars;
     input_vars;
-    nodes_allocated = B.num_nodes man;
+    deltas = next_state_functions man tr ~state_vars ~input_vars;
+    bit_of_var;
+  }
+
+(* T(δ(s, x)), or its complement: the target DNF over the function BDDs. *)
+let objective ctx ~negate target =
+  let man = ctx.man in
+  let t =
+    List.fold_left
+      (fun acc c ->
+        let cube_bdd =
+          List.fold_left
+            (fun acc (i, v) ->
+              let d = ctx.deltas.(i) in
+              B.band acc (if v then d else B.bnot d))
+            (B.one man) (Cube.to_list c)
+        in
+        B.bor acc cube_bdd)
+      (B.zero man) target
+  in
+  if negate then B.bnot t else t
+
+let quantify_inputs ctx f = B.exists (Array.to_list ctx.input_vars) f
+
+(* Re-express a state-only BDD of the context over variables 0..nstate-1
+   of [into] by walking its structure. *)
+let copy_states ctx into f =
+  let cache = Hashtbl.create 256 in
+  let rec go f =
+    if B.is_zero f then B.zero into
+    else if B.is_one f then B.one into
+    else begin
+      match Hashtbl.find_opt cache (B.id f) with
+      | Some x -> x
+      | None ->
+        let v = match B.topvar f with Some v -> v | None -> assert false in
+        let bit = ctx.bit_of_var.(v) in
+        assert (bit >= 0);
+        let x = B.ite (B.var into bit) (go (B.high f)) (go (B.low f)) in
+        Hashtbl.add cache (B.id f) x;
+        x
+    end
+  in
+  go f
+
+let preimage ?(negate = false) ctx ~into target =
+  copy_states ctx into (quantify_inputs ctx (objective ctx ~negate target))
+
+let run ?order instance =
+  let t0 = Unix.gettimeofday () in
+  let ctx = create ?order instance.Instance.circuit in
+  let constr = objective ctx ~negate:instance.Instance.negate instance.Instance.target in
+  let preimage =
+    if instance.Instance.include_inputs then constr else quantify_inputs ctx constr
+  in
+  {
+    preimage;
+    man = ctx.man;
+    state_vars = ctx.state_vars;
+    input_vars = ctx.input_vars;
+    nodes_allocated = B.num_nodes ctx.man;
     preimage_size = B.size preimage;
     time_s = Unix.gettimeofday () -. t0;
   }
 
-let count r ~nstate =
+let count (r : result) ~nstate =
   let total_vars = B.nvars r.man in
   B.count_models ~nvars:total_vars r.preimage
   /. (2.0 ** float_of_int (total_vars - nstate))

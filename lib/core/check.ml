@@ -25,36 +25,6 @@ let result_bdd ?positions man (r : Engine.result) ~width =
         B.bor acc (B.cube man lits))
       (B.zero man) (Engine.cubes r)
 
-let preimage_bdd_in man (r : Bdd_engine.result) instance =
-  if instance.Instance.include_inputs then
-    invalid_arg "Check.preimage_bdd_in: instance projects over inputs too";
-  (* Re-express the preimage over variables 0..nstate-1 of [man] by
-     walking its structure; state bit of a BDD variable = its index in
-     state_vars. *)
-  let bit_of_var = Hashtbl.create 16 in
-  Array.iteri (fun i v -> Hashtbl.add bit_of_var v i) r.Bdd_engine.state_vars;
-  let cache = Hashtbl.create 256 in
-  let rec go f =
-    if B.is_zero f then B.zero man
-    else if B.is_one f then B.one man
-    else begin
-      match Hashtbl.find_opt cache (B.id f) with
-      | Some x -> x
-      | None ->
-        let v = match B.topvar f with Some v -> v | None -> assert false in
-        let bit =
-          match Hashtbl.find_opt bit_of_var v with
-          | Some b -> b
-          | None ->
-            invalid_arg "Check.preimage_bdd_in: preimage depends on an input"
-        in
-        let x = B.ite (B.var man bit) (go (B.high f)) (go (B.low f)) in
-        Hashtbl.add cache (B.id f) x;
-        x
-    end
-  in
-  go r.Bdd_engine.preimage
-
 let engines_agree instance results =
   let width = Ps_allsat.Project.width instance.Instance.proj in
   let man = B.new_man ~nvars:(max width 1) in
@@ -68,8 +38,12 @@ let engines_agree instance results =
   let named =
     if instance.Instance.include_inputs then named
     else begin
-      let bdd_r = Bdd_engine.run instance in
-      ("bdd", preimage_bdd_in man bdd_r instance) :: named
+      let ctx = Bdd_engine.create instance.Instance.circuit in
+      let pre =
+        Bdd_engine.preimage ~negate:instance.Instance.negate ctx ~into:man
+          instance.Instance.target
+      in
+      ("bdd", pre) :: named
     end
   in
   match named with

@@ -17,13 +17,6 @@ val result_bdd :
   width:int ->
   Ps_bdd.Bdd.t
 
-(** [preimage_bdd_in man r_bdd instance] transfers the
-    {!Bdd_engine.result} preimage into [man] with projection variable
-    [i] ↦ BDD variable [i] — the common space used for comparisons.
-    Only valid when the instance projects over states only. *)
-val preimage_bdd_in :
-  Ps_bdd.Bdd.man -> Bdd_engine.result -> Instance.t -> Ps_bdd.Bdd.t
-
 (** [engines_agree instance results] converts all results (plus the BDD
     engine, which it runs itself) into one BDD space and reports
     pairwise equality. Returns [Ok solutions] (the common solution

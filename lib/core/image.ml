@@ -1,7 +1,5 @@
 module B = Ps_bdd.Bdd
-module N = Ps_circuit.Netlist
 module Tr = Ps_circuit.Transition
-module G = Ps_circuit.Gate
 module Cube = Ps_allsat.Cube
 
 (* Variable layout: present state 0..n-1, inputs n..n+m-1, next state
@@ -21,37 +19,16 @@ let create circuit =
   let m = Array.length tr.Tr.input_nets in
   if n = 0 then invalid_arg "Image.create: circuit has no latches";
   let bman = B.new_man ~nvars:((2 * n) + m) in
-  (* function BDDs of every net over (s, x) *)
-  let funcs = Array.make (N.num_nets circuit) (B.zero bman) in
-  Array.iteri (fun i net -> funcs.(net) <- B.var bman i) tr.Tr.state_nets;
-  Array.iteri (fun j net -> funcs.(net) <- B.var bman (n + j)) tr.Tr.input_nets;
-  let apply kind args =
-    match (kind : G.kind) with
-    | G.And -> Array.fold_left B.band (B.one bman) args
-    | G.Nand -> B.bnot (Array.fold_left B.band (B.one bman) args)
-    | G.Or -> Array.fold_left B.bor (B.zero bman) args
-    | G.Nor -> B.bnot (Array.fold_left B.bor (B.zero bman) args)
-    | G.Xor -> Array.fold_left B.bxor (B.zero bman) args
-    | G.Xnor -> B.bnot (Array.fold_left B.bxor (B.zero bman) args)
-    | G.Not -> B.bnot args.(0)
-    | G.Buf -> args.(0)
-    | G.Const0 -> B.zero bman
-    | G.Const1 -> B.one bman
+  let deltas =
+    Bdd_engine.next_state_functions bman tr
+      ~state_vars:(Array.init n Fun.id)
+      ~input_vars:(Array.init m (fun j -> n + j))
   in
-  Array.iter
-    (fun gnet ->
-      match N.driver circuit gnet with
-      | N.Gate (kind, fanins) ->
-        funcs.(gnet) <- apply kind (Array.map (fun f -> funcs.(f)) fanins)
-      | N.Input | N.Latch _ -> assert false)
-    (N.topo_gates circuit);
   let relation = ref (B.one bman) in
   Array.iteri
-    (fun i net ->
-      let delta = funcs.(net) in
-      let next_var = B.var bman (n + m + i) in
-      relation := B.band !relation (B.bxnor next_var delta))
-    tr.Tr.next_nets;
+    (fun i delta ->
+      relation := B.band !relation (B.bxnor (B.var bman (n + m + i)) delta))
+    deltas;
   let rename_next_to_cur =
     Array.init ((2 * n) + m) (fun v ->
         if v >= n + m then B.var bman (v - n - m) else B.var bman v)

@@ -2,10 +2,12 @@
 
     The forward dual of {!Reach}: [Img(S)(s') = ∃s,x . S(s) ∧ s' = δ(s,x)],
     computed with a monolithic transition relation and the relational
-    product, then iterated to the forward reachable set. Used by the
-    safety-checking example and as an independent oracle: a target is
-    backward-reachable from an initial state iff the forward reachable
-    set intersects it (tested). *)
+    product, then iterated to the forward reachable set. The relation
+    [∧ᵢ s'ᵢ ↔ δᵢ(s, x)] conjoins the next-state function BDDs of
+    {!Bdd_engine.next_state_functions} (states first, then inputs). Used
+    by the safety-checking example and as an independent oracle: a
+    target is backward-reachable from an initial state iff the forward
+    reachable set intersects it (tested). *)
 
 type t
 (** A forward-image context: the transition relation, built once. *)

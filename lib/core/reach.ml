@@ -35,36 +35,39 @@ type result = {
   time_s : float;
 }
 
-(* A rebuild-per-frame preimage of one frame's instance, with the frame's
-   SAT calls and conflicts (0/0 for the native BDD engine). *)
-let sat_preimage m man instance =
-  let r = Engine.run m instance in
-  let s = Engine.stats r in
-  ( Check.result_bdd man r ~width:(B.nvars man),
-    Ps_util.Stats.get s "solve_calls",
-    Ps_util.Stats.get s "conflicts" )
-
-let bdd_preimage man instance =
-  (Check.preimage_bdd_in man (Bdd_engine.run instance) instance, 0, 0)
-
-(* The rebuild enumerator: a fresh instance and engine run per frame,
-   nothing kept across frames. *)
-let rebuild preimage_of circuit =
+(* An enumerator that blocks nothing across frames: [preimage_of man
+   cubes] is a frame's preimage in [man] with its SAT calls and
+   conflicts. *)
+let stateless preimage_of =
   let preimage ~frontier:_ ~reached frontier_cubes =
-    let pre, sat_calls, conflicts =
-      preimage_of (B.man_of reached) (Instance.make circuit frontier_cubes)
-    in
+    let pre, sat_calls, conflicts = preimage_of (B.man_of reached) frontier_cubes in
     { Ri.fresh = B.band pre (B.bnot reached); blocked = None; sat_calls; conflicts }
   in
   { Ri.reached = ignore; learnts = (fun () -> 0); preimage }
 
+(* The rebuild enumerator: a fresh instance and engine run per frame,
+   nothing kept across frames. *)
+let rebuild m circuit =
+  stateless (fun man cubes ->
+      let r = Engine.run m (Instance.make circuit cubes) in
+      let s = Engine.stats r in
+      ( Check.result_bdd man r ~width:(B.nvars man),
+        Ps_util.Stats.get s "solve_calls",
+        Ps_util.Stats.get s "conflicts" ))
+
+(* The BDD enumerator: one transition context for the whole fixpoint,
+   one preimage in it per frame. *)
+let bdd circuit =
+  let ctx = Bdd_engine.create circuit in
+  stateless (fun man cubes -> (Bdd_engine.preimage ctx ~into:man cubes, 0, 0))
+
 let backward ?(engine = E_sds) ?max_steps ?trace ?store ?resume circuit target =
   let enumerator =
     match engine with
-    | E_sds -> Some (rebuild (sat_preimage Engine.Sds) circuit)
-    | E_sds_dynamic -> Some (rebuild (sat_preimage Engine.SdsDynamic) circuit)
-    | E_blocking_lift -> Some (rebuild (sat_preimage Engine.BlockingLift) circuit)
-    | E_bdd -> Some (rebuild bdd_preimage circuit)
+    | E_sds -> Some (rebuild Engine.Sds circuit)
+    | E_sds_dynamic -> Some (rebuild Engine.SdsDynamic circuit)
+    | E_blocking_lift -> Some (rebuild Engine.BlockingLift circuit)
+    | E_bdd -> Some (bdd circuit)
     | E_incremental -> None (* the session *)
   in
   let r = Ri.run ?enumerator ?max_steps ?trace ?store ?resume circuit target in

@@ -8,20 +8,22 @@
     native BDD engine and the incremental session are directly
     comparable. *)
 
-(** The per-step preimage method. [E_incremental] is different in kind:
-    instead of rebuilding the transition CNF and a fresh solver at every
-    frame, it drives a persistent {!Reach_inc} session (one CNF, one
-    solver, retractable per-frame constraint groups, learnt clauses
-    surviving frame to frame). Its reached sets, layers and state counts
-    are identical to the rebuild-per-frame engines'. *)
+(** The per-step preimage method. The SAT engines [E_sds],
+    [E_sds_dynamic] and [E_blocking_lift] rebuild the transition CNF and
+    a fresh solver at every frame. [E_bdd] builds one
+    {!Bdd_engine.context} before the first frame and takes every frame's
+    preimage in it. [E_incremental] drives a persistent {!Reach_inc}
+    session instead (one CNF, one solver, retractable per-frame
+    constraint groups, learnt clauses surviving frame to frame). Every
+    engine's reached sets, layers and state counts are identical. *)
 type engine = E_sds | E_sds_dynamic | E_blocking_lift | E_bdd | E_incremental
 
 val engine_name : engine -> string
 
-(** The per-frame record, shared with {!Reach_inc.frame}. On the
-    rebuild-per-frame engines [learnts_start] and [blocking_clauses] are
-    0 and [new_cubes] is the canonical cube count of the frame's newly
-    reached set. *)
+(** The per-frame record, shared with {!Reach_inc.frame}. On every
+    engine but [E_incremental], [learnts_start] and [blocking_clauses]
+    are 0 and [new_cubes] is the canonical cube count of the frame's
+    newly reached set. *)
 type step = Reach_inc.frame = {
   index : int;              (** 1-based preimage step *)
   frontier_cubes : int;     (** cubes handed to this step's preimage *)
@@ -53,9 +55,9 @@ type result = {
     [Invalid_argument] when the circuit has no latches.
 
     [trace] receives a {!Ps_util.Trace.Frame_start} /
-    {!Ps_util.Trace.Frame_done} pair per frame (the rebuild-per-frame
-    engines report [learnts = 0] and [blocked = 0], since nothing
-    persists across their frames), plus the session's solver events
+    {!Ps_util.Trace.Frame_done} pair per frame (every engine but
+    [E_incremental] reports [learnts = 0] and [blocked = 0], since it
+    keeps no solver across frames), plus the session's solver events
     under [E_incremental].
 
     [store] persists the fixpoint into a durable solution log, one

@@ -8,8 +8,9 @@
     [0 .. nstate-1]), the frame records, the [Frame_start] /
     [Frame_done] trace events and the durable log. Each frame's
     [Pre(frontier) \ reached] comes from an {!enumerator}: by default
-    the session below; {!Reach.backward} passes a rebuild-per-frame one
-    for its other engines.
+    the session below; {!Reach.backward} passes its own for its other
+    engines (a rebuild-per-frame one for each SAT engine, one holding a
+    {!Bdd_engine.context} for the BDD engine).
 
     {b The session.} A rebuild-per-frame engine pays, at {e every}
     frame: a target-block graft, a Tseitin encoding of the transition

@@ -213,6 +213,56 @@ let test_bdd_engine_include_inputs () =
   (* count over states+inputs: 5 projection vars *)
   check_float "pair count" r_block.E.solutions (BE.count r_bdd ~nstate:5)
 
+(* The engine builds function BDDs for the next-state cone only: an
+   output-only gate cone leaves the preimage and the manager unchanged. *)
+let test_bdd_engine_next_state_cone () =
+  let c = Ps_gen.Counters.binary ~bits:6 () in
+  let b = Ps_circuit.Builder.of_netlist c in
+  let parity = Ps_circuit.Builder.xor_ b (N.latches c @ N.inputs c) in
+  Ps_circuit.Builder.output b
+    (Ps_circuit.Builder.or_ b [ parity; List.hd (N.latches c) ]);
+  let with_output = Ps_circuit.Builder.finalize b in
+  let target = T.upper_half ~bits:6 in
+  let r = BE.run (I.make c target) in
+  let r' = BE.run (I.make with_output target) in
+  let cubes (r : BE.result) =
+    List.map Cube.to_string
+      (Preimage.Reach_inc.cubes_of_bdd r.BE.preimage
+         ~width:(Ps_bdd.Bdd.nvars r.BE.man))
+  in
+  Alcotest.(check (list string)) "preimage" (cubes r) (cubes r');
+  check_int "nodes allocated" r.BE.nodes_allocated r'.BE.nodes_allocated
+
+(* Both variable orders compute the exhaustive one-step preimage on the
+   suite circuits with at most 16 state and input bits. *)
+let test_bdd_engine_orders_vs_brute_force () =
+  List.iter
+    (fun entry ->
+      let c = Lazy.force entry.Ps_gen.Suite.circuit in
+      let nstate = List.length (N.latches c) in
+      let ninputs = List.length (N.inputs c) in
+      if nstate + ninputs <= 16 then
+        List.iter
+          (fun target ->
+            let expected = Ch.brute_force_preimage c target in
+            let inst = I.make c target in
+            List.iter
+              (fun (oname, order) ->
+                let r = BE.run ~order inst in
+                let bits = Array.make (Ps_bdd.Bdd.nvars r.BE.man) false in
+                Array.iteri
+                  (fun code want ->
+                    Array.iteri
+                      (fun i v -> bits.(v) <- (code lsr i) land 1 = 1)
+                      r.BE.state_vars;
+                    if Ps_bdd.Bdd.eval r.BE.preimage bits <> want then
+                      Alcotest.failf "%s, %s order: state %d" entry.Ps_gen.Suite.name
+                        oname code)
+                  expected)
+              [ ("states-first", BE.StatesFirst); ("interleaved", BE.Interleaved) ])
+          [ Ps_gen.Suite.default_target entry; Ps_gen.Suite.tight_target entry ])
+    Ps_gen.Suite.all
+
 (* --- Check ------------------------------------------------------------------ *)
 
 let test_check_detects_corruption () =
@@ -524,6 +574,10 @@ let () =
         [
           Alcotest.test_case "counts" `Quick test_bdd_engine_counts;
           Alcotest.test_case "include inputs" `Quick test_bdd_engine_include_inputs;
+          Alcotest.test_case "next-state cone only" `Quick
+            test_bdd_engine_next_state_cone;
+          Alcotest.test_case "both orders = brute force on the suite" `Quick
+            test_bdd_engine_orders_vs_brute_force;
         ] );
       ( "check",
         [

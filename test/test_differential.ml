@@ -27,9 +27,11 @@
      culprit), also over projections that repeat a variable;
 
    - backward-reachability fixpoints: the incremental session
-     (Reach_inc: one solver, retractable frame groups) against the
-     rebuild-per-frame baseline — reached set, layers, fixpoint flag and
-     every per-step statistic must be bit-identical.
+     (Reach_inc: one solver, retractable frame groups) and the BDD
+     engine (one transition context for the whole fixpoint) against the
+     SDS rebuild-per-frame baseline — layers, fixpoint flag and every
+     per-step statistic must be bit-identical — and the baseline against
+     an explicit-state BFS.
 
    The netlist families are {e shrinking}: a failing random instance is
    greedily minimized (fewer gates, fewer inputs/latches, fewer/looser
@@ -581,12 +583,12 @@ let test_verify =
 module Reach = Preimage.Reach
 module B = Ps_bdd.Bdd
 
-(* Canonical reached set: sorted minterm strings over the state bits
-   (each result owns its BDD manager, so handles cannot be compared
-   directly). *)
-let reached_minterms (r : Reach.result) ~nstate =
+(* Canonical state set: sorted minterm strings over the state bits, bit
+   [i] = character [i] (each result owns its BDD manager, so handles
+   cannot be compared directly). *)
+let state_minterms f ~nstate =
   let acc = ref [] in
-  B.iter_cubes r.Reach.reached ~nvars:nstate (fun path ->
+  B.iter_cubes f ~nvars:nstate (fun path ->
       let rec expand i prefix =
         if i = nstate then acc := prefix :: !acc
         else
@@ -598,6 +600,35 @@ let reached_minterms (r : Reach.result) ~nstate =
       in
       expand 0 "");
   List.sort compare !acc
+
+(* Backward reachability by explicit-state BFS over the exhaustive
+   one-step oracle: every step's count of new states (the last is 0)
+   and the reached set as in [state_minterms]. *)
+let explicit_reach circuit target ~nstate =
+  let bits code = Array.init nstate (fun i -> (code lsr i) land 1 = 1) in
+  let codes = List.init (1 lsl nstate) Fun.id in
+  let reached =
+    Array.init (1 lsl nstate) (fun code ->
+        List.exists (fun c -> Cube.contains c (bits code)) target)
+  in
+  let rec go frontier counts =
+    if frontier = [] then List.rev counts
+    else begin
+      let pre =
+        Ch.brute_force_preimage circuit
+          (List.map (fun code -> Cube.of_assignment (bits code)) frontier)
+      in
+      let fresh = List.filter (fun code -> pre.(code) && not reached.(code)) codes in
+      List.iter (fun code -> reached.(code) <- true) fresh;
+      go fresh (float_of_int (List.length fresh) :: counts)
+    end
+  in
+  let counts = go (List.filter (fun code -> reached.(code)) codes) [] in
+  let minterm code =
+    String.init nstate (fun i -> if (code lsr i) land 1 = 1 then '1' else '0')
+  in
+  let reached_codes = List.filter (fun code -> reached.(code)) codes in
+  (counts, List.sort compare (List.map minterm reached_codes))
 
 let reach_witness seed =
   let rng = R.create ~seed:(0xAEAC + seed) in
@@ -620,51 +651,64 @@ let reach_witness seed =
     w_negate = false;
   }
 
-(* The incremental session must be bit-identical to the rebuild-per-frame
-   baseline: reached set, layer count, fixpoint flag, and every per-step
-   statistic (frontier/total state counts, frontier cube counts). *)
+(* The incremental session and the BDD engine (one transition context
+   for the whole fixpoint) must be bit-identical to the SDS rebuild
+   baseline: fixpoint flag, every layer (so the reached set) and every
+   per-step statistic (frontier/total state counts, frontier cube
+   counts). Small cones are also checked against an explicit-state BFS,
+   which shares no code with the frame loop. *)
+let compare_reach ~nstate name (base : Reach.result) (other : Reach.result) =
+  let key (s : Reach.step) =
+    (s.Reach.index, s.Reach.frontier_states, s.Reach.total_states, s.Reach.frontier_cubes)
+  in
+  let layers r = List.map (state_minterms ~nstate) r.Reach.layers in
+  if base.Reach.fixpoint <> other.Reach.fixpoint then
+    Some
+      (Printf.sprintf "fixpoint differs: baseline %b, %s %b" base.Reach.fixpoint
+         name other.Reach.fixpoint)
+  else if List.length base.Reach.steps <> List.length other.Reach.steps then
+    Some
+      (Printf.sprintf "step count differs: baseline %d, %s %d"
+         (List.length base.Reach.steps) name
+         (List.length other.Reach.steps))
+  else if layers base <> layers other then
+    Some (Printf.sprintf "layers differ: baseline vs %s" name)
+  else
+    List.find_opt
+      (fun (a, b) -> key a <> key b)
+      (List.combine base.Reach.steps other.Reach.steps)
+    |> Option.map (fun ((a : Reach.step), (b : Reach.step)) ->
+           Printf.sprintf
+             "step %d differs: baseline (+%g, total %g, %d cubes) vs %s (+%g, \
+              total %g, %d cubes)"
+             a.Reach.index a.Reach.frontier_states a.Reach.total_states
+             a.Reach.frontier_cubes name b.Reach.frontier_states
+             b.Reach.total_states b.Reach.frontier_cubes)
+
 let check_reach w =
   let circuit = witness_circuit w in
   let target = witness_target w in
   let nstate = w.w_spec.Ps_gen.Random_seq.n_latches in
+  let ninputs = List.length (Ps_circuit.Netlist.inputs circuit) in
   let base = Reach.backward ~engine:Reach.E_sds circuit target in
-  let inc = Reach.backward ~engine:Reach.E_incremental circuit target in
-  if base.Reach.fixpoint <> inc.Reach.fixpoint then
-    Some
-      (Printf.sprintf "fixpoint differs: baseline %b, incremental %b"
-         base.Reach.fixpoint inc.Reach.fixpoint)
-  else if List.length base.Reach.steps <> List.length inc.Reach.steps then
-    Some
-      (Printf.sprintf "step count differs: baseline %d, incremental %d"
-         (List.length base.Reach.steps)
-         (List.length inc.Reach.steps))
-  else if List.length base.Reach.layers <> List.length inc.Reach.layers then
-    Some
-      (Printf.sprintf "layer count differs: baseline %d, incremental %d"
-         (List.length base.Reach.layers)
-         (List.length inc.Reach.layers))
-  else if
-    reached_minterms base ~nstate <> reached_minterms inc ~nstate
-  then Some "reached sets differ"
-  else
-    let mismatch =
-      List.find_opt
-        (fun ((a : Reach.step), (b : Reach.step)) ->
-          a.Reach.index <> b.Reach.index
-          || a.Reach.frontier_states <> b.Reach.frontier_states
-          || a.Reach.total_states <> b.Reach.total_states
-          || a.Reach.frontier_cubes <> b.Reach.frontier_cubes)
-        (List.combine base.Reach.steps inc.Reach.steps)
-    in
-    Option.map
-      (fun ((a : Reach.step), (b : Reach.step)) ->
-        Printf.sprintf
-          "step %d differs: baseline (+%g, total %g, %d cubes) vs \
-           incremental (+%g, total %g, %d cubes)"
-          a.Reach.index a.Reach.frontier_states a.Reach.total_states
-          a.Reach.frontier_cubes b.Reach.frontier_states b.Reach.total_states
-          b.Reach.frontier_cubes)
-      mismatch
+  let mismatch =
+    List.find_map
+      (fun (name, engine) ->
+        compare_reach ~nstate name base (Reach.backward ~engine circuit target))
+      [ ("incremental", Reach.E_incremental); ("bdd", Reach.E_bdd) ]
+  in
+  match mismatch with
+  | Some _ -> mismatch
+  | None ->
+    if nstate + ninputs > 20 then None
+    else begin
+      let counts, reached = explicit_reach circuit target ~nstate in
+      let steps = List.map (fun (s : Reach.step) -> s.Reach.frontier_states) base.Reach.steps in
+      if steps <> counts then Some "per-step new states differ from explicit BFS"
+      else if state_minterms base.Reach.reached ~nstate <> reached then
+        Some "reached set differs from explicit BFS"
+      else None
+    end
 
 let run_reach_seed seed =
   let w = reach_witness seed in
