@@ -13,7 +13,6 @@ module BE = Preimage.Bdd_engine
 module Ch = Preimage.Check
 module Rh = Preimage.Reach
 module N = Ps_circuit.Netlist
-module Sg = Ps_allsat.Solution_graph
 module Cube = Ps_allsat.Cube
 module T = Ps_gen.Targets
 module Suite = Ps_gen.Suite
@@ -533,9 +532,11 @@ let table5 () =
             in
             let chained = chain target k in
             let chained_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-            let nstate = List.length (N.latches circuit) in
+            (* the last step's SDS paths: disjoint, so the count is a sum *)
             let chained_count =
-              E.solution_count_of_cubes nstate chained
+              List.fold_left
+                (fun n c -> n +. Ps_allsat.Cube.minterm_count c)
+                0.0 chained
             in
             [
               name;
@@ -1034,14 +1035,12 @@ let bechamel_section () =
                  (Rh.backward ~engine:Rh.E_sds traffic (T.of_strings [ "0111" ]))));
         Test.make ~name:"fig1-sds-count12"
           (Staged.stage (fun () -> ignore (E.run E.Sds i12)));
-        Test.make ~name:"fig2-graph-union"
+        Test.make ~name:"fig2-cube-union"
           (Staged.stage (fun () ->
-               let man = Sg.new_man ~width:12 in
                let rng = Ps_util.Rng.create ~seed:3 in
                ignore
-                 (List.fold_left
-                    (fun acc c -> Sg.union acc (Sg.of_cube man c))
-                    (Sg.zero man)
+                 (Ps_allsat.Cube_set.to_bdd
+                    (Ps_bdd.Bdd.new_man ~nvars:12)
                     (T.random ~bits:12 ~ncubes:40 ~density:0.4 rng))));
         Test.make ~name:"fig3-lifting-rand_b"
           (Staged.stage (fun () -> ignore (E.run E.BlockingLift inst_rb)));

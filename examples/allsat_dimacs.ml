@@ -82,11 +82,10 @@ let () =
     (if A.Run.complete r then "" else " (limit hit)")
     (A.Blocking.sat_calls r)
     (if jobs > 1 then Printf.sprintf " (%d worker domains)" jobs else "");
-  let man = A.Solution_graph.new_man ~width in
-  let g = A.Blocking.to_graph man r in
-  Format.printf "as a solution graph: %d nodes for %g solutions@."
-    (A.Solution_graph.size g)
-    (A.Solution_graph.count_models g);
+  let f = A.Cube_set.to_bdd (Ps_bdd.Bdd.new_man ~nvars:width) r.A.Run.cubes in
+  Format.printf "as a BDD: %d nodes for %g solutions@."
+    (Ps_bdd.Bdd.size f)
+    (Ps_bdd.Bdd.count_models ~nvars:width f);
   Format.printf "@.solutions:@.";
   List.iteri
     (fun i c -> if i < 30 then Format.printf "  %a@." A.Cube.pp c)

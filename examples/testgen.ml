@@ -96,17 +96,8 @@ let () =
     (A.Solution_graph.count_models sds_graph);
 
   (* Agreement. *)
-  let man = A.Solution_graph.new_man ~width:8 in
-  let g1 = A.Blocking.to_graph man r_min in
-  let g2 = A.Blocking.to_graph man r_lift in
-  let g3 =
-    List.fold_left
-      (fun acc c -> A.Solution_graph.union acc (A.Solution_graph.of_cube man c))
-      (A.Solution_graph.zero man)
-      r_sds.A.Run.cubes
-  in
-  Format.printf "engines agree: %b@."
-    (A.Solution_graph.equal g1 g2 && A.Solution_graph.equal g1 g3);
+  let same a b = A.Cube_set.equal_union 8 a.A.Run.cubes b.A.Run.cubes in
+  Format.printf "engines agree: %b@." (same r_min r_lift && same r_min r_sds);
 
   (* A few sample tests, most compact first. *)
   let cubes =

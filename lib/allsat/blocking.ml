@@ -89,11 +89,3 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift ?(prior = [])
   { Run.cubes = List.rev !cubes; graph = None; stats; stopped = !stopped }
 
 let sat_calls (r : Run.t) = Stats.get r.Run.stats "sat_calls"
-
-let total_minterms (r : Run.t) =
-  List.fold_left (fun acc c -> acc +. Cube.minterm_count c) 0.0 r.Run.cubes
-
-let to_graph man (r : Run.t) =
-  List.fold_left
-    (fun acc c -> Solution_graph.union acc (Solution_graph.of_cube man c))
-    (Solution_graph.zero man) r.Run.cubes

@@ -70,13 +70,3 @@ val enumerate :
     the run handed over. A lifted run makes that one call only (none
     when blocking [prior] already leaves nothing). *)
 val sat_calls : Run.t -> int
-
-(** [total_minterms r] sums the cubes' minterm counts: the number of
-    projected solutions when the cubes are disjoint, which they are
-    unless [prior] was given to a lifted run (new cubes may overlap
-    recovered ones); then it is an upper bound. *)
-val total_minterms : Run.t -> float
-
-(** [to_graph man r] accumulates the cubes into a solution graph (exact
-    union, so overlap is resolved). *)
-val to_graph : Solution_graph.man -> Run.t -> Solution_graph.t

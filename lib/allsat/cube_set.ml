@@ -66,14 +66,28 @@ let rec minimize cubes =
   then next
   else minimize next
 
-let union_count width cubes =
-  let man = Solution_graph.new_man ~width in
-  let g =
-    List.fold_left
-      (fun acc c -> Solution_graph.union acc (Solution_graph.of_cube man c))
-      (Solution_graph.zero man) cubes
+module B = Ps_bdd.Bdd
+
+let to_bdd ?var_of_pos man cubes =
+  let lits c =
+    match var_of_pos with
+    | None -> Cube.to_list c
+    | Some vars -> List.map (fun (i, v) -> (vars.(i), v)) (Cube.to_list c)
   in
-  Solution_graph.count_models g
+  List.fold_left (fun acc c -> B.bor acc (B.cube man (lits c))) (B.zero man) cubes
+
+let of_bdd f ~width =
+  let acc = ref [] in
+  B.iter_cubes f ~nvars:width (fun path ->
+      let cube =
+        String.init width (fun i ->
+            match path.(i) with Some true -> '1' | Some false -> '0' | None -> '-')
+      in
+      acc := Cube.of_string cube :: !acc);
+  List.rev !acc
+
+let union_count width cubes =
+  B.count_models ~nvars:width (to_bdd (B.new_man ~nvars:width) cubes)
 
 type count = { value : float; exact : bool }
 
@@ -94,10 +108,5 @@ let union_count_checked width cubes =
   else { value = Float.max_float; exact = false }
 
 let equal_union width a b =
-  let man = Solution_graph.new_man ~width in
-  let build cubes =
-    List.fold_left
-      (fun acc c -> Solution_graph.union acc (Solution_graph.of_cube man c))
-      (Solution_graph.zero man) cubes
-  in
-  Solution_graph.equal (build a) (build b)
+  let man = B.new_man ~nvars:width in
+  B.equal (to_bdd man a) (to_bdd man b)

@@ -1,8 +1,14 @@
-(** Cube-list post-processing: subsumption removal and adjacency merging.
+(** Cube lists as sets: conversion to and from {!Ps_bdd.Bdd}, union
+    counting, and post-processing by subsumption removal and adjacency
+    merging.
 
-    The blocking engines emit cubes in discovery order; this module
-    shrinks such lists without changing the union (the invariant the
-    property tests enforce):
+    Every fold of a cube list into a decision diagram goes through
+    {!to_bdd}; the solution graph ({!Solution_graph}) is only what the
+    success-driven search builds.
+
+    The blocking engines emit cubes in discovery order; {!reduce},
+    {!merge_pass} and {!minimize} shrink such lists without changing the
+    union (the invariant the property tests enforce):
 
     - {e subsumption}: drop any cube contained in another;
     - {e merging}: two cubes identical except for one position where they
@@ -26,7 +32,20 @@ val merge_pass : Cube.t list -> Cube.t list
 (** [minimize cubes] iterates merge + reduce to a fixpoint. *)
 val minimize : Cube.t list -> Cube.t list
 
-(** [union_count width cubes] is the size of the union as a float.
+(** [to_bdd ?var_of_pos man cubes] is the union of [cubes] as a BDD of
+    [man], mapping cube position [i] to BDD variable [var_of_pos.(i)]
+    (default: the identity). Overlapping cubes are fine. *)
+val to_bdd :
+  ?var_of_pos:int array -> Ps_bdd.Bdd.man -> Cube.t list -> Ps_bdd.Bdd.t
+
+(** [of_bdd f ~width] is [f]'s canonical cube list: one cube per path to
+    the 1-terminal, pairwise disjoint, over BDD variables
+    [0 .. width-1]. *)
+val of_bdd : Ps_bdd.Bdd.t -> width:int -> Cube.t list
+
+(** [union_count width cubes] is the size of the union of possibly
+    overlapping cubes, as a float. A cover known to be disjoint is
+    counted by summing instead ({!Run.solutions}).
     {b Precision}: the count is exact only for [width <= 53]; beyond
     that, IEEE doubles cannot represent every integer count and the
     value may silently round (e.g. a near-full cover of a width-60 space

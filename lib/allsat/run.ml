@@ -27,6 +27,9 @@ let emit_cube sink c =
 let emit_cubes sink cubes =
   match sink with None -> () | Some s -> List.iter s.on_cube cubes
 
+let solutions r =
+  List.fold_left (fun acc c -> acc +. Cube.minterm_count c) 0.0 r.cubes
+
 let complete r = r.stopped = `Complete
 
 let stopped_name : stopped -> string = function

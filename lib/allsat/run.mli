@@ -5,9 +5,12 @@
     record, so callers never pattern-match on which engine produced it:
 
     - [cubes]: the enumerated solution cubes. For the blocking engines
-      these are in discovery order and pairwise disjoint (a resumed
-      lifted run's may overlap the cubes it was resumed from);
-      for SDS they are the disjoint paths of the solution graph.
+      these are in discovery order; for SDS they are the paths of the
+      solution graph. {b Invariant}: every engine's cubes are pairwise
+      disjoint, unless a blocking run was given [prior] cubes (then they
+      are disjoint among themselves but may overlap [prior]). A
+      {!Parallel} run keeps it: shards partition the space and every
+      shard's cubes are re-anchored under its prefix.
     - [graph]: the hash-consed {!Solution_graph} (SDS engines only).
     - [stats]: engine + solver counters.
     - [stopped]: how the run ended. [`Complete] means the solution set
@@ -65,6 +68,12 @@ val sink_of_fun : (Cube.t -> unit) -> sink
 val emit_cube : sink option -> Cube.t -> unit
 
 val emit_cubes : sink option -> Cube.t list -> unit
+
+(** [solutions r] is the number of projected solutions [r] found: the
+    sum of its cubes' minterm counts, exact by the disjointness
+    invariant above. Cubes that may overlap are counted by
+    {!Cube_set.union_count}. *)
+val solutions : t -> float
 
 (** [complete r] is [r.stopped = `Complete]. *)
 val complete : t -> bool

@@ -12,8 +12,6 @@ and man = {
   mutable next_id : int;
   mutable zero_n : t;
   mutable one_n : t;
-  cache_union : (int * int, t) Hashtbl.t;
-  cache_inter : (int * int, t) Hashtbl.t;
   cache_paths : (int, float) Hashtbl.t;
 }
 
@@ -28,16 +26,12 @@ let new_man ~width =
       next_id = 2;
       zero_n = zero;
       one_n = one;
-      cache_union = Hashtbl.create 256;
-      cache_inter = Hashtbl.create 256;
       cache_paths = Hashtbl.create 256;
     }
   and zero = { id = 0; level = terminal_level; lo = zero; hi = zero; man }
   and one = { id = 1; level = terminal_level; lo = one; hi = one; man } in
   man
 
-let width m = m.w
-let num_nodes m = Hashtbl.length m.unique
 let zero m = m.zero_n
 let one m = m.one_n
 let is_zero f = f.id = 0
@@ -60,58 +54,6 @@ let mk m ~level ~lo ~hi =
       Hashtbl.add m.unique key n;
       n
   end
-
-let cofactor f l = if f.level = l then (f.lo, f.hi) else (f, f)
-
-let rec union a b =
-  if a.man != b.man then invalid_arg "Solution_graph.union: manager mismatch";
-  let m = a.man in
-  if a == b then a
-  else if is_one a || is_one b then m.one_n
-  else if is_zero a then b
-  else if is_zero b then a
-  else begin
-    let key = if a.id < b.id then (a.id, b.id) else (b.id, a.id) in
-    match Hashtbl.find_opt m.cache_union key with
-    | Some r -> r
-    | None ->
-      let l = min a.level b.level in
-      let a0, a1 = cofactor a l and b0, b1 = cofactor b l in
-      let r = mk m ~level:l ~lo:(union a0 b0) ~hi:(union a1 b1) in
-      Hashtbl.add m.cache_union key r;
-      r
-  end
-
-let rec inter a b =
-  if a.man != b.man then invalid_arg "Solution_graph.inter: manager mismatch";
-  let m = a.man in
-  if a == b then a
-  else if is_zero a || is_zero b then m.zero_n
-  else if is_one a then b
-  else if is_one b then a
-  else begin
-    let key = if a.id < b.id then (a.id, b.id) else (b.id, a.id) in
-    match Hashtbl.find_opt m.cache_inter key with
-    | Some r -> r
-    | None ->
-      let l = min a.level b.level in
-      let a0, a1 = cofactor a l and b0, b1 = cofactor b l in
-      let r = mk m ~level:l ~lo:(inter a0 b0) ~hi:(inter a1 b1) in
-      Hashtbl.add m.cache_inter key r;
-      r
-  end
-
-let of_cube m c =
-  if Cube.width c <> m.w then invalid_arg "Solution_graph.of_cube: width mismatch";
-  (* Build bottom-up from the highest fixed level. *)
-  let node = ref m.one_n in
-  for i = m.w - 1 downto 0 do
-    match Cube.get c i with
-    | Cube.True -> node := mk m ~level:i ~lo:m.zero_n ~hi:!node
-    | Cube.False -> node := mk m ~level:i ~lo:!node ~hi:m.zero_n
-    | Cube.DontCare -> ()
-  done;
-  !node
 
 let size f =
   let seen = Hashtbl.create 64 in
@@ -201,16 +143,6 @@ let cubes f =
   iter_cubes f (fun c -> acc := c :: !acc);
   List.rev !acc
 
-let mem f bits =
-  let rec go f =
-    if is_one f then true
-    else if is_zero f then false
-    else if bits.(f.level) then go f.hi
-    else go f.lo
-  in
-  if Array.length bits <> f.man.w then invalid_arg "Solution_graph.mem: width mismatch";
-  go f
-
 let to_bdd bman vars f =
   if Array.length vars <> f.man.w then
     invalid_arg "Solution_graph.to_bdd: vars length mismatch";
@@ -230,41 +162,3 @@ let to_bdd bman vars f =
     end
   in
   go f
-
-let to_bdd_unordered = to_bdd
-
-let of_bdd m f ~vars =
-  let module B = Ps_bdd.Bdd in
-  if Array.length vars <> m.w then
-    invalid_arg "Solution_graph.of_bdd: vars length mismatch";
-  (* level_of_var: inverse of vars *)
-  let level_of = Hashtbl.create 16 in
-  Array.iteri (fun i v -> Hashtbl.add level_of v i) vars;
-  let cache = Hashtbl.create 256 in
-  let rec go f =
-    if B.is_zero f then m.zero_n
-    else if B.is_one f then m.one_n
-    else begin
-      match Hashtbl.find_opt cache (B.id f) with
-      | Some r -> r
-      | None ->
-        let v = match B.topvar f with Some v -> v | None -> assert false in
-        let lvl =
-          match Hashtbl.find_opt level_of v with
-          | Some l -> l
-          | None -> invalid_arg "Solution_graph.of_bdd: support outside vars"
-        in
-        let lo = go (B.low f) in
-        let hi = go (B.high f) in
-        let r = mk m ~level:lvl ~lo ~hi in
-        Hashtbl.add cache (B.id f) r;
-        r
-    end
-  in
-  go f
-
-let pp ppf f =
-  if is_zero f then Format.pp_print_string ppf "empty"
-  else if is_one f then Format.pp_print_string ppf "all"
-  else
-    Format.fprintf ppf "<sgraph nodes=%d solutions=%g>" (size f) (count_models f)

@@ -9,8 +9,11 @@
     point at the same node, so the graph is typically exponentially
     smaller than the solution list.
 
-    Structurally this is an ROBDD over the projection space; the test
-    suite exploits that by checking isomorphism against {!Ps_bdd.Bdd}. *)
+    Structurally this is an ROBDD over the projection space (a free BDD
+    under dynamic decisions); the test suite exploits that by checking
+    isomorphism against {!Ps_bdd.Bdd}. The graph is only what the search
+    builds and what is read off it: it has no set operations. Unions,
+    counts and comparisons of cube lists go through {!Cube_set.to_bdd}. *)
 
 type man
 type t
@@ -18,12 +21,6 @@ type t
 (** [new_man ~width] creates a manager for graphs over projection
     positions [0 .. width-1]. *)
 val new_man : width:int -> man
-
-val width : man -> int
-
-(** [num_nodes m] is the number of internal nodes ever hash-consed — the
-    paper's memory metric for the solution representation. *)
-val num_nodes : man -> int
 
 val zero : man -> t
 val one : man -> t
@@ -34,16 +31,6 @@ val equal : t -> t -> bool
 (** [mk m ~level ~lo ~hi] is the reduced, hash-consed node. *)
 val mk : man -> level:int -> lo:t -> hi:t -> t
 
-(** [union a b] is the solution-set union (used to accumulate cube
-    enumerations into a graph for comparison). *)
-val union : t -> t -> t
-
-(** [inter a b] is the solution-set intersection. *)
-val inter : t -> t -> t
-
-(** [of_cube m c] is the graph of one cube. *)
-val of_cube : man -> Cube.t -> t
-
 (** [size f] is the number of nodes reachable from [f] (terminals
     included). *)
 val size : t -> int
@@ -51,7 +38,7 @@ val size : t -> int
 (** [count_models f] is the number of projected assignments in the
     solution set (don't-care levels multiply), as float. Requires an
     {e ordered} graph (levels increase along every path) — the static
-    searcher and every cube-built graph satisfy this; for free graphs
+    searcher's graphs satisfy this; for free graphs
     (dynamic decisions) use {!count_models_paths}. *)
 val count_models : t -> float
 
@@ -72,23 +59,8 @@ val iter_cubes : t -> (Cube.t -> unit) -> unit
 (** [cubes f] collects {!iter_cubes}. *)
 val cubes : t -> Cube.t list
 
-(** [mem f bits] — does the total projected assignment belong to the
-    solution set? *)
-val mem : t -> bool array -> bool
-
 (** [to_bdd bman vars f] converts into a {!Ps_bdd.Bdd} over [bman],
     mapping level [i] to BDD variable [vars.(i)]. The conversion is
     ITE-based, so any injective mapping gives the correct function;
     strictly increasing [vars] additionally makes it linear-time. *)
 val to_bdd : Ps_bdd.Bdd.man -> int array -> t -> Ps_bdd.Bdd.t
-
-(** [to_bdd_unordered] is {!to_bdd} under a name documenting that the
-    mapping need not be monotone (used for reordered projections). *)
-val to_bdd_unordered : Ps_bdd.Bdd.man -> int array -> t -> Ps_bdd.Bdd.t
-
-(** [of_bdd m f ~vars] converts a BDD whose support is within [vars]
-    (strictly increasing) into a solution graph, mapping BDD variable
-    [vars.(i)] to level [i]. *)
-val of_bdd : man -> Ps_bdd.Bdd.t -> vars:int array -> t
-
-val pp : Format.formatter -> t -> unit

@@ -33,21 +33,24 @@ and man = {
 
 let terminal_level = max_int
 
+(* The tables start small and grow: a manager is also made per union
+   count or comparison of a short cube list, where allocating large
+   tables would cost more than the diagram. *)
 let new_man ~nvars =
   if nvars < 0 then invalid_arg "Bdd.new_man: negative nvars";
   let rec man =
     {
       nvars;
-      unique = Array.make 4096 [];
+      unique = Array.make 256 [];
       num_nodes = 0;
       next_id = 2;
       zero_n = zero;
       one_n = one;
-      cache_not = Itbl.create 1024;
-      cache_and = Itbl.create 4096;
-      cache_or = Itbl.create 4096;
-      cache_xor = Itbl.create 1024;
-      cache_ite = Hashtbl.create 1024;
+      cache_not = Itbl.create 256;
+      cache_and = Itbl.create 256;
+      cache_or = Itbl.create 256;
+      cache_xor = Itbl.create 256;
+      cache_ite = Hashtbl.create 256;
     }
   and zero = { id = 0; level = terminal_level; low = zero; high = zero; man }
   and one = { id = 1; level = terminal_level; low = one; high = one; man } in
@@ -324,10 +327,22 @@ let compose f subst =
   in
   go f
 
+(* Bottom-up from the deepest variable: each literal puts one node on top
+   of the conjunction of the deeper ones, so no [band] is needed. Sorting
+   merges repeated literals and puts a variable fixed both ways next to
+   itself, which makes the cube empty. *)
 let cube m lits =
-  List.fold_left
-    (fun acc (v, value) -> band acc (if value then var m v else nvar m v))
-    m.one_n lits
+  List.iter (fun (v, _) -> check_var m v) lits;
+  let rec build prev acc = function
+    | [] -> acc
+    | (v, _) :: _ when v = prev -> m.zero_n
+    | (v, value) :: rest ->
+      build v (if value then mk m v m.zero_n acc else mk m v acc m.zero_n) rest
+  in
+  let deepest_first (a, x) (b, y) =
+    if a <> b then Int.compare b a else Bool.compare x y
+  in
+  build (-1) m.one_n (List.sort_uniq deepest_first lits)
 
 let size f =
   let seen = Hashtbl.create 64 in

@@ -90,7 +90,9 @@ val restrict : t -> var:int -> value:bool -> t
 val compose : t -> t array -> t
 
 (** [cube m lits] is the conjunction of the given (variable, value)
-    literals. *)
+    literals, in any order: a repeated literal counts once, a variable
+    fixed both ways gives [zero]. It is built bottom-up, one node per
+    variable. *)
 val cube : man -> (int * bool) list -> t
 
 (** [size f] is the number of distinct nodes reachable from [f],

@@ -38,59 +38,21 @@ let test_set ?(method_ = Engine.Sds) circuit fault =
   in
   let cone = N.cone m [ top ] in
   let cnf = Ps_circuit.Tseitin.encode ~cone m in
-  let solver () =
-    let s = Solver.create () in
-    ignore (Solver.load s cnf);
-    ignore (Solver.add_clause s [ Lit.pos top ]);
-    s
-  in
-  let report ~vectors ~cubes ~graph_nodes ~sat_calls =
-    {
+  let solver = Solver.create () in
+  ignore (Solver.load solver cnf);
+  ignore (Solver.add_clause solver [ Lit.pos top ]);
+  let r = Engine.enumerate method_ ~netlist:m ~root:top ~proj solver in
+  let vectors = A.Run.solutions r in
+  ( {
       fault;
       net_name = N.name circuit fault.F.net;
       detectable = vectors > 0.0;
       vectors;
-      cubes = List.length cubes;
-      graph_nodes;
-      sat_calls;
-    }
-  in
-  match Engine.sds_variant method_ with
-  | Some variant ->
-    let r =
-      A.Sds.search
-        ~config:(A.Sds.config variant)
-        ~netlist:m ~root:top ~proj_nets ~solver:(solver ()) ()
-    in
-    let g = match r.A.Run.graph with Some g -> g | None -> assert false in
-    let cubes = r.A.Run.cubes in
-    let count =
-      if method_ = Engine.SdsDynamic then Sg.count_models_paths g
-      else Sg.count_models g
-    in
-    ( report
-        ~vectors:count
-        ~cubes
-        ~graph_nodes:(Some (Sg.size g))
-        ~sat_calls:(Ps_util.Stats.get r.A.Run.stats "sat_calls"),
-      cubes )
-  | None ->
-    let lift =
-      if method_ = Engine.BlockingLift then
-        Some
-          (fun model ->
-            A.Lifting.lift_mask m ~root:top
-              ~values:(Array.sub model 0 (N.num_nets m))
-              ~proj_nets)
-      else None
-    in
-    let r = A.Blocking.enumerate ?lift (solver ()) proj in
-    let cubes = r.A.Run.cubes in
-    let vectors =
-      if method_ = Engine.Blocking then float_of_int (List.length cubes)
-      else Engine.solution_count_of_cubes (Array.length proj_nets) cubes
-    in
-    (report ~vectors ~cubes ~graph_nodes:None ~sat_calls:(A.Blocking.sat_calls r), cubes)
+      cubes = List.length r.A.Run.cubes;
+      graph_nodes = Option.map Sg.size r.A.Run.graph;
+      sat_calls = Ps_util.Stats.get r.A.Run.stats "sat_calls";
+    },
+    r.A.Run.cubes )
 
 let all ?method_ circuit =
   List.map

@@ -4,26 +4,18 @@ module Cube = Ps_allsat.Cube
 module N = Ps_circuit.Netlist
 module T = Ps_circuit.Transition
 module Sim = Ps_circuit.Sim
+module G = Ps_circuit.Gate
 
 let result_bdd ?positions man (r : Engine.result) ~width =
-  let var_of_pos =
-    match positions with
-    | None -> Array.init width Fun.id
-    | Some p ->
-      if Array.length p <> width then
-        invalid_arg "Check.result_bdd: positions length mismatch";
-      p
-  in
+  (match positions with
+  | Some p when Array.length p <> width ->
+    invalid_arg "Check.result_bdd: positions length mismatch"
+  | _ -> ());
   match Engine.graph r with
-  | Some g -> Sg.to_bdd_unordered man var_of_pos g
-  | None ->
-    List.fold_left
-      (fun acc c ->
-        let lits =
-          List.map (fun (pos, v) -> (var_of_pos.(pos), v)) (Cube.to_list c)
-        in
-        B.bor acc (B.cube man lits))
-      (B.zero man) (Engine.cubes r)
+  | Some g ->
+    let vars = Option.value positions ~default:(Array.init width Fun.id) in
+    Sg.to_bdd man vars g
+  | None -> Ps_allsat.Cube_set.to_bdd ?var_of_pos:positions man (Engine.cubes r)
 
 let engines_agree instance results =
   let width = Ps_allsat.Project.width instance.Instance.proj in
@@ -58,66 +50,42 @@ let engines_agree instance results =
     if mismatches = [] then Ok (B.count_models ~nvars:width f0)
     else Error (String.concat "; " mismatches)
 
-let brute_force_preimage circuit target =
+(* One enumerator for both oracles. Two-valued simulation is ternary
+   simulation without X, so one [env]/[values] pair serves every state
+   and input vector; it shares no code with the BDD and SAT engines. *)
+let brute_force ~negate circuit target =
   let tr = T.of_netlist circuit in
   let nstate = Array.length tr.T.state_nets in
   let ninputs = Array.length tr.T.input_nets in
   if nstate + ninputs > 20 then
-    invalid_arg "Check.brute_force_preimage: state+input space too large";
-  let holds bits = List.exists (fun c -> Cube.contains c bits) target in
-  let result = Array.make (1 lsl nstate) false in
-  let state = Array.make nstate false in
-  let inputs = Array.make ninputs false in
-  for scode = 0 to (1 lsl nstate) - 1 do
-    for i = 0 to nstate - 1 do
-      state.(i) <- (scode lsr i) land 1 = 1
-    done;
-    let found = ref false in
-    let icode = ref 0 in
-    while (not !found) && !icode < 1 lsl ninputs do
-      for j = 0 to ninputs - 1 do
-        inputs.(j) <- (!icode lsr j) land 1 = 1
-      done;
-      let _, next = Sim.step circuit ~inputs ~state in
-      if holds next then found := true;
-      incr icode
-    done;
-    result.(scode) <- !found
-  done;
-  result
+    invalid_arg "Check.brute_force: state+input space too large";
+  let env = Array.make (N.num_nets circuit) G.F in
+  let values = Array.copy env in
+  let next = Array.make nstate false in
+  let assign nets code =
+    Array.iteri
+      (fun i net -> env.(net) <- (if (code lsr i) land 1 = 1 then G.T else G.F))
+      nets
+  in
+  Array.init (1 lsl nstate) (fun scode ->
+      assign tr.T.state_nets scode;
+      let rec reaches icode =
+        icode < 1 lsl ninputs
+        && begin
+          assign tr.T.input_nets icode;
+          Sim.eval3_into circuit ~env ~values;
+          Array.iteri (fun i net -> next.(i) <- values.(net) == G.T) tr.T.next_nets;
+          List.exists (fun c -> Cube.contains c next) target <> negate
+          || reaches (icode + 1)
+        end
+      in
+      reaches 0)
+
+let brute_force_preimage circuit target = brute_force ~negate:false circuit target
 
 let brute_force_objective instance =
-  let tr = T.of_netlist instance.Instance.circuit in
-  let nstate = Array.length tr.T.state_nets in
-  let ninputs = Array.length tr.T.input_nets in
-  if nstate + ninputs > 20 then
-    invalid_arg "Check.brute_force_objective: state+input space too large";
-  let circuit = instance.Instance.circuit in
-  let target = instance.Instance.target in
-  let holds bits =
-    let in_t = List.exists (fun c -> Cube.contains c bits) target in
-    if instance.Instance.negate then not in_t else in_t
-  in
-  let result = Array.make (1 lsl nstate) false in
-  let state = Array.make nstate false in
-  let inputs = Array.make ninputs false in
-  for scode = 0 to (1 lsl nstate) - 1 do
-    for i = 0 to nstate - 1 do
-      state.(i) <- (scode lsr i) land 1 = 1
-    done;
-    let found = ref false in
-    let icode = ref 0 in
-    while (not !found) && !icode < 1 lsl ninputs do
-      for j = 0 to ninputs - 1 do
-        inputs.(j) <- (!icode lsr j) land 1 = 1
-      done;
-      let _, next = Sim.step circuit ~inputs ~state in
-      if holds next then found := true;
-      incr icode
-    done;
-    result.(scode) <- !found
-  done;
-  result
+  brute_force ~negate:instance.Instance.negate instance.Instance.circuit
+    instance.Instance.target
 
 let matches_brute_force instance (r : Engine.result) =
   if instance.Instance.include_inputs then

@@ -33,7 +33,8 @@ val sds_variant : method_ -> Ps_allsat.Sds.variant option
     SDS and blocking paths — cubes, optional solution graph, stats, and
     the structured stop reason. The remaining fields are derived
     conveniences: [solutions] is the exact number of projected
-    solutions {e found} (total iff the run is complete), [n_cubes] the
+    solutions {e found} (total iff the run is complete), counted the same
+    way for every method by {!Ps_allsat.Run.solutions}, [n_cubes] the
     cube count, [graph_nodes] the result-graph node count (SDS only). *)
 type result = {
   method_ : method_;
@@ -98,6 +99,27 @@ val run :
   Instance.t ->
   result
 
+(** [enumerate ?prefix ?limit ?budget ?sink ?trace method_ ~netlist ~root
+    ~proj solver] is one sequential run of [method_] on [solver], which
+    must hold [netlist]'s CNF with [root] asserted; [proj] projects onto
+    nets of [netlist]. [prefix] confines the run to one guiding-path
+    shard (a cube fixing leading positions). {!run} calls it on an
+    instance; {!Kstep} and {!Atpg} call it on their own netlists. *)
+val enumerate :
+  ?prefix:Ps_allsat.Cube.t ->
+  ?limit:int ->
+  ?budget:Ps_util.Budget.t ->
+  ?sink:Ps_allsat.Run.sink ->
+  ?trace:Ps_util.Trace.sink ->
+  method_ ->
+  netlist:Ps_circuit.Netlist.t ->
+  root:int ->
+  proj:Ps_allsat.Project.t ->
+  Ps_sat.Solver.t ->
+  Ps_allsat.Run.t
+
 (** [solution_count_of_cubes width cubes] is the exact cardinality of
-    the union of (possibly overlapping) cubes. *)
+    the union of (possibly overlapping) cubes:
+    {!Ps_allsat.Cube_set.union_count}. An engine's own cubes are
+    disjoint and counted by summing ([result.solutions]). *)
 val solution_count_of_cubes : int -> Ps_allsat.Cube.t list -> float

@@ -1,6 +1,5 @@
 module B = Ps_bdd.Bdd
 module Tr = Ps_circuit.Transition
-module Cube = Ps_allsat.Cube
 
 (* Variable layout: present state 0..n-1, inputs n..n+m-1, next state
    n+m..n+m+n-1. Sets live on the present-state block. *)
@@ -45,10 +44,7 @@ let create circuit =
 let man t = t.bman
 let nstate t = t.n
 
-let of_cubes t cubes =
-  List.fold_left
-    (fun acc c -> B.bor acc (B.cube t.bman (Cube.to_list c)))
-    (B.zero t.bman) cubes
+let of_cubes t cubes = Ps_allsat.Cube_set.to_bdd t.bman cubes
 
 let image t s =
   (* ∃ s,x . relation ∧ S(s), then rename s' to s *)

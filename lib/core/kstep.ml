@@ -66,51 +66,13 @@ let preimage ?(method_ = Engine.Sds) ?sink circuit target ~k =
     A.Project.make ~vars:(Array.copy proj_nets)
       ~names:(Array.map (N.name augmented) proj_nets)
   in
-  let solver () =
-    let s = Solver.create () in
-    ignore (Solver.load s cnf);
-    ignore (Solver.add_clause s [ Lit.pos root ]);
-    s
-  in
-  let finish run solutions =
-    { run; solutions; time_s = Unix.gettimeofday () -. t0 }
-  in
-  match Engine.sds_variant method_ with
-  | Some variant ->
-    let r =
-      A.Sds.search
-        ~config:(A.Sds.config variant)
-        ?sink ~netlist:augmented ~root ~proj_nets ~solver:(solver ()) ()
-    in
-    let g = match r.A.Run.graph with Some g -> g | None -> assert false in
-    let count =
-      if method_ = Engine.SdsDynamic then Sg.count_models_paths g
-      else Sg.count_models g
-    in
-    finish r count
-  | None ->
-    let lift =
-      if method_ = Engine.BlockingLift then
-        Some
-          (fun model ->
-            A.Lifting.lift_mask augmented ~root
-              ~values:(Array.sub model 0 (N.num_nets augmented))
-              ~proj_nets)
-      else None
-    in
-    let r = A.Blocking.enumerate ?sink ?lift (solver ()) proj in
-    let solutions =
-      if method_ = Engine.Blocking then
-        float_of_int (List.length r.A.Run.cubes)
-      else Engine.solution_count_of_cubes (Array.length proj_nets) r.A.Run.cubes
-    in
-    finish r solutions
+  let solver = Solver.create () in
+  ignore (Solver.load solver cnf);
+  ignore (Solver.add_clause solver [ Lit.pos root ]);
+  let r = Engine.enumerate ?sink method_ ~netlist:augmented ~root ~proj solver in
+  { run = r; solutions = A.Run.solutions r; time_s = Unix.gettimeofday () -. t0 }
 
 let preimage_bdd man r ~nstate =
-  let module Bd = Ps_bdd.Bdd in
   match r.run.A.Run.graph with
   | Some g -> Sg.to_bdd man (Array.init nstate Fun.id) g
-  | None ->
-    List.fold_left
-      (fun acc c -> Bd.bor acc (Bd.cube man (Cube.to_list c)))
-      (Bd.zero man) (cubes r)
+  | None -> A.Cube_set.to_bdd man (cubes r)

@@ -103,7 +103,7 @@ let trace r circuit ~from =
     let state = ref (Array.copy from) in
     let d = ref (depth_of from) in
     while !d > 0 do
-      let closer = Ri.cubes_of_bdd layers.(!d - 1) ~width:nstate in
+      let closer = Ps_allsat.Cube_set.of_bdd layers.(!d - 1) ~width:nstate in
       let inst = Instance.make ~include_inputs:true circuit closer in
       let solver = Instance.solver inst in
       let assumptions =

@@ -1,5 +1,6 @@
 module B = Ps_bdd.Bdd
 module Cube = Ps_allsat.Cube
+module Cube_set = Ps_allsat.Cube_set
 module Lifting = Ps_allsat.Lifting
 module N = Ps_circuit.Netlist
 module T = Ps_circuit.Transition
@@ -69,21 +70,6 @@ type session = {
   lift : Lifting.scratch;
   trace : Trace.sink;
 }
-
-let cube_of_path path =
-  Cube.of_string
-    (String.init (Array.length path) (fun i ->
-         match path.(i) with Some true -> '1' | Some false -> '0' | None -> '-'))
-
-let cubes_of_bdd f ~width =
-  let acc = ref [] in
-  B.iter_cubes f ~nvars:width (fun path -> acc := cube_of_path path :: !acc);
-  List.rev !acc
-
-let bdd_of_cubes man cubes =
-  List.fold_left
-    (fun acc c -> B.bor acc (B.cube man (Cube.to_list c)))
-    (B.zero man) cubes
 
 (* --- the session enumerator ---------------------------------------------- *)
 
@@ -278,7 +264,7 @@ let check_resume (r : Store.recovered) ~man ~nstate ~target =
   | (ck0, cubes0) :: _ as frames ->
     if ck0.Store.frame <> 0 then
       invalid_arg "resume: log's first frame checkpoint is not frame 0";
-    if not (B.equal (bdd_of_cubes man cubes0) target) then
+    if not (B.equal (Cube_set.to_bdd man cubes0) target) then
       invalid_arg "resume: log was recorded for a different target set";
     frames
 
@@ -298,7 +284,7 @@ let create ?enumerator ?(trace = Trace.null) ?store ?resume circuit target =
       (Some s.solver, session_enumerator s)
   in
   let man = B.new_man ~nvars:nstate in
-  let target = bdd_of_cubes man target in
+  let target = Cube_set.to_bdd man target in
   let t =
     {
       nstate;
@@ -309,7 +295,7 @@ let create ?enumerator ?(trace = Trace.null) ?store ?resume circuit target =
       store;
       reached = target;
       frontier = target;
-      frontier_cubes = cubes_of_bdd target ~width:nstate;
+      frontier_cubes = Cube_set.of_bdd target ~width:nstate;
       layers = [ target ];
       frames = [];
       index = 0;
@@ -343,7 +329,7 @@ let create ?enumerator ?(trace = Trace.null) ?store ?resume circuit target =
     List.iter
       (fun ((ck : Store.checkpoint), cubes) ->
         if ck.Store.frame > 0 then begin
-          let fresh = bdd_of_cubes man cubes in
+          let fresh = Cube_set.to_bdd man cubes in
           t.reached <- B.bor t.reached fresh;
           t.layers <- t.reached :: t.layers;
           t.frontier <- fresh;
@@ -351,7 +337,7 @@ let create ?enumerator ?(trace = Trace.null) ?store ?resume circuit target =
           t.frames <- frame_of_checkpoint ck :: t.frames
         end)
       frames;
-    t.frontier_cubes <- cubes_of_bdd t.frontier ~width:nstate);
+    t.frontier_cubes <- Cube_set.of_bdd t.frontier ~width:nstate);
   t
 
 let fixpoint_reached t = B.is_zero t.frontier
@@ -374,7 +360,7 @@ let frame t =
     t.frontier <- found.fresh;
     (* The fresh set's canonical cubes are what the log records and what
        the next frame hands its enumerator: one walk per frame. *)
-    t.frontier_cubes <- cubes_of_bdd found.fresh ~width:t.nstate;
+    t.frontier_cubes <- Cube_set.of_bdd found.fresh ~width:t.nstate;
     let new_cubes =
       Option.value found.blocked ~default:(List.length t.frontier_cubes)
     in

@@ -173,6 +173,3 @@ val run :
   Ps_circuit.Netlist.t ->
   Ps_allsat.Cube.t list ->
   result
-
-(** [cubes_of_bdd f ~width] is [f]'s canonical cube list. *)
-val cubes_of_bdd : Ps_bdd.Bdd.t -> width:int -> Ps_allsat.Cube.t list

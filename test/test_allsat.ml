@@ -103,6 +103,33 @@ let test_project () =
 
 (* --- Solution graph ------------------------------------------------------- *)
 
+(* A random reduced ordered graph over [w] levels, built with [mk]: a
+   skipped level is a don't-care, and hash-consing shares equal
+   subgraphs. *)
+let random_graph rng m w =
+  let rec go level =
+    if level = w then if R.bool rng then Sg.one m else Sg.zero m
+    else if R.int rng 4 = 0 then go (level + 1)
+    else begin
+      let lo = go (level + 1) in
+      let hi = go (level + 1) in
+      Sg.mk m ~level ~lo ~hi
+    end
+  in
+  go 0
+
+let identity_bdd w g =
+  Sg.to_bdd (B.new_man ~nvars:w) (Array.init w Fun.id) g
+
+let rec pairwise_disjoint = function
+  | [] -> true
+  | c :: rest ->
+    List.for_all (fun c' -> not (Cube.intersects c c')) rest
+    && pairwise_disjoint rest
+
+let random_cube rng w =
+  Cube.of_string (String.init w (fun _ -> R.pick rng [ '0'; '1'; '-' ]))
+
 let test_sgraph_basic () =
   let m = Sg.new_man ~width:3 in
   check_bool "zero" true (Sg.is_zero (Sg.zero m));
@@ -112,43 +139,8 @@ let test_sgraph_basic () =
   check_bool "hash-consing" true
     (Sg.equal n (Sg.mk m ~level:1 ~lo:(Sg.zero m) ~hi:(Sg.one m)));
   Alcotest.(check (float 0.0)) "count" 4.0 (Sg.count_models n);
-  check_bool "mem" true (Sg.mem n [| false; true; false |]);
-  check_bool "not mem" false (Sg.mem n [| false; false; false |])
-
-let test_sgraph_of_cube () =
-  let m = Sg.new_man ~width:4 in
-  let g = Sg.of_cube m (Cube.of_string "1--0") in
-  Alcotest.(check (float 0.0)) "count" 4.0 (Sg.count_models g);
-  check_bool "mem" true (Sg.mem g [| true; false; true; false |]);
-  check_bool "not mem" false (Sg.mem g [| true; false; true; true |]);
-  (* full-dc cube is the one terminal *)
-  check_bool "dc cube" true (Sg.is_one (Sg.of_cube m (Cube.make 4)))
-
-let sgraph_union_inter_semantics =
-  Helpers.qtest "union/inter match cube-set semantics" ~count:100
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = R.create ~seed in
-      let w = 1 + R.int rng 5 in
-      let m = Sg.new_man ~width:w in
-      let rand_cube () =
-        Cube.of_string (String.init w (fun _ -> R.pick rng [ '0'; '1'; '-' ]))
-      in
-      let cs1 = List.init (1 + R.int rng 4) (fun _ -> rand_cube ()) in
-      let cs2 = List.init (1 + R.int rng 4) (fun _ -> rand_cube ()) in
-      let g_of cs =
-        List.fold_left (fun acc c -> Sg.union acc (Sg.of_cube m c)) (Sg.zero m) cs
-      in
-      let g1 = g_of cs1 and g2 = g_of cs2 in
-      let u = Sg.union g1 g2 and i = Sg.inter g1 g2 in
-      let ok = ref true in
-      Helpers.iter_assignments w (fun bits ->
-          let m1 = List.exists (fun c -> Cube.contains c bits) cs1 in
-          let m2 = List.exists (fun c -> Cube.contains c bits) cs2 in
-          if Sg.mem u bits <> (m1 || m2) then ok := false;
-          if Sg.mem i bits <> (m1 && m2) then ok := false;
-          if Sg.mem g1 bits <> m1 then ok := false);
-      !ok)
+  Alcotest.(check (list string)) "cubes" [ "-1-" ]
+    (List.map Cube.to_string (Sg.cubes n))
 
 let sgraph_cubes_partition =
   Helpers.qtest "iter_cubes yields disjoint cover with exact count" ~count:100
@@ -156,28 +148,17 @@ let sgraph_cubes_partition =
     (fun seed ->
       let rng = R.create ~seed in
       let w = 1 + R.int rng 5 in
-      let m = Sg.new_man ~width:w in
-      let g =
-        List.fold_left
-          (fun acc _ ->
-            Sg.union acc
-              (Sg.of_cube m
-                 (Cube.of_string (String.init w (fun _ -> R.pick rng [ '0'; '1'; '-' ])))))
-          (Sg.zero m)
-          (List.init (1 + R.int rng 3) Fun.id)
-      in
+      let g = random_graph rng (Sg.new_man ~width:w) w in
       let cubes = Sg.cubes g in
       let sum =
         List.fold_left (fun acc c -> acc +. Cube.minterm_count c) 0.0 cubes
       in
-      (* disjointness *)
-      let rec pairwise_disjoint = function
-        | [] -> true
-        | c :: rest ->
-          List.for_all (fun c' -> not (Cube.intersects c c')) rest
-          && pairwise_disjoint rest
-      in
-      sum = Sg.count_models g && pairwise_disjoint cubes)
+      let f = identity_bdd w g in
+      let covered = ref true in
+      Helpers.iter_assignments w (fun bits ->
+          if List.exists (fun c -> Cube.contains c bits) cubes <> B.eval f bits
+          then covered := false);
+      sum = Sg.count_models g && pairwise_disjoint cubes && !covered)
 
 let sgraph_bdd_roundtrip =
   Helpers.qtest "to_bdd/of_bdd roundtrip" ~count:60
@@ -185,24 +166,55 @@ let sgraph_bdd_roundtrip =
     (fun seed ->
       let rng = R.create ~seed in
       let w = 1 + R.int rng 5 in
-      let m = Sg.new_man ~width:w in
-      let g =
-        List.fold_left
-          (fun acc _ ->
-            Sg.union acc
-              (Sg.of_cube m
-                 (Cube.of_string (String.init w (fun _ -> R.pick rng [ '0'; '1'; '-' ])))))
-          (Sg.zero m)
-          (List.init (1 + R.int rng 4) Fun.id)
-      in
-      let bman = B.new_man ~nvars:w in
-      let vars = Array.init w Fun.id in
-      let f = Sg.to_bdd bman vars g in
-      let g' = Sg.of_bdd m f ~vars in
-      Sg.equal g g'
+      let g = random_graph rng (Sg.new_man ~width:w) w in
+      let f = identity_bdd w g in
+      (* same variable order: the diagrams are isomorphic, so the paths
+         read back from the BDD are the graph's, in the same order *)
+      List.equal Cube.equal (A.Cube_set.of_bdd f ~width:w) (Sg.cubes g)
       && B.count_models ~nvars:w f = Sg.count_models g
-      (* same variable order: node counts coincide *)
       && B.size f = Sg.size g)
+
+(* --- Cube sets through the BDD core ---------------------------------------- *)
+
+let test_to_bdd_one_cube () =
+  let man = B.new_man ~nvars:4 in
+  let f = A.Cube_set.to_bdd man [ Cube.of_string "1--0" ] in
+  Alcotest.(check (float 0.0)) "count" 4.0 (B.count_models ~nvars:4 f);
+  check_bool "mem" true (B.eval f [| true; false; true; false |]);
+  check_bool "not mem" false (B.eval f [| true; false; true; true |]);
+  (* full-dc cube is the one terminal, no cube the zero terminal *)
+  check_bool "dc cube" true (B.is_one (A.Cube_set.to_bdd man [ Cube.make 4 ]));
+  check_bool "no cube" true (B.is_zero (A.Cube_set.to_bdd man []));
+  check_bool "reversed positions" true
+    (B.equal
+       (A.Cube_set.to_bdd ~var_of_pos:[| 3; 2; 1; 0 |] man [ Cube.of_string "1--0" ])
+       (A.Cube_set.to_bdd man [ Cube.of_string "0--1" ]))
+
+let to_bdd_set_semantics =
+  Helpers.qtest "to_bdd = cube-set semantics" ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.create ~seed in
+      let w = 1 + R.int rng 5 in
+      let man = B.new_man ~nvars:w in
+      let cs1 = List.init (1 + R.int rng 4) (fun _ -> random_cube rng w) in
+      let cs2 = List.init (1 + R.int rng 4) (fun _ -> random_cube rng w) in
+      let f1 = A.Cube_set.to_bdd man cs1 and f2 = A.Cube_set.to_bdd man cs2 in
+      let u = A.Cube_set.to_bdd man (cs1 @ cs2) and i = B.band f1 f2 in
+      let ok = ref true in
+      Helpers.iter_assignments w (fun bits ->
+          let m1 = List.exists (fun c -> Cube.contains c bits) cs1 in
+          let m2 = List.exists (fun c -> Cube.contains c bits) cs2 in
+          if B.eval u bits <> (m1 || m2) then ok := false;
+          if B.eval i bits <> (m1 && m2) then ok := false;
+          if B.eval f1 bits <> m1 then ok := false);
+      (* the canonical cubes: a disjoint cover of the same set *)
+      let canonical = A.Cube_set.of_bdd u ~width:w in
+      !ok
+      && B.equal u (B.bor f1 f2)
+      && pairwise_disjoint canonical
+      && A.Cube_set.equal_union w canonical (cs1 @ cs2)
+      && A.Cube_set.union_count w (cs1 @ cs2) = B.count_models ~nvars:w u)
 
 (* --- Lifting ---------------------------------------------------------------- *)
 
@@ -423,13 +435,8 @@ let lifted_blocking_adds_no_clause =
       let run () =
         let r = A.Blocking.enumerate ~lift s proj in
         let cubes = r.A.Run.cubes in
-        let rec disjoint = function
-          | [] -> true
-          | c :: rest ->
-            List.for_all (fun d -> not (Cube.intersects c d)) rest && disjoint rest
-        in
-        A.Run.complete r && disjoint cubes
-        && A.Blocking.total_minterms r = float_of_int (Hashtbl.length expected)
+        A.Run.complete r && pairwise_disjoint cubes
+        && A.Run.solutions r = float_of_int (Hashtbl.length expected)
         && A.Blocking.sat_calls r = 1
         && Solver.n_clauses s = clauses
       in
@@ -456,13 +463,13 @@ let sds_matches_reference =
       let n, root, proj_nets, _, mk_solver, expected = setup_engines rng in
       let check_config config =
         let r = A.Sds.search ~config ~netlist:n ~root ~proj_nets ~solver:(mk_solver ()) () in
+        let w = Array.length proj_nets in
+        let f = identity_bdd w (Option.get r.A.Run.graph) in
         let ok = ref true in
-        Helpers.iter_assignments (Array.length proj_nets) (fun bits ->
-            let bits = Array.sub bits 0 (Array.length proj_nets) in
-            if
-              Sg.mem (Option.get r.A.Run.graph) bits
-              <> Hashtbl.mem expected (Array.to_list bits)
-            then ok := false);
+        Helpers.iter_assignments w (fun bits ->
+            let bits = Array.sub bits 0 w in
+            if B.eval f bits <> Hashtbl.mem expected (Array.to_list bits) then
+              ok := false);
         !ok
       in
       check_config (A.Sds.config A.Sds.Sds)
@@ -486,12 +493,6 @@ let dynamic_free_graph_invariants =
       let w = Array.length proj_nets in
       (* 1. paths are disjoint cubes covering the exact solution set *)
       let cubes = Sg.cubes g in
-      let rec pairwise_disjoint = function
-        | [] -> true
-        | c :: rest ->
-          List.for_all (fun c' -> not (Cube.intersects c c')) rest
-          && pairwise_disjoint rest
-      in
       let membership_ok = ref true in
       Helpers.iter_assignments w (fun bits ->
           let bits = Array.sub bits 0 w in
@@ -509,16 +510,7 @@ let count_paths_matches_ordered_count =
     (fun seed ->
       let rng = R.create ~seed in
       let w = 1 + R.int rng 6 in
-      let m = Sg.new_man ~width:w in
-      let g =
-        List.fold_left
-          (fun acc _ ->
-            Sg.union acc
-              (Sg.of_cube m
-                 (Cube.of_string (String.init w (fun _ -> R.pick rng [ '0'; '1'; '-' ])))))
-          (Sg.zero m)
-          (List.init (1 + R.int rng 4) Fun.id)
-      in
+      let g = random_graph rng (Sg.new_man ~width:w) w in
       Sg.count_models_paths g = Sg.count_models g)
 
 let test_blocking_limit () =
@@ -712,10 +704,13 @@ let () =
       ( "solution_graph",
         [
           Alcotest.test_case "basic" `Quick test_sgraph_basic;
-          Alcotest.test_case "of_cube" `Quick test_sgraph_of_cube;
-          sgraph_union_inter_semantics;
           sgraph_cubes_partition;
           sgraph_bdd_roundtrip;
+        ] );
+      ( "cube_set",
+        [
+          Alcotest.test_case "to_bdd of one cube" `Quick test_to_bdd_one_cube;
+          to_bdd_set_semantics;
         ] );
       ( "lifting",
         [

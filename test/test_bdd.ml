@@ -214,6 +214,35 @@ let test_cube () =
   check_bool "out of cube" false (B.eval c [| true; false; true; true |]);
   Alcotest.(check (float 0.0)) "cube count" 4.0 (B.count_models ~nvars:4 c)
 
+(* [cube] builds bottom-up; the [band] fold of single literals is the
+   reference. The literal lists come unsorted, may repeat a literal, and
+   on some seeds fix a variable both ways, where the cube is [zero]. *)
+let cube_matches_band_fold =
+  Helpers.qtest "cube = band fold of its literals" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.create ~seed in
+      let nvars = 1 + R.int rng 6 in
+      let m = B.new_man ~nvars in
+      let lits =
+        List.init (R.int rng (nvars + 3)) (fun _ -> (R.int rng nvars, R.bool rng))
+      in
+      let lits =
+        match lits with
+        | (v, value) :: _ when R.int rng 4 = 0 -> (v, not value) :: lits
+        | _ -> lits
+      in
+      let reference =
+        List.fold_left
+          (fun acc (v, value) -> B.band acc (if value then B.var m v else B.nvar m v))
+          (B.one m) lits
+      in
+      let contradictory =
+        List.exists (fun (v, value) -> List.mem (v, not value) lits) lits
+      in
+      let c = B.cube m lits in
+      B.equal c reference && B.is_zero c = contradictory)
+
 let () =
   Alcotest.run "ps_bdd"
     [
@@ -249,5 +278,6 @@ let () =
           Alcotest.test_case "of_cnf" `Quick test_of_cnf;
           Alcotest.test_case "count with free vars" `Quick test_count_models_free_vars;
           Alcotest.test_case "cube" `Quick test_cube;
+          cube_matches_band_fold;
         ] );
     ]

@@ -227,21 +227,21 @@ let test_bdd_engine_next_state_cone () =
   let r' = BE.run (I.make with_output target) in
   let cubes (r : BE.result) =
     List.map Cube.to_string
-      (Preimage.Reach_inc.cubes_of_bdd r.BE.preimage
+      (Ps_allsat.Cube_set.of_bdd r.BE.preimage
          ~width:(Ps_bdd.Bdd.nvars r.BE.man))
   in
   Alcotest.(check (list string)) "preimage" (cubes r) (cubes r');
   check_int "nodes allocated" r.BE.nodes_allocated r'.BE.nodes_allocated
 
 (* Both variable orders compute the exhaustive one-step preimage on the
-   suite circuits with at most 16 state and input bits. *)
+   suite circuits with at most 18 state and input bits. *)
 let test_bdd_engine_orders_vs_brute_force () =
   List.iter
     (fun entry ->
       let c = Lazy.force entry.Ps_gen.Suite.circuit in
       let nstate = List.length (N.latches c) in
       let ninputs = List.length (N.inputs c) in
-      if nstate + ninputs <= 16 then
+      if nstate + ninputs <= 18 then
         List.iter
           (fun target ->
             let expected = Ch.brute_force_preimage c target in
@@ -324,7 +324,7 @@ let test_session_matches_rebuild_16bit () =
       check_bool (name ^ ": same steps") true
         (List.map key base.Rh.steps = List.map key inc.Rh.steps);
       check_bool (name ^ ": same fixpoint") base.Rh.fixpoint inc.Rh.fixpoint;
-      let cubes r = Preimage.Reach_inc.cubes_of_bdd r.Rh.reached ~width:16 in
+      let cubes r = Ps_allsat.Cube_set.of_bdd r.Rh.reached ~width:16 in
       check_bool (name ^ ": same reached set") true (cubes base = cubes inc))
     [
       ("count16", T.value ~bits:16 0, Rh.E_sds, 48);

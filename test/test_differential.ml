@@ -254,9 +254,19 @@ let check_engines w =
   try
     let results = List.map (fun m -> E.run m inst) E.all_methods in
     (* BDD-equality across all five engines + the BDD baseline *)
-    (match Ch.engines_agree inst results with
-    | Ok _ -> ()
-    | Error msg -> fail "%s" msg);
+    let count =
+      match Ch.engines_agree inst results with
+      | Ok count -> count
+      | Error msg -> fail "%s" msg
+    in
+    (* [solutions] sums cube sizes, so it is right only while every
+       engine's cover stays disjoint *)
+    let check_count what r =
+      if r.E.solutions <> count then
+        fail "%s %s counts %g solutions, the oracle %g" what
+          (E.method_name r.E.method_) r.E.solutions count
+    in
+    List.iter (check_count "sequential") results;
     (* exhaustive truth-table oracle (states-only projections) *)
     if not inst.I.include_inputs then
       List.iter
@@ -272,14 +282,14 @@ let check_engines w =
           fail "%s minterm set differs from %s" (E.method_name r.E.method_)
             (E.method_name (List.hd results).E.method_))
       results;
-    (* guiding-path parallel agrees with sequential for a sample method *)
-    let method_ =
-      List.nth E.all_methods
-        (w.w_spec.Ps_gen.Random_seq.seed mod List.length E.all_methods)
-    in
-    let par = E.run ~jobs:2 method_ inst in
-    if minterm_set width (E.cubes par) <> reference then
-      fail "parallel %s minterm set differs" (E.method_name method_);
+    (* guiding-path parallel agrees with sequential, cubes and count *)
+    List.iter
+      (fun method_ ->
+        let par = E.run ~jobs:2 method_ inst in
+        if minterm_set width (E.cubes par) <> reference then
+          fail "parallel %s minterm set differs" (E.method_name method_);
+        check_count "parallel" par)
+      E.all_methods;
     None
   with Mismatch m -> Some m
 

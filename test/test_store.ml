@@ -673,7 +673,7 @@ let test_reach_cross_engine_resume () =
   let circuit = Lazy.force reach_circuit in
   let nstate = List.length (Ps_circuit.Netlist.latches circuit) in
   let target = reach_target nstate in
-  let cubes f = Preimage.Reach_inc.cubes_of_bdd f ~width:nstate in
+  let cubes f = Ps_allsat.Cube_set.of_bdd f ~width:nstate in
   List.iter
     (fun (a, b) ->
       with_log @@ fun path ->
