@@ -19,18 +19,13 @@ let variant_name = function
 
 type config = {
   use_memo : bool;
-  use_sat : bool;
   decision : decision;
 }
 
-let config ?use_memo ?(use_sat = true) variant =
-  let memo_default, decision =
-    match variant with
-    | Sds -> (true, Static)
-    | SdsDynamic -> (true, Dynamic)
-    | SdsNoMemo -> (false, Static)
-  in
-  { use_memo = Option.value use_memo ~default:memo_default; use_sat; decision }
+let config = function
+  | Sds -> { use_memo = true; decision = Static }
+  | SdsDynamic -> { use_memo = true; decision = Dynamic }
+  | SdsNoMemo -> { use_memo = false; decision = Static }
 
 let default_config = config Sds
 
@@ -269,7 +264,7 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
                  the remaining question is purely over the unprojected
                  inputs — one satisfiability check decides the subtree. *)
               if satisfiable () then Sg.one man else Sg.zero man
-            else if config.use_sat && not (satisfiable ()) then Sg.zero man
+            else if not (satisfiable ()) then Sg.zero man
             else branch branch_net k go
           in
           (* A subtree finished under an active stop is truncated:

@@ -44,17 +44,11 @@ val variant_name : variant -> string
     variant enum and the knobs cannot disagree). *)
 type config = private {
   use_memo : bool;  (** success-driven learning (signature memoization) *)
-  use_sat : bool;
-      (** CDCL pruning at internal nodes; nodes whose objective no
-          longer sees any projected variable always consult the solver *)
   decision : decision;
 }
 
-(** [config variant] is the configuration of that engine variant.
-    [~use_sat:false] additionally disables CDCL pruning at internal
-    nodes, and [~use_memo] overrides the variant's learning default —
-    both exist only for the ablation experiments. *)
-val config : ?use_memo:bool -> ?use_sat:bool -> variant -> config
+(** [config variant] is the configuration of that engine variant. *)
+val config : variant -> config
 
 (** [config Sds]. *)
 val default_config : config

@@ -6,7 +6,6 @@ type event =
   | Cube of { index : int; fixed : int; width : int }
   | Memo_hit of { depth : int; hits : int }
   | Phase of { engine : string; phase : string }
-  | Progress of { cubes : int; nodes : int; conflicts : int }
   | Shard_start of { shard : string; depth : int }
   | Shard_done of {
       shard : string;
@@ -35,7 +34,6 @@ let event_name = function
   | Cube _ -> "cube"
   | Memo_hit _ -> "memo_hit"
   | Phase _ -> "phase"
-  | Progress _ -> "progress"
   | Shard_start _ -> "shard_start"
   | Shard_done _ -> "shard_done"
   | Stopped _ -> "stopped"
@@ -82,9 +80,6 @@ let to_json ~time_s ev =
     | Phase { engine; phase } ->
       Printf.sprintf {|"engine":%s,"phase":%s|} (json_string engine)
         (json_string phase)
-    | Progress { cubes; nodes; conflicts } ->
-      Printf.sprintf {|"cubes":%d,"nodes":%d,"conflicts":%d|} cubes nodes
-        conflicts
     | Shard_start { shard; depth } ->
       Printf.sprintf {|"shard":%s,"depth":%d|} (json_string shard) depth
     | Shard_done { shard; cubes; conflicts; stopped } ->
@@ -149,11 +144,6 @@ let emit sink ev =
   match sink with
   | Null -> ()
   | Sink { t0; f } -> f ~time_s:(Unix.gettimeofday () -. t0) ev
-
-let tee a b =
-  match (a, b) with
-  | Null, s | s, Null -> s
-  | Sink _, Sink _ -> callback (fun ~time_s:_ ev -> emit a ev; emit b ev)
 
 (* Serializes concurrent emissions with a mutex so one sink (e.g. a JSONL
    channel) can be shared by worker domains without interleaved writes.

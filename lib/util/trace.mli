@@ -28,8 +28,6 @@ type event =
       (** SDS success-driven learning reused a subgraph *)
   | Phase of { engine : string; phase : string }
       (** engine phase marker, e.g. ["sds"]/["start"] *)
-  | Progress of { cubes : int; nodes : int; conflicts : int }
-      (** periodic heartbeat from the enumeration engines *)
   | Shard_start of { shard : string; depth : int }
       (** a parallel worker picked up a guiding-path shard ([shard] is
           the prefix cube in positional notation, [depth] its number of
@@ -104,9 +102,6 @@ val jsonl_file : string -> sink * (unit -> unit)
     {!Store_verified} events, which always pass (they are rare and
     structural). Default interval: 0.1 s. *)
 val throttled : ?interval_s:float -> (time_s:float -> event -> unit) -> sink
-
-(** [tee a b] duplicates every event to both sinks. *)
-val tee : sink -> sink -> sink
 
 (** [locked s] serializes emissions into [s] with a mutex, making one
     sink shareable by several worker domains (JSONL lines never

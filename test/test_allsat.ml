@@ -474,9 +474,7 @@ let sds_matches_reference =
       in
       check_config (A.Sds.config A.Sds.Sds)
       && check_config (A.Sds.config A.Sds.SdsNoMemo)
-      && check_config (A.Sds.config ~use_sat:false A.Sds.Sds)
-      && check_config (A.Sds.config A.Sds.SdsDynamic)
-      && check_config (A.Sds.config ~use_memo:false A.Sds.SdsDynamic))
+      && check_config (A.Sds.config A.Sds.SdsDynamic))
 
 let dynamic_free_graph_invariants =
   Helpers.qtest "dynamic search builds a well-formed free graph" ~count:60

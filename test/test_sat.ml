@@ -6,7 +6,6 @@ module Lit = Ps_sat.Lit
 module Cnf = Ps_sat.Cnf
 module Solver = Ps_sat.Solver
 module Dimacs = Ps_sat.Dimacs
-module Simplify = Ps_sat.Simplify
 module R = Ps_util.Rng
 
 let check_bool = Alcotest.(check bool)
@@ -559,60 +558,6 @@ let unsat_core_sound =
           && Solver.solve ~assumptions:core s = Solver.Unsat
       end)
 
-(* --- Simplify: CNF preprocessing ------------------------------------------ *)
-
-let simplify_preserves_models =
-  Helpers.qtest "simplify preserves the model set exactly" ~count:120
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = R.create ~seed in
-      let nvars = 1 + R.int rng 7 in
-      let cnf = Helpers.random_cnf rng ~nvars ~nclauses:(R.int rng 14) ~max_len:3 in
-      let simplified, report = Simplify.simplify cnf in
-      let models f = List.map Array.to_list (Cnf.brute_force_models f) in
-      if report.Simplify.unsat then models cnf = []
-      else models cnf = models simplified)
-
-let simplify_pure_preserves_sat =
-  Helpers.qtest "pure-literal elimination preserves satisfiability" ~count:100
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = R.create ~seed in
-      let nvars = 1 + R.int rng 7 in
-      let cnf = Helpers.random_cnf rng ~nvars ~nclauses:(R.int rng 12) ~max_len:3 in
-      let simplified, report = Simplify.simplify ~pure_literals:true cnf in
-      let sat = Cnf.brute_force_sat cnf in
-      if report.Simplify.unsat then not sat
-      else sat = Cnf.brute_force_sat simplified)
-
-let test_simplify_cases () =
-  let lp = Lit.pos and ln = Lit.neg in
-  (* tautology dropped *)
-  let f = Cnf.of_clauses ~nvars:2 [ [ lp 0; ln 0 ]; [ lp 1 ] ] in
-  let g, report = Simplify.simplify f in
-  check_bool "not unsat" false report.Simplify.unsat;
-  check_int "only the unit remains" 1 (Cnf.nclauses g);
-  Alcotest.(check (list int)) "fixed" [ lp 1 ] report.Simplify.fixed;
-  (* unit propagation chain derives everything *)
-  let f =
-    Cnf.of_clauses ~nvars:3 [ [ lp 0 ]; [ ln 0; lp 1 ]; [ ln 1; lp 2 ] ]
-  in
-  let _, report = Simplify.simplify f in
-  check_int "all fixed" 3 (List.length report.Simplify.fixed);
-  (* contradiction *)
-  let f = Cnf.of_clauses ~nvars:1 [ [ lp 0 ]; [ ln 0 ] ] in
-  let _, report = Simplify.simplify f in
-  check_bool "unsat" true report.Simplify.unsat;
-  (* subsumption *)
-  let f = Cnf.of_clauses ~nvars:3 [ [ lp 0; lp 1 ]; [ lp 0; lp 1; lp 2 ] ] in
-  let g, _ = Simplify.simplify f in
-  check_int "subsumed dropped" 1 (Cnf.nclauses g);
-  (* self-subsuming resolution: (a|b) & (a|!b|c) -> (a|b) & (a|c) *)
-  let f = Cnf.of_clauses ~nvars:3 [ [ lp 0; lp 1 ]; [ lp 0; ln 1; lp 2 ] ] in
-  let g, report = Simplify.simplify f in
-  check_int "clauses kept" 2 (Cnf.nclauses g);
-  check_bool "a literal was removed" true (report.Simplify.removed_literals > 0)
-
 (* --- Solver: projected enumeration by chronological backtracking ---------- *)
 
 module Budget = Ps_util.Budget
@@ -1108,12 +1053,6 @@ let () =
             test_unsat_core_across_gc;
           Alcotest.test_case "basic" `Quick test_unsat_core_basic;
           unsat_core_sound;
-        ] );
-      ( "simplify",
-        [
-          simplify_preserves_models;
-          simplify_pure_preserves_sat;
-          Alcotest.test_case "crafted cases" `Quick test_simplify_cases;
         ] );
       ( "enumerate",
         [

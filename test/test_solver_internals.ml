@@ -5,7 +5,6 @@
 module Lit = Ps_sat.Lit
 module Cnf = Ps_sat.Cnf
 module Solver = Ps_sat.Solver
-module Simplify = Ps_sat.Simplify
 module Stats = Ps_util.Stats
 module R = Ps_util.Rng
 
@@ -124,20 +123,6 @@ let test_wide_clauses () =
   let s = solver_of cnf in
   Alcotest.(check bool) "sat" true (Solver.solve s = Solver.Sat);
   check_bool "survivor forced true" true (Solver.model_value s (n - 1))
-
-(* --- simplify + solve --------------------------------------------------------- *)
-
-let simplify_then_solve_agrees =
-  Helpers.qtest "solving the simplified formula = solving the original" ~count:150
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = R.create ~seed in
-      let nvars = 1 + R.int rng 9 in
-      let cnf = Helpers.random_cnf rng ~nvars ~nclauses:(R.int rng 18) ~max_len:4 in
-      let simplified, report = Simplify.simplify cnf in
-      let solve f = Solver.solve (solver_of f) = Solver.Sat in
-      if report.Simplify.unsat then not (solve cnf)
-      else solve cnf = solve simplified)
 
 (* --- arena / watcher invariants ----------------------------------------- *)
 
@@ -269,7 +254,6 @@ let () =
           Alcotest.test_case "phase saving" `Quick test_phase_saving_stability;
           Alcotest.test_case "wide clauses" `Quick test_wide_clauses;
         ] );
-      ("preprocessing", [ simplify_then_solve_agrees ]);
       ( "arena",
         [
           Alcotest.test_case "watcher invariants across reduce/gc" `Quick
