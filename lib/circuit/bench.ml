@@ -94,11 +94,27 @@ let parse_string s =
         end
         else begin
           match Gate.kind_of_string head with
-          | Some kind -> drivers.(id) <- Netlist.Gate (kind, fanins ())
+          | Some kind ->
+            if not (Gate.arity_ok kind (List.length args)) then
+              syntax_error line_no
+                (Printf.sprintf "%s gate %S cannot take %d inputs" head name
+                   (List.length args));
+            drivers.(id) <- Netlist.Gate (kind, fanins ())
           | None -> syntax_error line_no (Printf.sprintf "unknown gate %S" head)
         end)
     statements;
-  Netlist.make ~drivers:(Array.sub drivers 0 n)
+  let drivers = Array.sub drivers 0 n in
+  (match Netlist.find_cycle drivers with
+  | None -> ()
+  | Some g ->
+    let defines = function
+      | _, St_def (name, _, _) -> name = Ps_util.Vec.get names g
+      | _ -> false
+    in
+    syntax_error
+      (fst (List.find defines statements))
+      (Printf.sprintf "combinational cycle through %S" (Ps_util.Vec.get names g)));
+  Netlist.make ~drivers
     ~names:(Ps_util.Vec.to_array names) ~outputs:(List.rev !outputs)
 
 let parse_file path =

@@ -11,7 +11,9 @@
     Names may be used before they are defined (required for feedback). *)
 
 (** [parse_string s] parses a [.bench] document.
-    Raises [Failure] with a line-numbered message on malformed input. *)
+    Raises [Failure] with a line-numbered message on malformed input,
+    including a gate with the wrong number of fanins and a combinational
+    cycle (the line of a gate on it). *)
 val parse_string : string -> Netlist.t
 
 val parse_file : string -> Netlist.t

@@ -62,11 +62,13 @@ let validate drivers names outputs =
   List.iter (check_net "outputs") outputs;
   tbl
 
-(* Topological sort of the gate part; detects combinational cycles. A
-   depth-first post-order walk with an explicit stack of gates, so a deep
-   netlist cannot overflow the call stack; the fanins are entered in
-   order, as a recursive walk would. *)
-let topo_sort drivers names =
+exception Cycle of int
+
+(* Topological sort of the gate part; raises [Cycle g] with a gate [g]
+   on a combinational cycle. A depth-first post-order walk with an
+   explicit stack of gates, so a deep netlist cannot overflow the call
+   stack; the fanins are entered in order, as a recursive walk would. *)
+let topo_sort drivers =
   let n = Array.length drivers in
   (* 0 unvisited, -1 done, k > 0 on the stack with fanin k-1 next *)
   let state = Array.make n 0 in
@@ -74,9 +76,7 @@ let topo_sort drivers names =
   let depth = ref 0 in
   let order = ref [] in
   let enter i =
-    if state.(i) > 0 then
-      invalid_arg
-        (Printf.sprintf "Netlist.make: combinational cycle through %S" names.(i));
+    if state.(i) > 0 then raise (Cycle i);
     if state.(i) = 0 then
       match drivers.(i) with
       | Input | Latch _ -> state.(i) <- -1
@@ -102,9 +102,17 @@ let topo_sort drivers names =
   done;
   Array.of_list (List.rev !order)
 
+let find_cycle drivers =
+  match topo_sort drivers with _ -> None | exception Cycle g -> Some g
+
 let make ~drivers ~names ~outputs =
   let name_index = validate drivers names outputs in
-  let topo = topo_sort drivers names in
+  let topo =
+    try topo_sort drivers
+    with Cycle i ->
+      invalid_arg
+        (Printf.sprintf "Netlist.make: combinational cycle through %S" names.(i))
+  in
   let n = Array.length drivers in
   let collect pred =
     let acc = ref [] in

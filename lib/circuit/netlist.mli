@@ -26,6 +26,11 @@ type t
     Raises [Invalid_argument] with a diagnostic otherwise. *)
 val make : drivers:driver array -> names:string array -> outputs:int list -> t
 
+(** [find_cycle drivers] is a gate net on a combinational cycle, if the
+    gates have one: the cycle {!make} rejects, found before it, so that a
+    parser can say where it is. Every fanin must be a valid net. *)
+val find_cycle : driver array -> int option
+
 val num_nets : t -> int
 val driver : t -> int -> driver
 val name : t -> int -> string

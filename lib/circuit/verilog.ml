@@ -75,12 +75,13 @@ let tokenize s =
 
 type statement =
   | S_dirs of string * string list        (* input/output/wire, names *)
-  | S_gate of string * string * string list  (* primitive, instance, args *)
-  | S_assign of string * string
+  | S_gate of int * string * string * string list  (* line, primitive, instance, args *)
+  | S_assign of int * string * string  (* line, lhs, rhs *)
+
+let fail line msg = failwith (Printf.sprintf "Verilog: line %d: %s" line msg)
 
 let parse_statements tokens =
   let toks = ref tokens in
-  let fail line msg = failwith (Printf.sprintf "Verilog: line %d: %s" line msg) in
   let peek () = match !toks with [] -> None | t :: _ -> Some t in
   let pop () =
     match !toks with
@@ -131,12 +132,12 @@ let parse_statements tokens =
     | T_ident "endmodule", _ -> finished := true
     | T_ident kw, _ when List.mem kw [ "input"; "output"; "wire" ] ->
       statements := S_dirs (kw, ident_list []) :: !statements
-    | T_ident "assign", _ ->
+    | T_ident "assign", line ->
       let lhs = ident "assign target" in
       expect T_eq "'='";
       let rhs = ident "assign source" in
       expect T_semi "';'";
-      statements := S_assign (lhs, rhs) :: !statements
+      statements := S_assign (line, lhs, rhs) :: !statements
     | T_ident prim, line ->
       if List.mem prim keywords then fail line ("misplaced keyword " ^ prim);
       let inst = ident "instance name" in
@@ -150,7 +151,7 @@ let parse_statements tokens =
       in
       let arguments = args [] in
       expect T_semi "';'";
-      statements := S_gate (prim, inst, arguments) :: !statements
+      statements := S_gate (line, prim, inst, arguments) :: !statements
     | _, line -> fail line "expected a statement"
   done;
   List.rev !statements
@@ -178,10 +179,10 @@ let parse_string s =
   List.iter declare !inputs;
   List.iter
     (function
-      | S_gate (_, _, out :: _) -> declare out
-      | S_gate (_, inst, []) ->
-        failwith (Printf.sprintf "Verilog: gate %S has no connections" inst)
-      | S_assign (lhs, _) -> declare lhs
+      | S_gate (_, _, _, out :: _) -> declare out
+      | S_gate (line, _, inst, []) ->
+        fail line (Printf.sprintf "gate %S has no connections" inst)
+      | S_assign (_, lhs, _) -> declare lhs
       | S_dirs _ -> ())
     statements;
   let lookup name =
@@ -194,9 +195,9 @@ let parse_string s =
   List.iter
     (function
       | S_dirs _ -> ()
-      | S_assign (lhs, rhs) ->
+      | S_assign (_, lhs, rhs) ->
         drivers.(lookup lhs) <- Netlist.Gate (Gate.Buf, [| lookup rhs |])
-      | S_gate (prim, inst, out :: ins) ->
+      | S_gate (line, prim, inst, out :: ins) ->
         let fanins () = Array.of_list (List.map lookup ins) in
         if String.lowercase_ascii prim = "dff" then begin
           match ins with
@@ -206,13 +207,31 @@ let parse_string s =
         end
         else begin
           match Gate.kind_of_string prim with
-          | Some kind -> drivers.(lookup out) <- Netlist.Gate (kind, fanins ())
+          | Some kind ->
+            if not (Gate.arity_ok kind (List.length ins)) then
+              fail line
+                (Printf.sprintf "gate %S (%s) cannot take %d inputs" inst prim
+                   (List.length ins));
+            drivers.(lookup out) <- Netlist.Gate (kind, fanins ())
           | None -> failwith (Printf.sprintf "Verilog: unknown primitive %S" prim)
         end
-      | S_gate (_, _, []) -> assert false)
+      | S_gate (_, _, _, []) -> assert false)
     statements;
-  Netlist.make
-    ~drivers:(Array.sub drivers 0 n)
+  let drivers = Array.sub drivers 0 n in
+  (match Netlist.find_cycle drivers with
+  | None -> ()
+  | Some g ->
+    let net = Ps_util.Vec.get names g in
+    let line =
+      List.find_map
+        (function
+          | S_gate (line, _, _, out :: _) when out = net -> Some line
+          | S_assign (line, lhs, _) when lhs = net -> Some line
+          | _ -> None)
+        statements
+    in
+    fail (Option.get line) (Printf.sprintf "combinational cycle through %S" net));
+  Netlist.make ~drivers
     ~names:(Ps_util.Vec.to_array names)
     ~outputs:(List.map lookup !outputs)
 

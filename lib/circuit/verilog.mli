@@ -20,7 +20,9 @@
     yields an isomorphic netlist. *)
 
 (** [parse_string s] parses a module.
-    Raises [Failure] with a line-numbered message on malformed input. *)
+    Raises [Failure] with a line-numbered message on malformed input,
+    including a gate with the wrong number of inputs and a combinational
+    cycle (the line of a gate on it). *)
 val parse_string : string -> Netlist.t
 
 val parse_file : string -> Netlist.t

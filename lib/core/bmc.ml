@@ -15,27 +15,7 @@ type counterexample = {
 (* DNF-over-nets block: returns the net that is 1 iff the assignment of
    [nets] matches some cube. *)
 let dnf_block b nets cubes prefix =
-  let inv_cache = Hashtbl.create 16 in
-  let inverted net =
-    match Hashtbl.find_opt inv_cache net with
-    | Some x -> x
-    | None ->
-      let x = B.not_ b ~name:(B.fresh_name b (prefix ^ "inv")) net in
-      Hashtbl.add inv_cache net x;
-      x
-  in
-  let cube_net c =
-    match Cube.to_list c with
-    | [] -> B.const1 b ~name:(B.fresh_name b (prefix ^ "true")) ()
-    | lits ->
-      let ins =
-        List.map (fun (i, v) -> if v then nets.(i) else inverted nets.(i)) lits
-      in
-      (match ins with
-      | [ single ] -> B.buf b ~name:(B.fresh_name b (prefix ^ "buf")) single
-      | _ -> B.and_ b ~name:(B.fresh_name b (prefix ^ "cube")) ins)
-  in
-  match List.map cube_net cubes with
+  match Instance.cube_nets b nets cubes ~prefix with
   | [] -> invalid_arg "Bmc: empty cube list"
   | [ single ] -> single
   | nets -> B.or_ b ~name:(B.fresh_name b (prefix ^ "any")) nets

@@ -25,3 +25,11 @@ val check :
   bad:Ps_allsat.Cube.t list ->
   max_depth:int ->
   counterexample option
+
+(** [dnf_block b nets cubes prefix] adds to [b] a net that is 1 iff
+    [nets] match some cube of [cubes]: the OR of
+    {!Instance.cube_nets}, or the one cube's net. Raises
+    [Invalid_argument] on an empty list. {!Induction} builds its bad
+    frames with it. *)
+val dnf_block :
+  Ps_circuit.Builder.t -> int array -> Ps_allsat.Cube.t list -> string -> int

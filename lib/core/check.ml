@@ -6,16 +6,16 @@ module T = Ps_circuit.Transition
 module Sim = Ps_circuit.Sim
 module G = Ps_circuit.Gate
 
-let result_bdd ?positions man (r : Engine.result) ~width =
+let result_bdd ?positions man (r : Ps_allsat.Run.t) ~width =
   (match positions with
   | Some p when Array.length p <> width ->
     invalid_arg "Check.result_bdd: positions length mismatch"
   | _ -> ());
-  match Engine.graph r with
+  match r.graph with
   | Some g ->
     let vars = Option.value positions ~default:(Array.init width Fun.id) in
     Sg.to_bdd man vars g
-  | None -> Ps_allsat.Cube_set.to_bdd ?var_of_pos:positions man (Engine.cubes r)
+  | None -> Ps_allsat.Cube_set.to_bdd ?var_of_pos:positions man r.cubes
 
 let engines_agree instance results =
   let width = Ps_allsat.Project.width instance.Instance.proj in
@@ -24,7 +24,8 @@ let engines_agree instance results =
     List.map
       (fun r ->
         ( Engine.method_name r.Engine.method_,
-          result_bdd ~positions:instance.Instance.positions man r ~width ))
+          result_bdd ~positions:instance.Instance.positions man r.Engine.run
+            ~width ))
       results
   in
   let named =
@@ -94,7 +95,9 @@ let matches_brute_force instance (r : Engine.result) =
   let nstate = Instance.num_state instance in
   let width = nstate in
   let man = B.new_man ~nvars:(max width 1) in
-  let f = result_bdd ~positions:instance.Instance.positions man r ~width in
+  let f =
+    result_bdd ~positions:instance.Instance.positions man r.Engine.run ~width
+  in
   let bits = Array.make width false in
   let ok = ref true in
   for scode = 0 to (1 lsl nstate) - 1 do

@@ -6,14 +6,15 @@
     The test suite runs these on randomized circuits; the benchmark
     harness runs them once per experiment as a sanity gate. *)
 
-(** [result_bdd ?positions man r ~width] is the BDD of an engine
-    result's solution set, mapping projection position [i] to BDD
-    variable [positions.(i)] (default: the identity — correct for
-    [Instance.Natural]-ordered instances). *)
+(** [result_bdd ?positions man r ~width] is the BDD of a run's
+    solution set (its solution graph if it has one, else its cubes),
+    mapping projection position [i] to BDD variable [positions.(i)]
+    (default: the identity — correct for [Instance.Natural]-ordered
+    instances and for {!Kstep} results). *)
 val result_bdd :
   ?positions:int array ->
   Ps_bdd.Bdd.man ->
-  Engine.result ->
+  Ps_allsat.Run.t ->
   width:int ->
   Ps_bdd.Bdd.t
 

@@ -1,7 +1,6 @@
 module N = Ps_circuit.Netlist
 module B = Ps_circuit.Builder
 module U = Ps_circuit.Unroll
-module Cube = Ps_allsat.Cube
 module Solver = Ps_sat.Solver
 module Lit = Ps_sat.Lit
 
@@ -10,39 +9,12 @@ type outcome =
   | Falsified of Bmc.counterexample
   | Unknown of int
 
-(* OR/AND target blocks over a state-net vector (as in Bmc). *)
-let dnf_block b nets cubes prefix =
-  let inv_cache = Hashtbl.create 16 in
-  let inverted net =
-    match Hashtbl.find_opt inv_cache net with
-    | Some x -> x
-    | None ->
-      let x = B.not_ b ~name:(B.fresh_name b (prefix ^ "inv")) net in
-      Hashtbl.add inv_cache net x;
-      x
-  in
-  let cube_net c =
-    match Cube.to_list c with
-    | [] -> B.const1 b ~name:(B.fresh_name b (prefix ^ "true")) ()
-    | lits ->
-      let ins =
-        List.map (fun (i, v) -> if v then nets.(i) else inverted nets.(i)) lits
-      in
-      (match ins with
-      | [ single ] -> B.buf b ~name:(B.fresh_name b (prefix ^ "buf")) single
-      | _ -> B.and_ b ~name:(B.fresh_name b (prefix ^ "cube")) ins)
-  in
-  match List.map cube_net cubes with
-  | [] -> invalid_arg "Induction: empty cube list"
-  | [ single ] -> single
-  | nets -> B.or_ b ~name:(B.fresh_name b (prefix ^ "any")) nets
-
 (* Step case at [k]: SAT? P(s_0..s_{k-1}) ∧ ¬P(s_k) with optional
    pairwise state distinctness. UNSAT = inductive. *)
 let step_holds circuit ~bad ~unique_states k =
   let unrolled = U.unroll circuit ~k in
   let b = B.of_netlist unrolled.U.netlist in
-  let bad_at t = dnf_block b unrolled.U.state_at.(t) bad (Printf.sprintf "_b%d_" t) in
+  let bad_at t = Bmc.dnf_block b unrolled.U.state_at.(t) bad (Printf.sprintf "_b%d_" t) in
   let good_frames =
     List.init k (fun t -> B.not_ b ~name:(Printf.sprintf "_good%d" t) (bad_at t))
   in

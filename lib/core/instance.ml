@@ -23,56 +23,48 @@ type t = {
   cnf : Ps_sat.Cnf.t;
 }
 
-(* Graft the target DNF onto the circuit: one AND per cube over the
-   latch-data nets (inverted where the cube has a 0), one OR at the top. *)
-let build_target_block ~negate circuit target =
-  let b = B.of_netlist circuit in
-  let tr = T.of_netlist circuit in
-  let nstate = Array.length tr.T.state_nets in
+(* One net per cube of [cubes] over [nets]: the AND of its literals, a
+   0 reading a shared inverter, the literal's own net for a one-literal
+   cube and a constant 1 for the empty one. *)
+let cube_nets b nets cubes ~prefix =
   List.iter
     (fun c ->
-      if Cube.width c <> nstate then
-        invalid_arg "Instance.make: target cube width <> number of latches")
-    target;
-  (* Shared inverters for 0-literals. *)
+      if Cube.width c <> Array.length nets then
+        invalid_arg "target cube width <> number of latches")
+    cubes;
   let inv_cache = Hashtbl.create 16 in
   let inverted net =
     match Hashtbl.find_opt inv_cache net with
     | Some n -> n
     | None ->
-      let n = B.not_ b ~name:(B.fresh_name b "_tinv") net in
+      let n = B.not_ b ~name:(B.fresh_name b (prefix ^ "inv")) net in
       Hashtbl.add inv_cache net n;
       n
   in
   let cube_net c =
-    let lits = Cube.to_list c in
-    match lits with
-    | [] -> B.const1 b ~name:(B.fresh_name b "_ttrue") ()
-    | _ ->
-      let nets =
-        List.map
-          (fun (i, v) ->
-            let next = tr.T.next_nets.(i) in
-            if v then next else inverted next)
-          lits
-      in
-      (match nets with
+    match Cube.to_list c with
+    | [] -> B.const1 b ~name:(B.fresh_name b (prefix ^ "true")) ()
+    | lits -> (
+      match List.map (fun (i, v) -> if v then nets.(i) else inverted nets.(i)) lits with
       | [ single ] -> single
-      | _ -> B.and_ b ~name:(B.fresh_name b "_tcube") nets)
+      | ins -> B.and_ b ~name:(B.fresh_name b (prefix ^ "cube")) ins)
   in
-  let cube_nets = List.map cube_net target in
+  List.map cube_net cubes
+
+(* Graft the target DNF onto the circuit over the latch-data nets. The
+   root must be a gate net inside the encoded cone so the CNF ties it to
+   the target logic; a buffer covers the single-cube and bare-net cases
+   uniformly. With [negate] the objective becomes "next state misses the
+   target" (used for universal preimages). *)
+let build_target_block ~negate circuit target =
+  let b = B.of_netlist circuit in
+  let tr = T.of_netlist circuit in
+  let wrap = if negate then B.not_ else B.buf in
   let root =
-    (* The root must be a gate net inside the encoded cone so the CNF ties
-       it to the target logic; a buffer covers the single-cube and
-       bare-net cases uniformly. With [negate] the objective becomes
-       "next state misses the target" (used for universal preimages). *)
-    let wrap = if negate then B.not_ else B.buf in
-    match cube_nets with
+    match cube_nets b tr.T.next_nets target ~prefix:"_t" with
     | [] -> invalid_arg "Instance.make: empty target"
     | [ single ] -> wrap b ~name:"_target" single
-    | _ ->
-      let any = B.or_ b ~name:"_target_any" cube_nets in
-      wrap b ~name:"_target" any
+    | nets -> wrap b ~name:"_target" (B.or_ b ~name:"_target_any" nets)
   in
   (B.finalize b, root)
 

@@ -54,6 +54,17 @@ val make :
   Ps_allsat.Cube.t list ->
   t
 
+(** [cube_nets b nets cubes ~prefix] adds to [b] one net per cube of
+    [cubes] (in order) that is 1 iff [nets], read at the cube's
+    positions, match the cube: the AND of its literals over shared
+    inverters, the literal's net itself for a one-literal cube, a
+    constant 1 for the empty cube. New nets are named after [prefix].
+    Every target block (this module's, {!Kstep}'s, {!Bmc}'s and
+    {!Induction}'s) is these nets under one OR. Raises
+    [Invalid_argument] when a cube's width is not [Array.length nets]. *)
+val cube_nets :
+  Ps_circuit.Builder.t -> int array -> Ps_allsat.Cube.t list -> prefix:string -> int list
+
 (** [solver i] is a fresh solver loaded with the instance CNF and the
     unit clause asserting the target. *)
 val solver : t -> Ps_sat.Solver.t

@@ -32,8 +32,3 @@ val preimage :
   Ps_allsat.Cube.t list ->
   k:int ->
   result
-
-(** [preimage_bdd man r ~nstate] is the solution set of a result as a
-    BDD over state variables [0 .. nstate-1] — the comparison currency
-    used by tests and benchmarks. *)
-val preimage_bdd : Ps_bdd.Bdd.man -> result -> nstate:int -> Ps_bdd.Bdd.t

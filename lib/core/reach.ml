@@ -51,7 +51,7 @@ let rebuild m circuit =
   stateless (fun man cubes ->
       let r = Engine.run m (Instance.make circuit cubes) in
       let s = Engine.stats r in
-      ( Check.result_bdd man r ~width:(B.nvars man),
+      ( Check.result_bdd man r.Engine.run ~width:(B.nvars man),
         Ps_util.Stats.get s "solve_calls",
         Ps_util.Stats.get s "conflicts" ))
 

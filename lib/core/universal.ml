@@ -9,27 +9,19 @@ type result = {
   time_s : float;
 }
 
-let cube_of_path path =
-  Cube.of_string
-    (String.init (Array.length path) (fun i ->
-         match path.(i) with Some true -> '1' | Some false -> '0' | None -> '-'))
-
 let preimage ?(method_ = Engine.Sds) circuit target =
   let t0 = Unix.gettimeofday () in
   let inst = Instance.make ~negate:true circuit target in
   let r = Engine.run method_ inst in
   let nstate = Instance.num_state inst in
   let man = B.new_man ~nvars:(max nstate 1) in
-  let escape = Check.result_bdd man r ~width:nstate in
+  let escape = Check.result_bdd man r.Engine.run ~width:nstate in
   let states = B.bnot escape in
-  let cubes = ref [] in
-  B.iter_cubes states ~nvars:nstate (fun path ->
-      cubes := cube_of_path path :: !cubes);
   {
     states;
     man;
     count = B.count_models ~nvars:nstate states;
-    cubes = List.rev !cubes;
+    cubes = Ps_allsat.Cube_set.of_bdd states ~width:nstate;
     time_s = Unix.gettimeofday () -. t0;
   }
 

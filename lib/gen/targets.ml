@@ -55,18 +55,10 @@ let of_expr ~bits ~names expr_text =
   in
   let f = build e in
   if B.is_zero f then invalid_arg "Targets.of_expr: expression denotes the empty set";
-  let cubes = ref [] in
-  B.iter_cubes f ~nvars:bits (fun path ->
-      let row =
-        String.init bits (fun i ->
-            match path.(i) with Some true -> '1' | Some false -> '0' | None -> '-')
-      in
-      cubes := Cube.of_string row :: !cubes);
-  List.rev !cubes
+  Ps_allsat.Cube_set.of_bdd f ~width:bits
 
 let parse ~bits ~names spec =
-  let prefixed p = String.length spec > String.length p
-                   && String.sub spec 0 (String.length p) = p in
+  let prefixed p = String.starts_with ~prefix:p spec in
   let rest p = String.sub spec (String.length p) (String.length spec - String.length p) in
   match spec with
   | "all-ones" -> all_ones ~bits
@@ -75,8 +67,16 @@ let parse ~bits ~names spec =
   | _ when prefixed "value:" -> (
     match int_of_string_opt (rest "value:") with
     | Some k -> value ~bits k
-    | None -> failwith (Printf.sprintf "Targets.parse: bad value in %S" spec))
-  | _ when prefixed "expr:" -> of_expr ~bits ~names (rest "expr:")
+    | None ->
+      failwith
+        (Printf.sprintf "Targets.parse: bad value in %S (expected value:<integer>)"
+           spec))
+  | _ when prefixed "expr:" ->
+    if rest "expr:" = "" then
+      failwith
+        "Targets.parse: empty expression (expected expr:<boolean expression \
+         over the state bit names>)";
+    of_expr ~bits ~names (rest "expr:")
   | _ ->
     let t = of_strings (String.split_on_char ',' spec) in
     List.iter

@@ -67,9 +67,14 @@ type t = {
   groups : (int, int Vec.t) Hashtbl.t;
   mutable n_groups_retired : int;
   mutable n_learnts_kept : int;
-  (* Transient per-[solve] observability hooks (set on entry). *)
+  (* Transient per-call state of the CDCL loop (set on entry). *)
   mutable budget : Budget.t option;
   mutable trace : Trace.sink;
+  mutable props_charged : int;           (* propagations charged to [budget] *)
+  mutable unpolled : int;                (* decisions since the last budget poll *)
+  (* Backjumps and restarts stop here: the highest flipped level of an
+     enumeration, 0 otherwise. *)
+  mutable floor : int;
 }
 
 let var_decay = 1.0 /. 0.95
@@ -123,6 +128,9 @@ let create () =
     n_learnts_kept = 0;
     budget = None;
     trace = Trace.null;
+    props_charged = 0;
+    unpolled = 0;
+    floor = 0;
   }
 
 let nvars t = t.n_vars
@@ -482,19 +490,22 @@ let analyze t confl =
   List.iter (fun v -> t.seen.(v) <- false) !to_clear;
   (Vec.to_array kept, !bt_level)
 
+(* Store a learnt clause of two or more literals. *)
+let store_learnt t lits =
+  let cr = Arena.alloc t.arena ~learnt:true lits in
+  Vec.push t.learnts cr;
+  attach t cr;
+  cla_bump t cr;
+  cr
+
+(* Record a learnt clause after the backjump to its asserting level. *)
 let record_learnt t lits =
   t.n_learnt <- t.n_learnt + 1;
   if Array.length lits = 1 then begin
     cancel_until t 0;
     ignore (enqueue t lits.(0) cref_undef)
   end
-  else begin
-    let cr = Arena.alloc t.arena ~learnt:true lits in
-    Vec.push t.learnts cr;
-    attach t cr;
-    cla_bump t cr;
-    ignore (enqueue t lits.(0) cr)
-  end
+  else ignore (enqueue t lits.(0) (store_learnt t lits))
 
 (* --- learnt-clause DB reduction and arena compaction ------------------- *)
 
@@ -684,17 +695,132 @@ let groups_live t = Hashtbl.length t.groups
 let groups_retired t = t.n_groups_retired
 let learnts_kept t = t.n_learnts_kept
 
-(* --- search ------------------------------------------------------------ *)
+(* --- the CDCL loop ------------------------------------------------------- *)
 
-let pick_branch_var t =
-  let rec loop () =
-    if Iheap.is_empty t.order then None
-    else begin
-      let v = Iheap.remove_max t.order in
-      if value_var t v = v_undef then Some v else loop ()
-    end
+(* The unassigned variable of highest activity, or -1. *)
+let rec pick_branch_var t =
+  if Iheap.is_empty t.order then -1
+  else begin
+    let v = Iheap.remove_max t.order in
+    if value_var t v = v_undef then v else pick_branch_var t
+  end
+
+let decide t lit =
+  new_decision_level t;
+  ignore (enqueue t lit cref_undef)
+
+(* How many decisions between deadline/cancellation polls on
+   conflict-free runs (conflicts poll the budget unconditionally). *)
+let decision_poll_grain = 128
+
+let charge_props t =
+  match t.budget with
+  | None -> ()
+  | Some b ->
+    Budget.charge_propagations b (t.n_propagations - t.props_charged);
+    t.props_charged <- t.n_propagations
+
+let out_of_budget t =
+  match t.budget with
+  | None -> false
+  | Some b -> (charge_props t; Budget.check b <> None)
+
+let count_decision t =
+  t.n_decisions <- t.n_decisions + 1;
+  t.unpolled <- t.unpolled + 1;
+  match t.budget with Some b -> Budget.charge_decisions b 1 | None -> ()
+
+(* The one CDCL loop: propagate, learn and backjump on a conflict, Luby
+   restarts, learnt-DB reduction and budget polls. Backjumps and
+   restarts go no lower than [t.floor] (docs/ALGORITHMS.md §13).
+   [next ()] runs whenever propagation is done and it is not time to
+   restart or stop: it opens a level, or ends the search with [Some r].
+   [refute lits d] runs on a conflict at level [d] whose learnt clause
+   [lits] the floor keeps from being recorded by a backjump; with the
+   floor at 0 it never runs. A conflict at level 0 ends it with
+   [Unsat], a spent budget with [Unknown]. *)
+let cdcl t ~next ~refute =
+  t.max_learnts <- max t.max_learnts (float_of_int (Vec.size t.clauses) /. 3.0);
+  t.props_charged <- t.n_propagations;
+  t.unpolled <- 0;
+  let attempt = ref 0 and conflicts = ref 0 and restart_lim = ref 0 in
+  let next_episode () =
+    incr attempt;
+    conflicts := 0;
+    restart_lim := restart_base * Luby.luby !attempt
   in
-  loop ()
+  next_episode ();
+  let outcome = ref None in
+  while !outcome = None do
+    let confl = propagate t in
+    if confl <> cref_undef then begin
+      incr conflicts;
+      t.n_conflicts <- t.n_conflicts + 1;
+      (match t.budget with Some b -> Budget.tick_conflict b | None -> ());
+      let d = decision_level t in
+      if d = 0 then begin
+        t.ok <- false;
+        outcome := Some Unsat
+      end
+      else begin
+        let lits, bt_level = analyze t confl in
+        if d > t.floor && (t.floor = 0 || Array.length lits > 1) then begin
+          cancel_until t (max bt_level t.floor);
+          record_learnt t lits
+        end
+        else outcome := refute lits d;
+        var_decay_activity t;
+        cla_decay_activity t;
+        if !outcome = None && out_of_budget t then outcome := Some Unknown
+      end
+    end
+    else if !conflicts >= !restart_lim then begin
+      cancel_until t t.floor;
+      t.n_restarts <- t.n_restarts + 1;
+      if not (Trace.is_null t.trace) then
+        Trace.emit t.trace
+          (Trace.Restart { conflicts = t.n_conflicts; learnts = Vec.size t.learnts });
+      t.max_learnts <- t.max_learnts *. 1.1;
+      next_episode ()
+    end
+    else if t.unpolled >= decision_poll_grain && out_of_budget t then
+      outcome := Some Unknown
+    else begin
+      if t.unpolled >= decision_poll_grain then t.unpolled <- 0;
+      if float_of_int (Vec.size t.learnts - t.n_trail) >= t.max_learnts then
+        reduce_db t;
+      outcome := next ()
+    end
+  done;
+  charge_props t;
+  Option.get !outcome
+
+(* Entry and exit of [solve] and [enumerate_projected]: [body] runs
+   unless the answer is known without search. *)
+let run t budget trace body =
+  t.n_solve_calls <- t.n_solve_calls + 1;
+  t.have_model <- false;
+  t.conflict_core <- [];
+  t.budget <- budget;
+  t.trace <- trace;
+  let r =
+    if not t.ok then Unsat
+    else if (match budget with Some b -> Budget.check b <> None | None -> false)
+    then Unknown
+    else body ()
+  in
+  t.budget <- None;
+  t.trace <- Trace.null;
+  if not (Trace.is_null trace) then
+    Trace.emit trace
+      (Trace.Solve
+         {
+           result = (match r with Sat -> "sat" | Unsat -> "unsat" | Unknown -> "unknown");
+           conflicts = t.n_conflicts;
+         });
+  r
+
+(* --- solving under assumptions ------------------------------------------ *)
 
 (* Which assumption literals force [p] false: walk the implication graph
    from ¬p back to the assumption decisions (MiniSat's analyzeFinal). *)
@@ -736,174 +862,75 @@ let analyze_final t p =
   end;
   !core
 
-type search_outcome = S_sat | S_unsat | S_restart | S_stopped
+(* With the floor at 0, no conflict is ever left to [refute]. *)
+let no_floor _ _ = assert false
 
-let capture_model t =
-  t.model_arr <- Array.init (nvars t) (fun v -> value_var t v = 1);
-  t.have_model <- true
-
-(* How many decisions between deadline/cancellation polls on
-   conflict-free runs (conflicts poll the budget unconditionally). *)
-let decision_poll_grain = 128
-
-(* One restart-bounded CDCL episode under [assumptions]. [restart_lim]
-   is the Luby conflict cap of this episode; [budget] the caller's
-   overall resource budget. *)
-let search t assumptions restart_lim budget =
-  let n_assumps = Array.length assumptions in
-  let conflicts = ref 0 in
-  let outcome = ref None in
-  let last_props = ref t.n_propagations in
-  let decisions_unpolled = ref 0 in
-  let charge_props () =
-    match budget with
-    | None -> ()
-    | Some b ->
-      Budget.charge_propagations b (t.n_propagations - !last_props);
-      last_props := t.n_propagations
-  in
-  let out_of_budget () =
-    match budget with
-    | None -> false
-    | Some b -> (charge_props (); Budget.check b <> None)
-  in
-  while !outcome = None do
-    let confl = propagate t in
-    if confl <> cref_undef then begin
-      incr conflicts;
-      t.n_conflicts <- t.n_conflicts + 1;
-      (match budget with Some b -> Budget.tick_conflict b | None -> ());
-      if decision_level t = 0 then begin
-        t.ok <- false;
-        t.conflict_core <- [];
-        outcome := Some S_unsat
-      end
-      else begin
-        let lits, bt_level = analyze t confl in
-        cancel_until t bt_level;
-        record_learnt t lits;
-        var_decay_activity t;
-        cla_decay_activity t;
-        if out_of_budget () then begin
-          cancel_until t 0;
-          outcome := Some S_stopped
-        end
-      end
-    end
-    else if !conflicts >= restart_lim then begin
-      cancel_until t 0;
-      t.n_restarts <- t.n_restarts + 1;
-      if not (Trace.is_null t.trace) then
-        Trace.emit t.trace
-          (Trace.Restart
-             { conflicts = t.n_conflicts; learnts = Vec.size t.learnts });
-      outcome := Some S_restart
-    end
-    else if !decisions_unpolled >= decision_poll_grain && out_of_budget ()
-    then begin
-      decisions_unpolled := 0;
-      cancel_until t 0;
-      outcome := Some S_stopped
-    end
-    else begin
-      if !decisions_unpolled >= decision_poll_grain then
-        decisions_unpolled := 0;
-      if float_of_int (Vec.size t.learnts - t.n_trail) >= t.max_learnts then
-        reduce_db t;
-      if decision_level t < n_assumps then begin
-        (* Re-decide the next assumption. *)
-        let p = assumptions.(decision_level t) in
-        match value_lit t p with
-        | 1 -> new_decision_level t
-        | 0 ->
-          t.conflict_core <- analyze_final t p;
-          outcome := Some S_unsat
-        | _ ->
-          new_decision_level t;
-          ignore (enqueue t p cref_undef)
-      end
-      else begin
-        match pick_branch_var t with
-        | None ->
-          capture_model t;
-          outcome := Some S_sat
-        | Some v ->
-          t.n_decisions <- t.n_decisions + 1;
-          incr decisions_unpolled;
-          (match budget with Some b -> Budget.charge_decisions b 1 | None -> ());
-          new_decision_level t;
-          ignore (enqueue t (Lit.make v t.phase.(v)) cref_undef)
-      end
-    end
-  done;
-  charge_props ();
-  match !outcome with Some o -> o | None -> assert false
-
+(* [solve] is the loop at floor 0: level [i+1] decides assumption [i],
+   the levels above it decide by VSIDS, and a total assignment is the
+   model. *)
 let solve ?(assumptions = []) ?budget ?(trace = Trace.null) t =
-  t.n_solve_calls <- t.n_solve_calls + 1;
-  t.have_model <- false;
-  t.conflict_core <- [];
-  t.budget <- budget;
-  t.trace <- trace;
-  let finish r =
-    t.budget <- None;
-    t.trace <- Trace.null;
-    if not (Trace.is_null trace) then
-      Trace.emit trace
-        (Trace.Solve
-           {
-             result =
-               (match r with Sat -> "sat" | Unsat -> "unsat" | Unknown -> "unknown");
-             conflicts = t.n_conflicts;
-           });
-    r
-  in
-  if not t.ok then finish Unsat
-  else if (match budget with Some b -> Budget.check b <> None | None -> false)
-  then finish Unknown
-  else begin
-    let assumptions = Array.of_list assumptions in
-    Array.iter (fun l -> ensure_vars t (Lit.var l + 1)) assumptions;
-    (* Trail reuse: keep the levels of the assumptions this call shares
-       with the last one; [search] re-decides from the first that
-       differs (docs/ALGORITHMS.md §14). *)
-    let prev = t.last_assumptions in
-    let n =
-      min (decision_level t) (min (Array.length prev) (Array.length assumptions))
-    in
-    let rec shared k =
-      if k < n && prev.(k) = assumptions.(k) then shared (k + 1) else k
-    in
-    cancel_until t (shared 0);
-    t.last_assumptions <- assumptions;
-    t.max_learnts <-
-      max t.max_learnts (float_of_int (Vec.size t.clauses) /. 3.0);
-    let rec loop attempt =
-      match search t assumptions (restart_base * Luby.luby attempt) budget with
-      | S_sat -> finish Sat
-      | S_unsat -> finish Unsat
-      | S_stopped ->
+  run t budget trace (fun () ->
+      let assumptions = Array.of_list assumptions in
+      let n_assumps = Array.length assumptions in
+      Array.iter (fun l -> ensure_vars t (Lit.var l + 1)) assumptions;
+      (* Trail reuse: keep the levels of the assumptions this call shares
+         with the last one; the loop re-decides from the first that
+         differs (docs/ALGORITHMS.md §14). *)
+      let prev = t.last_assumptions in
+      let n = min (decision_level t) (min (Array.length prev) n_assumps) in
+      let rec shared k =
+        if k < n && prev.(k) = assumptions.(k) then shared (k + 1) else k
+      in
+      cancel_until t (shared 0);
+      t.last_assumptions <- assumptions;
+      let next () =
+        let d = decision_level t in
+        if d < n_assumps then begin
+          let p = assumptions.(d) in
+          match value_lit t p with
+          | 1 ->
+            new_decision_level t;
+            None
+          | 0 ->
+            t.conflict_core <- analyze_final t p;
+            Some Unsat
+          | _ ->
+            decide t p;
+            None
+        end
+        else begin
+          let v = pick_branch_var t in
+          if v < 0 then begin
+            t.model_arr <- Array.init (nvars t) (fun v -> value_var t v = 1);
+            t.have_model <- true;
+            Some Sat
+          end
+          else begin
+            count_decision t;
+            decide t (Lit.make v t.phase.(v));
+            None
+          end
+        end
+      in
+      match cdcl t ~next ~refute:no_floor with
+      | Unknown ->
         cancel_until t 0;
-        finish Unknown
-      | S_restart ->
-        t.max_learnts <- t.max_learnts *. 1.1;
-        loop (attempt + 1)
-    in
-    loop 1
-  end
+        Unknown
+      | r -> r)
 
 (* --- projected enumeration by chronological backtracking ---------------- *)
 
-(* Projection variables are decided before all others, so levels 1..P
-   hold projection decisions and the levels above them only complete a
-   model. After a model, the deepest projection decision not yet flipped
-   is replaced, at its own level, by its negation. A flipped level has no
-   reason and is never flipped again; the highest one is the floor, and
-   backjumps and restarts stop there, so a flip is only undone when the
-   search moves on below it — by then its subtree is exhausted. A
-   conflict at the floor thus refutes the floor branch. Learnt clauses
-   resolve reason clauses only and stay consequences of the clause set;
-   no blocking clause is ever added (docs/ALGORITHMS.md §13).
+(* The same loop, deciding projection variables before all others, so
+   levels 1..P hold projection decisions and the levels above them only
+   complete a model. After a model, the deepest projection decision not
+   yet flipped is replaced, at its own level, by its negation. A flipped
+   level has no reason and is never flipped again; the highest one is
+   the floor, and backjumps and restarts stop there, so a flip is only
+   undone when the search moves on below it — by then its subtree is
+   exhausted. A conflict at the floor thus refutes the floor branch.
+   Learnt clauses resolve reason clauses only and stay consequences of
+   the clause set; no blocking clause is ever added (docs/ALGORITHMS.md
+   §13).
 
    With [shrink], each model is cut down to a cube before it is
    reported: cancel to the floor, re-decide the projection literals the
@@ -912,239 +939,156 @@ let solve ?(assumptions = []) ?budget ?(trace = Trace.null) t =
    cube lies inside the subtree the floor leaves open, and the next flip
    closes all of it. *)
 let enumerate_projected ?budget ?(trace = Trace.null) ?shrink t proj on_model =
-  t.n_solve_calls <- t.n_solve_calls + 1;
-  t.have_model <- false;
-  t.conflict_core <- [];
-  let finish r =
-    t.budget <- None;
-    t.trace <- Trace.null;
-    if not (Trace.is_null trace) then
-      Trace.emit trace
-        (Trace.Solve
-           {
-             result =
-               (match r with Sat -> "sat" | Unsat -> "unsat" | Unknown -> "unknown");
-             conflicts = t.n_conflicts;
-           });
-    r
-  in
   cancel_until t 0;
   Array.iter (fun v -> ensure_vars t (v + 1)) proj;
-  if not t.ok then finish Unsat
-  else if (match budget with Some b -> Budget.check b <> None | None -> false)
-  then finish Unknown
-  else begin
-    t.budget <- budget;
-    t.trace <- trace;
-    let is_proj = Array.make t.n_vars false in
-    Array.iter (fun v -> is_proj.(v) <- true) proj;
-    let pvars = Array.of_list (List.sort_uniq compare (Array.to_list proj)) in
-    (* A variable in no clause never needs a value: it is popped from the
-       order once, set aside, and re-inserted at the end. *)
-    let occurs = Array.make t.n_vars false in
-    let mark cr =
-      for k = 0 to Arena.size t.arena cr - 1 do
-        occurs.(Lit.var (Arena.lit t.arena cr k)) <- true
-      done
-    in
-    Vec.iter mark t.clauses;
-    Vec.iter mark t.learnts;
-    let set_aside = ref [] in
-    let rec pick_other () =
-      if Iheap.is_empty t.order then -1
-      else begin
-        let v = Iheap.remove_max t.order in
-        if value_var t v <> v_undef then pick_other ()
-        else if occurs.(v) then v
-        else begin
-          set_aside := v :: !set_aside;
-          pick_other ()
-        end
-      end
-    in
-    (* [closed.(l)]: level [l] is a flip, or a unit learnt (below). *)
-    let closed = Array.make (t.n_vars + 1) false in
-    let floor = ref 0 in
-    (* Unit learnts derived above the root; added there at the end. *)
-    let units = ref [] in
-    let decision_lit lvl = t.trail.(Vec.get t.trail_lim (lvl - 1)) in
-    let open_level lit ~close =
-      new_decision_level t;
-      closed.(decision_level t) <- close;
-      if close then floor := decision_level t;
-      ignore (enqueue t lit cref_undef)
-    in
-    let rec deepest_open lvl =
-      if lvl = 0 then 0
-      else if (not closed.(lvl)) && is_proj.(Lit.var (decision_lit lvl)) then lvl
-      else deepest_open (lvl - 1)
-    in
-    (* Flip the deepest open projection decision at or below [lvl];
-       [false] when every branch is exhausted. *)
-    let next_branch lvl =
-      match deepest_open lvl with
-      | 0 -> false
-      | k ->
-        let l = decision_lit k in
-        cancel_until t (k - 1);
-        open_level (Lit.negate l) ~close:true;
-        true
-    in
-    (* Store a learnt clause without backjumping to its asserting level;
-       it asserts its first literal only if it is unit where we are. *)
-    let keep_learnt lits =
-      t.n_learnt <- t.n_learnt + 1;
-      if Array.length lits = 1 then units := lits.(0) :: !units
-      else begin
-        let cr = Arena.alloc t.arena ~learnt:true lits in
-        Vec.push t.learnts cr;
-        attach t cr;
-        cla_bump t cr;
-        if value_lit t lits.(1) = 0 then ignore (enqueue t lits.(0) cr)
-      end
-    in
-    let pick_proj () =
-      let act = !(t.activity) in
-      let best = ref (-1) in
-      Array.iter
-        (fun v ->
-          if t.assigns.(v) = v_undef && (!best < 0 || act.(v) > act.(!best)) then
-            best := v)
-        pvars;
-      !best
-    in
-    let last_props = ref t.n_propagations in
-    let decisions_unpolled = ref 0 in
-    let charge_props () =
-      match budget with
-      | None -> ()
-      | Some b ->
-        Budget.charge_propagations b (t.n_propagations - !last_props);
-        last_props := t.n_propagations
-    in
-    let out_of_budget () =
-      match budget with
-      | None -> false
-      | Some b -> (charge_props (); Budget.check b <> None)
-    in
-    let count_decision () =
-      t.n_decisions <- t.n_decisions + 1;
-      incr decisions_unpolled;
-      match budget with Some b -> Budget.charge_decisions b 1 | None -> ()
-    in
-    let decide v =
-      count_decision ();
-      open_level (Lit.make v t.phase.(v)) ~close:false
-    in
-    (* [required] marks the variables a model's cube needs (clear
-       between reports). A variable at several positions always stays
-       fixed: a cube cannot say that its positions agree. *)
-    let required, repeated =
-      match shrink with
-      | None -> ([||], [])
-      | Some _ ->
-        let n = Array.make t.n_vars 0 in
-        Array.iter (fun v -> n.(v) <- n.(v) + 1) proj;
-        (Array.make t.n_vars false,
-         List.filter (fun v -> n.(v) > 1) (Array.to_list pvars))
-    in
-    (* Shrink the model on the trail to its cube (see above) and return
-       the positions the cube fixes. *)
-    let shrink_to_cube shrink =
-      let mask = shrink (Array.init t.n_vars (fun v -> t.assigns.(v) = 1)) in
-      Array.iteri (fun i v -> if mask.(i) then required.(v) <- true) proj;
-      List.iter (fun v -> required.(v) <- true) repeated;
-      let keep = ref [] in
-      let above_floor =
-        if decision_level t > !floor then Vec.get t.trail_lim !floor
-        else t.n_trail
+  run t budget trace (fun () ->
+      let is_proj = Array.make t.n_vars false in
+      Array.iter (fun v -> is_proj.(v) <- true) proj;
+      let pvars = Array.of_list (List.sort_uniq compare (Array.to_list proj)) in
+      (* A variable in no clause never needs a value: it is popped from the
+         order once, set aside, and re-inserted at the end. *)
+      let occurs = Array.make t.n_vars false in
+      let mark cr =
+        for k = 0 to Arena.size t.arena cr - 1 do
+          occurs.(Lit.var (Arena.lit t.arena cr k)) <- true
+        done
       in
-      for i = t.n_trail - 1 downto above_floor do
-        let l = t.trail.(i) in
-        if required.(Lit.var l) then keep := l :: !keep
-      done;
-      Array.iter (fun v -> required.(v) <- false) proj;
-      cancel_until t !floor;
-      (* The literals agree with a total model, which satisfies every
-         clause: propagating them cannot conflict. *)
-      List.iter
-        (fun l ->
-          let value = value_lit t l in
-          assert (value <> 0);
-          if value = v_undef then begin
-            count_decision ();
-            open_level l ~close:false;
-            let confl = propagate t in
-            assert (confl = cref_undef)
-          end)
-        !keep;
-      Array.map (fun v -> t.assigns.(v) <> v_undef) proj
-    in
-    let all_fixed = Array.make (Array.length proj) true in
-    t.max_learnts <-
-      max t.max_learnts (float_of_int (Vec.size t.clauses) /. 3.0);
-    let attempt = ref 1 in
-    let conflicts = ref 0 in
-    let outcome = ref None in
-    while !outcome = None do
-      let confl = propagate t in
-      if confl <> cref_undef then begin
-        incr conflicts;
-        t.n_conflicts <- t.n_conflicts + 1;
-        (match budget with Some b -> Budget.tick_conflict b | None -> ());
-        let d = decision_level t in
-        if d = 0 then begin
-          (* Only reachable before the first flip: there is no model. *)
-          t.ok <- false;
-          outcome := Some Unsat
+      Vec.iter mark t.clauses;
+      Vec.iter mark t.learnts;
+      let set_aside = ref [] in
+      let rec pick_other () =
+        if Iheap.is_empty t.order then -1
+        else begin
+          let v = Iheap.remove_max t.order in
+          if value_var t v <> v_undef then pick_other ()
+          else if occurs.(v) then v
+          else begin
+            set_aside := v :: !set_aside;
+            pick_other ()
+          end
+        end
+      in
+      (* [closed.(l)]: level [l] is a flip, or a unit learnt (below). *)
+      let closed = Array.make (t.n_vars + 1) false in
+      (* Unit learnts derived above the root; added there at the end. *)
+      let units = ref [] in
+      let decision_lit lvl = t.trail.(Vec.get t.trail_lim (lvl - 1)) in
+      let open_level lit ~close =
+        let lvl = decision_level t + 1 in
+        closed.(lvl) <- close;
+        if close then t.floor <- lvl;
+        decide t lit
+      in
+      let rec deepest_open lvl =
+        if lvl = 0 then 0
+        else if (not closed.(lvl)) && is_proj.(Lit.var (decision_lit lvl)) then lvl
+        else deepest_open (lvl - 1)
+      in
+      (* Flip the deepest open projection decision at or below [lvl];
+         [false] when every branch is exhausted. *)
+      let next_branch lvl =
+        match deepest_open lvl with
+        | 0 -> false
+        | k ->
+          let l = decision_lit k in
+          cancel_until t (k - 1);
+          open_level (Lit.negate l) ~close:true;
+          true
+      in
+      (* Store a learnt clause without backjumping to its asserting level;
+         it asserts its first literal only if it is unit where we are. *)
+      let keep_learnt lits =
+        t.n_learnt <- t.n_learnt + 1;
+        if Array.length lits = 1 then units := lits.(0) :: !units
+        else begin
+          let cr = store_learnt t lits in
+          if value_lit t lits.(1) = 0 then ignore (enqueue t lits.(0) cr)
+        end
+      in
+      let refute lits d =
+        if d > t.floor then begin
+          (* A unit learnt above the floor: the root is out of reach, so
+             assert it as a closed level of its own — its negation has
+             no model. *)
+          cancel_until t t.floor;
+          keep_learnt lits;
+          open_level lits.(0) ~close:true;
+          None
+        end
+        else if next_branch (d - 1) then begin
+          count_decision t;
+          keep_learnt lits;
+          None
         end
         else begin
-          let lits, bt_level = analyze t confl in
-          if d > !floor then begin
-            cancel_until t (max bt_level !floor);
-            if Array.length lits = 1 && !floor > 0 then begin
-              (* The root is out of reach: assert the unit as a closed
-                 level of its own — its negation has no model. *)
-              keep_learnt lits;
-              open_level lits.(0) ~close:true
-            end
-            else record_learnt t lits
-          end
-          else if next_branch (d - 1) then begin
-            count_decision ();
-            keep_learnt lits
-          end
-          else begin
-            cancel_until t 0;
-            keep_learnt lits;
-            outcome := Some Unsat
-          end;
-          var_decay_activity t;
-          cla_decay_activity t;
-          if !outcome = None && out_of_budget () then outcome := Some Unknown
+          cancel_until t 0;
+          keep_learnt lits;
+          Some Unsat
         end
-      end
-      else if !conflicts >= restart_base * Luby.luby !attempt then begin
-        cancel_until t !floor;
-        t.n_restarts <- t.n_restarts + 1;
-        if not (Trace.is_null t.trace) then
-          Trace.emit t.trace
-            (Trace.Restart
-               { conflicts = t.n_conflicts; learnts = Vec.size t.learnts });
-        incr attempt;
-        conflicts := 0;
-        t.max_learnts <- t.max_learnts *. 1.1
-      end
-      else if !decisions_unpolled >= decision_poll_grain && out_of_budget ()
-      then outcome := Some Unknown
-      else begin
-        if !decisions_unpolled >= decision_poll_grain then
-          decisions_unpolled := 0;
-        if float_of_int (Vec.size t.learnts - t.n_trail) >= t.max_learnts then
-          reduce_db t;
+      in
+      let pick_proj () =
+        let act = !(t.activity) in
+        let best = ref (-1) in
+        Array.iter
+          (fun v ->
+            if t.assigns.(v) = v_undef && (!best < 0 || act.(v) > act.(!best)) then
+              best := v)
+          pvars;
+        !best
+      in
+      (* [required] marks the variables a model's cube needs (clear
+         between reports). A variable at several positions always stays
+         fixed: a cube cannot say that its positions agree. *)
+      let required, repeated =
+        match shrink with
+        | None -> ([||], [])
+        | Some _ ->
+          let n = Array.make t.n_vars 0 in
+          Array.iter (fun v -> n.(v) <- n.(v) + 1) proj;
+          (Array.make t.n_vars false,
+           List.filter (fun v -> n.(v) > 1) (Array.to_list pvars))
+      in
+      (* Shrink the model on the trail to its cube (see above) and return
+         the positions the cube fixes. *)
+      let shrink_to_cube shrink =
+        let mask = shrink (Array.init t.n_vars (fun v -> t.assigns.(v) = 1)) in
+        Array.iteri (fun i v -> if mask.(i) then required.(v) <- true) proj;
+        List.iter (fun v -> required.(v) <- true) repeated;
+        let keep = ref [] in
+        let above_floor =
+          if decision_level t > t.floor then Vec.get t.trail_lim t.floor
+          else t.n_trail
+        in
+        for i = t.n_trail - 1 downto above_floor do
+          let l = t.trail.(i) in
+          if required.(Lit.var l) then keep := l :: !keep
+        done;
+        Array.iter (fun v -> required.(v) <- false) proj;
+        cancel_until t t.floor;
+        (* The literals agree with a total model, which satisfies every
+           clause: propagating them cannot conflict. *)
+        List.iter
+          (fun l ->
+            let value = value_lit t l in
+            assert (value <> 0);
+            if value = v_undef then begin
+              count_decision t;
+              open_level l ~close:false;
+              let confl = propagate t in
+              assert (confl = cref_undef)
+            end)
+          !keep;
+        Array.map (fun v -> t.assigns.(v) <> v_undef) proj
+      in
+      let all_fixed = Array.make (Array.length proj) true in
+      let next () =
         let v = pick_proj () in
         let v = if v >= 0 then v else pick_other () in
-        if v >= 0 then decide v
+        if v >= 0 then begin
+          count_decision t;
+          open_level (Lit.make v t.phase.(v)) ~close:false;
+          None
+        end
         else begin
           t.n_chrono_cubes <- t.n_chrono_cubes + 1;
           let bits = Array.map (fun v -> t.assigns.(v) = 1) proj in
@@ -1153,18 +1097,23 @@ let enumerate_projected ?budget ?(trace = Trace.null) ?shrink t proj on_model =
             | None -> all_fixed
             | Some shrink -> shrink_to_cube shrink
           in
-          if not (on_model bits mask) then outcome := Some Sat
-          else if next_branch (decision_level t) then count_decision ()
-          else outcome := Some Unsat
+          if not (on_model bits mask) then Some Sat
+          else if next_branch (decision_level t) then begin
+            count_decision t;
+            None
+          end
+          else Some Unsat
         end
-      end
-    done;
-    charge_props ();
-    cancel_until t 0;
-    List.iter (Iheap.insert t.order) !set_aside;
-    List.iter (fun u -> ignore (add_clause t [ u ])) (List.rev !units);
-    finish (Option.get !outcome)
-  end
+      in
+      (* Also when [on_model] or [shrink] raises: a floor left above 0
+         would hold the next [solve] above the root. *)
+      Fun.protect
+        ~finally:(fun () ->
+          t.floor <- 0;
+          cancel_until t 0;
+          List.iter (Iheap.insert t.order) !set_aside;
+          List.iter (fun u -> ignore (add_clause t [ u ])) (List.rev !units))
+        (fun () -> cdcl t ~next ~refute))
 
 let model_value t v =
   if not t.have_model then invalid_arg "Solver.model_value: no model";

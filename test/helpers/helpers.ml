@@ -119,3 +119,9 @@ let iter_assignments n f =
 (* Alcotest wrapper for a QCheck property. *)
 let qtest name ?(count = 100) arbitrary prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arbitrary prop)
+
+(* [contains hay needle]: does [needle] occur in [hay]? *)
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0

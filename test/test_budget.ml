@@ -222,12 +222,7 @@ let json_parses s =
   | () -> skip_ws (); !pos = n
   | exception Exit -> false
 
-let contains line sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length line && (String.sub line i n = sub || go (i + 1))
-  in
-  go 0
+let contains = Helpers.contains
 
 let test_trace_jsonl_parses () =
   let path = Filename.temp_file "ps_trace" ".jsonl" in

@@ -272,6 +272,18 @@ let test_bench_errors () =
   fails "INPUT(a)\nx = DFF(a, a)";   (* DFF arity *)
   fails "INPUT a";                     (* missing paren *)
   fails "OUTPUT(q)";                   (* undefined output *)
+  (* Bad arity and combinational cycles name the gate's line. *)
+  let located line s =
+    match Bench.parse_string s with
+    | exception Failure msg ->
+      check_bool ("located: " ^ msg) true
+        (Helpers.contains msg (Printf.sprintf "line %d:" line))
+    | _ -> Alcotest.fail ("expected bench parse failure on: " ^ s)
+  in
+  located 3 "INPUT(a)\nINPUT(q)\nz = NOT(a, q)\nOUTPUT(z)";
+  located 2 "INPUT(a)\nz = AND()\nOUTPUT(z)";
+  located 3 "INPUT(a)\nOUTPUT(z)\nz = AND(z, a)";
+  located 3 "INPUT(a)\ny = NOT(a)\nx = AND(w, a)\nw = OR(x, y)\nOUTPUT(w)";
   (* comments and blank lines are fine *)
   let n = Bench.parse_string "# hi\n\nINPUT(a) # inline comment\nOUTPUT(b)\nb = NOT(a)\n" in
   check_int "parsed through comments" 2 (N.num_nets n)
@@ -321,7 +333,16 @@ let test_verilog_errors () =
   fails "module m (y); output y; endmodule";      (* undriven output *)
   fails "module m (a); input a; and g1 (a, a); endmodule"; (* net driven twice *)
   fails "module m (a); input a; /* unterminated";
-  fails "module m (a) input a; endmodule"          (* missing ';' *)
+  fails "module m (a) input a; endmodule";         (* missing ';' *)
+  let located line s =
+    match Ps_circuit.Verilog.parse_string s with
+    | exception Failure msg ->
+      check_bool ("located: " ^ msg) true
+        (Helpers.contains msg (Printf.sprintf "line %d:" line))
+    | _ -> Alcotest.fail ("expected verilog failure on: " ^ s)
+  in
+  located 2 "module m (a, q, z); input a, q; output z;\nbuf g1(z, a, q);\nendmodule";
+  located 2 "module m (a, z); input a; output z; wire w;\nand g1(z, a, w);\nassign w = z;\nendmodule"
 
 (* --- Sim ----------------------------------------------------------------------- *)
 

@@ -456,7 +456,8 @@ let reach_matches_kstep_union =
           List.fold_left
             (fun acc i ->
               let k = Preimage.Kstep.preimage c target ~k:i in
-              B.bor acc (Preimage.Kstep.preimage_bdd man k ~nstate))
+              B.bor acc
+                (Preimage.Check.result_bdd man k.Preimage.Kstep.run ~width:nstate))
             target_bdd
             (List.init n (fun i -> i + 1))
         in

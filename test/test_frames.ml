@@ -167,7 +167,8 @@ let kstep_equals_iterated =
           (fun acc cb -> B.bor acc (B.cube man (Cube.to_list cb)))
           (B.zero man) cubes
       in
-      B.equal (of_cubes chained) (K.preimage_bdd man k2 ~nstate))
+      B.equal (of_cubes chained)
+        (Preimage.Check.result_bdd man k2.K.run ~width:nstate))
 
 let test_kstep_engines_agree () =
   let c = Ps_gen.Fsm.traffic () in
@@ -176,7 +177,9 @@ let test_kstep_engines_agree () =
     List.map (fun m -> K.preimage ~method_:m c target ~k:3) E.all_methods
   in
   let man = B.new_man ~nvars:4 in
-  let bdds = List.map (fun r -> K.preimage_bdd man r ~nstate:4) results in
+  let bdds =
+    List.map (fun r -> Preimage.Check.result_bdd man r.K.run ~width:4) results
+  in
   match bdds with
   | first :: rest ->
     List.iter

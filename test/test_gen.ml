@@ -292,7 +292,16 @@ let test_targets_parse () =
   (try ignore (p "value:zzz"); Alcotest.fail "expected bad value"
    with Failure _ -> ());
   (try ignore (p "11"); Alcotest.fail "expected width failure"
-   with Failure _ -> ())
+   with Failure _ -> ());
+  (* An empty body names the syntax it lacks, not a cube character. *)
+  List.iter
+    (fun (spec, syntax) ->
+      match p spec with
+      | _ -> Alcotest.fail ("expected a failure on " ^ spec)
+      | exception Failure msg ->
+        check_bool (spec ^ " names " ^ syntax) true
+          (Helpers.contains msg syntax))
+    [ ("expr:", "expr:<"); ("value:", "value:<") ]
 
 (* --- random_seq -------------------------------------------------------------------- *)
 

@@ -105,12 +105,7 @@ let test_dimacs_error_message () =
   match Dimacs.parse_string "p cnf 2 1\n1 two 0\n" with
   | exception Dimacs.Parse_error { line; msg } ->
     check_int "line" 2 line;
-    let contains hay needle =
-      let nh = String.length hay and nn = String.length needle in
-      let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-      go 0
-    in
-    check_bool "message mentions token" true (contains msg "two")
+    check_bool "message mentions token" true (Helpers.contains msg "two")
   | _ -> Alcotest.fail "expected parse failure"
 
 let test_dimacs_projection () =
@@ -952,6 +947,59 @@ let test_trail_enumerate () =
     (List.sort compare reports = projected_models f [| 0; 1 |]);
   check_int "all four" 4 (List.length reports)
 
+(* A callback that raises still ends the enumeration at the root with
+   no floor left, so later calls search from their own assumption
+   levels and may backjump to the root. *)
+let test_trail_enumerate_raises () =
+  let f = Cnf.of_clauses ~nvars:3 [ [ Lit.pos 0; Lit.pos 1; Lit.pos 2 ] ] in
+  let s = solver_of f in
+  let probes =
+    [ [ Lit.neg 0; Lit.neg 1 ]; [ Lit.neg 0; Lit.neg 1; Lit.neg 2 ];
+      [ Lit.neg 0; Lit.pos 1 ] ]
+  in
+  let check_probes name =
+    List.iter
+      (fun assumptions ->
+        let expected =
+          List.exists
+            (fun m -> List.for_all (fun l -> m.(Lit.var l) = Lit.sign l) assumptions)
+            (Cnf.brute_force_models f)
+        in
+        match Solver.solve ~assumptions s with
+        | Solver.Sat ->
+          check_bool (name ^ ": sat expected") true expected;
+          check_bool (name ^ ": model keeps the assumptions") true
+            (List.for_all
+               (fun l -> Solver.model_value s (Lit.var l) = Lit.sign l)
+               assumptions)
+        | Solver.Unsat -> check_bool (name ^ ": unsat expected") false expected
+        | Solver.Unknown -> Alcotest.fail "unbudgeted Unknown")
+      probes
+  in
+  check_probes "before";
+  let n = ref 0 in
+  (match
+     Solver.enumerate_projected s [| 2; 1; 0 |] (fun _ _ ->
+         incr n;
+         if !n = 3 then raise Exit;
+         true)
+   with
+  | _ -> Alcotest.fail "expected the callback's exception"
+  | exception Exit -> ());
+  check_probes "after";
+  (* Fresh variables with one model out of eight: finding it takes
+     conflicts just above the root. *)
+  let y = Array.init 3 (fun _ -> Solver.new_var s) in
+  for code = 0 to 6 do
+    ignore
+      (Solver.add_clause s
+         (List.init 3 (fun i -> Lit.make y.(i) ((code lsr i) land 1 = 0))))
+  done;
+  Alcotest.check sat "search above the root" Solver.Sat (Solver.solve s);
+  check_bool "the one model" true
+    (Array.for_all (Solver.model_value s) y);
+  check_bool "watches intact" true (Solver.check_watches s = Ok ())
+
 (* Reach_inc's pattern: a frame's group is assumed, retired, and the next
    frame's group assumed in its place. *)
 let test_trail_retire_group () =
@@ -1083,6 +1131,8 @@ let () =
             test_trail_add_clause;
           Alcotest.test_case "enumerate after assumptions" `Quick
             test_trail_enumerate;
+          Alcotest.test_case "solve after a raising enumeration" `Quick
+            test_trail_enumerate_raises;
           Alcotest.test_case "retired group, then solve" `Quick
             test_trail_retire_group;
           Alcotest.test_case "unbudgeted after Unknown" `Quick

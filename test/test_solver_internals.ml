@@ -234,6 +234,105 @@ let test_solver_growing_vars () =
     (Solver.solve ~assumptions:[ Lit.neg v ] s = Solver.Sat);
   check_int "var count grew" 2 (Solver.nvars s)
 
+(* --- pinned search trajectory -------------------------------------------- *)
+
+(* Exact counters, models, cores and cubes of fixed seeded runs. The
+   search is deterministic, so any change to the CDCL loop's decisions,
+   restarts or learnt-DB reductions shows here first. *)
+
+let random_3cnf ~seed ~nvars ~nclauses =
+  let rng = R.create ~seed in
+  Cnf.of_clauses ~nvars
+    (List.init nclauses (fun _ ->
+         List.init 3 (fun _ -> Lit.make (R.int rng nvars) (R.bool rng))))
+
+let trajectory s =
+  let st = Solver.stats s in
+  List.map (Stats.get st)
+    [ "decisions"; "conflicts"; "propagations"; "restarts"; "reduce_dbs"; "learnt" ]
+
+let bits a = String.init (Array.length a) (fun i -> if a.(i) then '1' else '0')
+let digest text = Digest.to_hex (Digest.string text)
+
+let check_run name ~stats ~transcript s text =
+  Alcotest.(check (list int)) (name ^ ": stats") stats (trajectory s);
+  Alcotest.(check string) (name ^ ": transcript") transcript (digest text)
+
+let test_trajectory_solve () =
+  List.iter
+    (fun (seed, answer, stats, transcript) ->
+      let s = solver_of (random_3cnf ~seed ~nvars:200 ~nclauses:852) in
+      let text =
+        match Solver.solve s with
+        | Solver.Sat -> "sat " ^ bits (Solver.model s)
+        | Solver.Unsat -> "unsat"
+        | Solver.Unknown -> "unknown"
+      in
+      let name = Printf.sprintf "seed %d" seed in
+      Alcotest.(check string) name answer (List.hd (String.split_on_char ' ' text));
+      check_run name ~stats ~transcript s text)
+    [
+      (1, "sat", [ 7239; 5851; 227180; 37; 0; 5851 ], "1125ae463e11932d557f8e322d8b3fed");
+      (2, "unsat", [ 12337; 10013; 380727; 61; 0; 10012 ], "ab76ca464eefa1865434cd026016aa8e");
+    ]
+
+(* Each call keeps a random prefix of the previous assumptions (trail
+   reuse) and appends up to eleven fresh literals; the learnt DB
+   outgrows its cap between restarts. *)
+let test_trajectory_assumptions () =
+  let s = solver_of (random_3cnf ~seed:3 ~nvars:150 ~nclauses:540) in
+  let rng = R.create ~seed:4 in
+  let text = Buffer.create 4096 in
+  let answers = Array.make 2 0 in
+  let prev = ref [] in
+  for _ = 1 to 600 do
+    let keep = R.int rng (List.length !prev + 1) in
+    let assumptions =
+      List.filteri (fun i _ -> i < keep) !prev
+      @ List.init (R.int rng 12) (fun _ -> Lit.make (R.int rng 150) (R.bool rng))
+    in
+    prev := assumptions;
+    (match Solver.solve ~assumptions s with
+    | Solver.Sat ->
+      answers.(0) <- answers.(0) + 1;
+      Buffer.add_string text ("S" ^ bits (Solver.model s))
+    | Solver.Unsat ->
+      answers.(1) <- answers.(1) + 1;
+      Buffer.add_string text "U";
+      List.iter
+        (fun l -> Buffer.add_string text (string_of_int (Lit.to_dimacs l) ^ ","))
+        (Solver.unsat_core s)
+    | Solver.Unknown -> Buffer.add_string text "?");
+    Buffer.add_char text '\n'
+  done;
+  Alcotest.(check (array int)) "sat / unsat answers" [| 391; 209 |] answers;
+  check_run "assumptions" s (Buffer.contents text)
+    ~stats:[ 19239; 5927; 252758; 13; 3; 5927 ]
+    ~transcript:"596d6b062726210707b2284847e21fcc"
+
+let test_trajectory_enumerate () =
+  let f = random_3cnf ~seed:5 ~nvars:90 ~nclauses:330 in
+  let proj = Array.init 22 (fun i -> 4 * i) in
+  let run name ?shrink ~stats ~transcript () =
+    let s = solver_of f in
+    let text = Buffer.create 4096 in
+    let r =
+      Solver.enumerate_projected ?shrink s proj (fun b mask ->
+          Buffer.add_string text
+            (Ps_allsat.Cube.to_string (Ps_allsat.Cube.of_masked_assignment b mask));
+          Buffer.add_char text '\n';
+          true)
+    in
+    Alcotest.(check bool) (name ^ ": complete") true (r = Solver.Unsat);
+    check_run name ~stats ~transcript s (Buffer.contents text)
+  in
+  run "minterms" ~stats:[ 65096; 1360; 195612; 13; 0; 1360 ]
+    ~transcript:"b2a8daeeab9ff1f2e99fc0340b36e967" ();
+  run "shrink"
+    ~shrink:(Ps_allsat.Cnf_lift.make f (Ps_allsat.Project.of_vars proj))
+    ~stats:[ 15839; 1370; 93342; 13; 0; 1370 ]
+    ~transcript:"b91de359176dcd172873fb43d1993447" ()
+
 let () =
   Alcotest.run "solver_internals"
     [
@@ -263,5 +362,12 @@ let () =
           Alcotest.test_case "activity rescale" `Quick test_activity_rescale;
           Alcotest.test_case "unknown-resume across gc" `Quick
             test_unknown_resume_across_gc;
+        ] );
+      ( "trajectory",
+        [
+          Alcotest.test_case "solve" `Quick test_trajectory_solve;
+          Alcotest.test_case "assumption series" `Quick
+            test_trajectory_assumptions;
+          Alcotest.test_case "enumeration" `Quick test_trajectory_enumerate;
         ] );
     ]
