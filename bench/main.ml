@@ -113,7 +113,8 @@ let blocking_classic solver proj =
   Stats.add stats "cubes" !n;
   Stats.add stats "sat_calls" !calls;
   Stats.merge ~into:stats (S.stats solver);
-  ( { Ps_allsat.Run.cubes = List.rev !cubes; graph = None; stats; stopped },
+  ( { Ps_allsat.Run.cubes = List.rev !cubes; witnesses = None; graph = None;
+      stats; stopped },
     Unix.gettimeofday () -. t0 )
 
 let table2_row ~name ~engine ~complete ~graph ~solutions ~cubes stats time_s =

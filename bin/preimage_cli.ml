@@ -535,6 +535,7 @@ let allsat_cmd =
                   if not (Ps_sat.Solver.load s cnf) then
                     {
                       Ps_allsat.Run.cubes = [];
+                      witnesses = None;
                       graph = None;
                       stats = Ps_util.Stats.create ();
                       stopped = `Complete;
@@ -543,8 +544,9 @@ let allsat_cmd =
                     List.iter
                       (fun l -> ignore (Ps_sat.Solver.add_clause s [ l ]))
                       (Ps_allsat.Project.lits_of_cube proj prefix);
+                    (* witnesses reach the log through the merge *)
                     Ps_allsat.Blocking.enumerate ?limit ?budget ~trace ?lift
-                      ~prior s proj
+                      ~keep_witnesses:(store <> None) ~prior s proj
                   end)
                 ()
           in
@@ -634,9 +636,10 @@ let verify_cmd =
             with Invalid_argument msg -> die "verify: %s" msg
           in
           Format.printf
-            "cubes=%d sat_calls=%d propagations=%d sound=%b complete=%b@."
+            "cubes=%d sat_calls=%d witnessed=%d propagations=%d sound=%b \
+             complete=%b@."
             report.Ps_store.Verify.cubes report.Ps_store.Verify.sat_calls
-            report.Ps_store.Verify.propagations
+            report.Ps_store.Verify.witnessed report.Ps_store.Verify.propagations
             report.Ps_store.Verify.sound (Ps_store.Verify.complete report);
           if Ps_store.Verify.ok report then
             Format.printf
@@ -659,10 +662,13 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify"
        ~doc:
-         "Independently certify a solution log with a fresh solver that \
-          holds only the formula: one SAT call per cube (soundness), plus \
-          one UNSAT call per region of the projected space that no cube \
-          reaches and no earlier call's core closed (completeness). \
+         "Independently certify a solution log. Soundness: a cube logged \
+          with its witness must satisfy every clause together with it (one \
+          pass over the clauses, no solver); a minterm without one takes a \
+          SAT call; a wider cube without one is rejected. Completeness: a \
+          fresh solver that holds only the formula makes one UNSAT call per \
+          region of the projected space that no cube reaches and no earlier \
+          call's core closed. \
           Prints a missed solution if there is one. Exits 1 if the log is \
           damaged, incomplete, or wrong.")
     Term.(const run $ log_arg $ cnf_arg $ trace_file_arg)

@@ -67,7 +67,7 @@ let () =
         ~run_shard:(fun ~prefix ~limit ~budget ~trace ->
           let s = Ps_sat.Solver.create () in
           if not (Ps_sat.Solver.load s cnf) then
-            { A.Run.cubes = []; graph = None;
+            { A.Run.cubes = []; witnesses = None; graph = None;
               stats = Ps_util.Stats.create (); stopped = `Complete }
           else begin
             List.iter

@@ -3,18 +3,30 @@ module Stats = Ps_util.Stats
 module Budget = Ps_util.Budget
 module Trace = Ps_util.Trace
 
-let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift ?(prior = [])
-    solver proj =
+let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?(keep_witnesses = false)
+    ?lift ?(prior = []) solver proj =
   let stats = Stats.create () in
   let width = Project.width proj in
   let cubes = ref [] in
+  let witnesses = ref [] in
   let n_cubes = ref 0 in
   let sat_calls = ref 0 in
   let stopped = ref `Complete in
   let under_limit () = match limit with None -> true | Some l -> !n_cubes < l in
-  let emit cube =
+  (* Witnesses are read off each cube's model at its report point, and
+     only when someone takes them. *)
+  let capture = keep_witnesses || Run.takes_witnesses sink in
+  let wvars =
+    if capture then Witness.vars proj ~nvars:(Solver.nvars solver) else [||]
+  in
+  (* [value i]: the model's value of witness variable [i] *)
+  let witness value =
+    if capture then Some (Witness.init (Array.length wvars) value) else None
+  in
+  let emit ?witness cube =
     cubes := cube :: !cubes;
-    Run.emit_cube sink cube;
+    if keep_witnesses then witnesses := Option.get witness :: !witnesses;
+    Run.emit_cube ?witness sink cube;
     incr n_cubes;
     Stats.add stats "fixed_literals" (Cube.num_fixed cube);
     if not (Trace.is_null trace) then
@@ -58,9 +70,11 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift ?(prior = [])
       incr sat_calls;
       running := false;
       match
-        Solver.enumerate_projected ?budget ~trace ?shrink solver
+        Solver.enumerate_projected ?budget ~trace ?shrink ~witness:wvars solver
           proj.Project.vars (fun bits mask ->
-            emit (Cube.of_masked_assignment bits mask);
+            let witness = witness (fun i -> bits.(width + i)) in
+            let bits = if capture then Array.sub bits 0 width else bits in
+            emit ?witness (Cube.of_masked_assignment bits mask);
             under_limit ())
       with
       | Solver.Unsat -> ()
@@ -76,8 +90,10 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift ?(prior = [])
         stopped := Run.stopped_of_budget budget ~default:`Cancelled;
         running := false
       | Solver.Sat ->
-        let cube = Project.cube_of_model proj (Solver.model solver) in
-        emit cube;
+        let model = Solver.model solver in
+        let witness = witness (fun i -> model.(wvars.(i))) in
+        let cube = Project.cube_of_model proj model in
+        emit ?witness cube;
         if not (block cube) then running := false
     end
   done;
@@ -86,6 +102,12 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift ?(prior = [])
   Stats.merge ~into:stats (Solver.stats solver);
   if not (Trace.is_null trace) then
     Trace.emit trace (Trace.Stopped { reason = Run.stopped_name !stopped });
-  { Run.cubes = List.rev !cubes; graph = None; stats; stopped = !stopped }
+  {
+    Run.cubes = List.rev !cubes;
+    witnesses = (if keep_witnesses then Some (List.rev !witnesses) else None);
+    graph = None;
+    stats;
+    stopped = !stopped;
+  }
 
 let sat_calls (r : Run.t) = Stats.get r.Run.stats "sat_calls"

@@ -15,7 +15,8 @@
     disjoint, their union is exactly the projected solution set, and the
     solver gains no clause. *)
 
-(** [enumerate ?limit ?budget ?trace ?lift solver proj] drains all
+(** [enumerate ?limit ?budget ?trace ?sink ?keep_witnesses ?lift ?prior
+    solver proj] drains all
     solutions of the clauses already loaded in [solver], projected onto
     [proj], returning the unified {!Run.t}.
 
@@ -40,7 +41,16 @@
     events, and a final [Stopped] event.
 
     [sink] receives every emitted cube in discovery order, as it is
-    found — the streaming hook of the durable solution store.
+    found — the streaming hook of the durable solution store. A
+    witness-taking sink also receives each cube's {!Witness}: the
+    values of the solver's other variables in the model the cube was
+    cut from, read where the cube is reported (in the chronological
+    phase, before a lift shrinks the model). Without a lift, or with
+    {!Cnf_lift}, cube and witness together satisfy every clause; with
+    a circuit lift ({!Lifting}) they need not (see {!Witness}).
+    [keep_witnesses] (default [false]) keeps them in the result's
+    [witnesses] too; {!Parallel}'s shards use it to carry them to the
+    merged stream.
 
     [prior] are cubes already enumerated, say by a killed run being
     resumed: each is blocked before the first call and counts as a
@@ -59,6 +69,7 @@ val enumerate :
   ?budget:Ps_util.Budget.t ->
   ?trace:Ps_util.Trace.sink ->
   ?sink:Run.sink ->
+  ?keep_witnesses:bool ->
   ?lift:(bool array -> bool array) ->
   ?prior:Cube.t list ->
   Ps_sat.Solver.t ->

@@ -111,10 +111,15 @@ let run ?(jobs = 1) ?split_depth ?limit ?budget ?(trace = Trace.null) ?sink
         List.map (re_anchor ~prefix ~depth:split_depth) r.Run.cubes
       in
       (* Durable per-shard scratch: distinct prefixes, so concurrent
-         calls from different workers never collide (see Run.sink). *)
-      (match sink with
-      | Some s -> s.Run.on_shard ~prefix:shard_name ~cubes:anchored
-      | None -> ());
+         calls from different workers never collide (see Run.sink). A
+         witness stays valid under the prefix: the shard's model agrees
+         with it. *)
+      (match (sink, r.Run.witnesses) with
+      | Some { Run.witnessed = Some ws; _ }, Some w ->
+        ws.Run.on_witnessed_shard ~prefix:shard_name
+          ~cubes:(List.combine anchored w)
+      | Some s, _ -> s.Run.on_shard ~prefix:shard_name ~cubes:anchored
+      | None, _ -> ());
       Some (r, anchored)
     end
   in
@@ -141,12 +146,28 @@ let run ?(jobs = 1) ?split_depth ?limit ?budget ?(trace = Trace.null) ?sink
   let kept = List.filter_map Fun.id (Array.to_list results) in
   let n_dropped = Array.length shards - List.length kept in
   let cubes = List.concat_map snd kept in
-  let truncated, cubes =
-    match limit with
-    | Some l when List.length cubes > l -> (true, List.filteri (fun i _ -> i < l) cubes)
-    | _ -> (false, cubes)
+  (* The merged cubes have witnesses when every shard that found a cube
+     kept them. *)
+  let witnesses =
+    if
+      List.for_all
+        (fun ((r : Run.t), _) -> r.Run.cubes = [] || r.Run.witnesses <> None)
+        kept
+    then
+      Some
+        (List.concat_map
+           (fun ((r : Run.t), _) -> Option.value r.Run.witnesses ~default:[])
+           kept)
+    else None
   in
-  Run.emit_cubes sink cubes;
+  let first l xs = List.filteri (fun i _ -> i < l) xs in
+  let truncated, cubes, witnesses =
+    match limit with
+    | Some l when List.length cubes > l ->
+      (true, first l cubes, Option.map (first l) witnesses)
+    | _ -> (false, cubes, witnesses)
+  in
+  Run.emit_cubes ?witnesses sink cubes;
   let stats =
     Stats.sum (List.map (fun ((r : Run.t), _) -> r.Run.stats) kept)
   in
@@ -169,4 +190,4 @@ let run ?(jobs = 1) ?split_depth ?limit ?budget ?(trace = Trace.null) ?sink
   in
   if not (Trace.is_null trace) then
     Trace.emit trace (Trace.Stopped { reason = Run.stopped_name stopped });
-  { Run.cubes; graph = None; stats; stopped }
+  { Run.cubes; witnesses; graph = None; stats; stopped }

@@ -24,7 +24,14 @@
     cubes are re-anchored under its prefix, stats are summed
     ({!Ps_util.Stats.sum}) and extended with ["shards"],
     ["shards_dropped"], ["par_jobs"] and ["shard_cubes_max"], and the stop reasons are joined with priority
-    budget-stop > [`CubeLimit] > [`Complete]. *)
+    budget-stop > [`CubeLimit] > [`Complete].
+
+    {b Witnesses.} When every shard that found a cube kept its
+    witnesses ([Run.t.witnesses]; [Blocking.enumerate ~keep_witnesses]),
+    the merged run keeps them too, and a witness-taking sink receives
+    them with each shard's cubes and with the merged stream. A witness
+    stays valid under its prefix, which the shard's model agrees
+    with. *)
 
 (** [guiding_paths ~width ~depth] is the ordered list of [2^depth]
     disjoint prefix cubes fixing positions [0..depth-1] (lexicographic:

@@ -9,6 +9,7 @@ type stopped =
 
 type t = {
   cubes : Cube.t list;
+  witnesses : Witness.t list option;
   graph : Solution_graph.t option;
   stats : Ps_util.Stats.t;
   stopped : stopped;
@@ -17,15 +18,32 @@ type t = {
 type sink = {
   on_cube : Cube.t -> unit;
   on_shard : prefix:string -> cubes:Cube.t list -> unit;
+  witnessed : witnessed option;
 }
 
-let sink_of_fun on_cube = { on_cube; on_shard = (fun ~prefix:_ ~cubes:_ -> ()) }
+and witnessed = {
+  on_witnessed : Cube.t -> Witness.t -> unit;
+  on_witnessed_shard : prefix:string -> cubes:(Cube.t * Witness.t) list -> unit;
+}
 
-let emit_cube sink c =
-  match sink with None -> () | Some s -> s.on_cube c
+let sink_of_fun on_cube =
+  { on_cube; on_shard = (fun ~prefix:_ ~cubes:_ -> ()); witnessed = None }
 
-let emit_cubes sink cubes =
-  match sink with None -> () | Some s -> List.iter s.on_cube cubes
+let takes_witnesses = function
+  | Some { witnessed = Some _; _ } -> true
+  | _ -> false
+
+let emit_cube ?witness sink c =
+  match (sink, witness) with
+  | None, _ -> ()
+  | Some { witnessed = Some ws; _ }, Some w -> ws.on_witnessed c w
+  | Some s, _ -> s.on_cube c
+
+let emit_cubes ?witnesses sink cubes =
+  match (sink, witnesses) with
+  | None, _ -> ()
+  | Some { witnessed = Some ws; _ }, Some w -> List.iter2 ws.on_witnessed cubes w
+  | Some s, _ -> List.iter s.on_cube cubes
 
 let solutions r =
   List.fold_left (fun acc c -> acc +. Cube.minterm_count c) 0.0 r.cubes

@@ -11,6 +11,11 @@
       are disjoint among themselves but may overlap [prior]). A
       {!Parallel} run keeps it: shards partition the space and every
       shard's cubes are re-anchored under its prefix.
+    - [witnesses]: the {!Witness} of every cube, in the order of
+      [cubes], when the producer was asked to keep them
+      ([Blocking.enumerate ~keep_witnesses]; {!Parallel} merges its
+      shards'); [None] otherwise. A run streaming into a witness-taking
+      {!sink} does not keep them here.
     - [graph]: the hash-consed {!Solution_graph} (SDS engines only).
     - [stats]: engine + solver counters.
     - [stopped]: how the run ended. [`Complete] means the solution set
@@ -31,6 +36,7 @@ type stopped =
 
 type t = {
   cubes : Cube.t list;
+  witnesses : Witness.t list option;
   graph : Solution_graph.t option;
   stats : Ps_util.Stats.t;
   stopped : stopped;
@@ -54,20 +60,36 @@ type t = {
       but always with {e distinct} prefixes; implementations must be
       safe under that (e.g. one file per prefix). Completion order is
       nondeterministic across runs; the final [on_cube] stream is the
-      deterministic one. *)
+      deterministic one.
+    - [witnessed]: [Some] when the sink takes {!Witness}es. A producer
+      that captures them ({!Blocking}, and {!Parallel} over shards that
+      kept theirs) then calls [on_witnessed] / [on_witnessed_shard]
+      {e instead of} [on_cube] / [on_shard]; one that does not (SDS)
+      calls the plain ones. With [None], nothing is captured. *)
 type sink = {
   on_cube : Cube.t -> unit;
   on_shard : prefix:string -> cubes:Cube.t list -> unit;
+  witnessed : witnessed option;
 }
 
-(** [sink_of_fun f] is a sink whose [on_cube] is [f] and whose
-    [on_shard] does nothing. *)
+and witnessed = {
+  on_witnessed : Cube.t -> Witness.t -> unit;
+  on_witnessed_shard : prefix:string -> cubes:(Cube.t * Witness.t) list -> unit;
+}
+
+(** [sink_of_fun f] is a sink whose [on_cube] is [f], whose [on_shard]
+    does nothing, and which takes no witnesses. *)
 val sink_of_fun : (Cube.t -> unit) -> sink
 
-(** [emit_cube sink c] / [emit_cubes sink cs] — no-ops on [None]. *)
-val emit_cube : sink option -> Cube.t -> unit
+(** [takes_witnesses sink] — is [sink] given and witness-taking? *)
+val takes_witnesses : sink option -> bool
 
-val emit_cubes : sink option -> Cube.t list -> unit
+(** [emit_cube ?witness sink c] / [emit_cubes ?witnesses sink cs] hand
+    the cubes to [on_witnessed], paired with their witnesses, when both
+    are there, and to [on_cube] otherwise; no-ops on [None]. *)
+val emit_cube : ?witness:Witness.t -> sink option -> Cube.t -> unit
+
+val emit_cubes : ?witnesses:Witness.t list -> sink option -> Cube.t list -> unit
 
 (** [solutions r] is the number of projected solutions [r] found: the
     sum of its cubes' minterm counts, exact by the disjointness

@@ -320,4 +320,4 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
   (* SDS materializes cubes only when the graph is complete, so the sink
      receives the disjoint path cover in one burst at the end. *)
   Run.emit_cubes sink cubes;
-  { Run.cubes; graph = Some graph; stats; stopped }
+  { Run.cubes; witnesses = None; graph = Some graph; stats; stopped }

@@ -938,10 +938,13 @@ let solve ?(assumptions = []) ?budget ?(trace = Trace.null) t =
    then. Every level above the floor is an unexplored subtree, so the
    cube lies inside the subtree the floor leaves open, and the next flip
    closes all of it. *)
-let enumerate_projected ?budget ?(trace = Trace.null) ?shrink t proj on_model =
+let enumerate_projected ?budget ?(trace = Trace.null) ?shrink ?(witness = [||])
+    t proj on_model =
   cancel_until t 0;
   Array.iter (fun v -> ensure_vars t (v + 1)) proj;
+  Array.iter (fun v -> ensure_vars t (v + 1)) witness;
   run t budget trace (fun () ->
+      let reported = Array.append proj witness in
       let is_proj = Array.make t.n_vars false in
       Array.iter (fun v -> is_proj.(v) <- true) proj;
       let pvars = Array.of_list (List.sort_uniq compare (Array.to_list proj)) in
@@ -1091,7 +1094,7 @@ let enumerate_projected ?budget ?(trace = Trace.null) ?shrink t proj on_model =
         end
         else begin
           t.n_chrono_cubes <- t.n_chrono_cubes + 1;
-          let bits = Array.map (fun v -> t.assigns.(v) = 1) proj in
+          let bits = Array.map (fun v -> t.assigns.(v) = 1) reported in
           let mask =
             match shrink with
             | None -> all_fixed

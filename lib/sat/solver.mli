@@ -139,7 +139,7 @@ val solve :
   t ->
   result
 
-(** [enumerate_projected ?budget ?trace ?shrink t proj f] reports every
+(** [enumerate_projected ?budget ?trace ?shrink ?witness t proj f] reports every
     assignment of the variables [proj] that extends to a model of the
     clause set, by chronological backtracking inside the CDCL loop
     (docs/ALGORITHMS.md §13). [f bits mask] receives one pairwise
@@ -147,6 +147,11 @@ val solve :
     positions, duplicates included) and [mask] marks the positions the
     cube fixes; [f] returns [true] to go on. It must not modify [mask]
     or call into [t] except through the testing hooks below.
+
+    [witness] lists further variables: [bits] then goes on, past the
+    projection positions, with their values in the total model behind
+    the cube (read before [shrink] cuts it down), in [witness]'s order;
+    [mask] stays over the projection positions.
 
     Without [shrink], every cube is a minterm ([mask] is all-true) and
     every assignment is reported exactly once. With [shrink], each total
@@ -179,6 +184,7 @@ val enumerate_projected :
   ?budget:Ps_util.Budget.t ->
   ?trace:Ps_util.Trace.sink ->
   ?shrink:(bool array -> bool array) ->
+  ?witness:Lit.var array ->
   t ->
   Lit.var array ->
   (bool array -> bool array -> bool) ->

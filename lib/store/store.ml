@@ -1,6 +1,7 @@
 module Cube = Ps_allsat.Cube
 module Cube_trie = Ps_allsat.Cube_trie
 module Run = Ps_allsat.Run
+module Witness = Ps_allsat.Witness
 module Trace = Ps_util.Trace
 
 let magic = "PSTORE1\n"
@@ -196,7 +197,7 @@ let checkpoint ?(kind = "auto") ?(frame = -1) ?(complete = false) ?(ints = [])
     Trace.emit w.trace
       (Trace.Checkpoint { frame; cubes = w.w_cubes; bytes = w.w_bytes })
 
-let append w cube =
+let append ?(witness = "") w cube =
   if Cube.width cube <> w.meta.width then
     invalid_arg "Store.append: cube width mismatch";
   if w.closed then invalid_arg "Store.append: writer is closed";
@@ -205,7 +206,10 @@ let append w cube =
     false
   end
   else begin
-    write_record w ~tag:'C' ~payload:(Cube.to_string cube);
+    (* One record either way, so still one flush per cube. An empty
+       witness needs none. *)
+    (if witness = "" then write_record w ~tag:'C' ~payload:(Cube.to_string cube)
+     else write_record w ~tag:'W' ~payload:(Cube.to_string cube ^ witness));
     w.w_cubes <- w.w_cubes + 1;
     w.since_ckpt <- w.since_ckpt + 1;
     if w.checkpoint_every > 0 && w.since_ckpt >= w.checkpoint_every then
@@ -265,11 +269,11 @@ let finalize ?(ints = []) ?(floats = []) w ~complete () =
    meta) built in a temp file and renamed into place — atomic on POSIX,
    so a crash leaves either the whole shard or nothing, and recovery
    reuses the ordinary log reader. *)
-let write_shard w ~prefix ~cubes =
+let write_shard w ~prefix cubes =
   let file = w.w_path ^ ".shard-" ^ prefix in
   let tmp = file ^ ".tmp" in
   let sw = create ~checkpoint_every:0 ~path:tmp w.meta in
-  List.iter (fun c -> ignore (append sw c)) cubes;
+  List.iter (fun (c, witness) -> ignore (append ?witness sw c)) cubes;
   finalize sw ~complete:true ();
   Sys.rename tmp file;
   Mutex.lock w.shard_mutex;
@@ -279,7 +283,18 @@ let write_shard w ~prefix ~cubes =
 let sink w =
   {
     Run.on_cube = (fun c -> ignore (append w c));
-    on_shard = (fun ~prefix ~cubes -> write_shard w ~prefix ~cubes);
+    on_shard =
+      (fun ~prefix ~cubes ->
+        write_shard w ~prefix (List.map (fun c -> (c, None)) cubes));
+    witnessed =
+      Some
+        {
+          Run.on_witnessed = (fun c witness -> ignore (append ~witness w c));
+          on_witnessed_shard =
+            (fun ~prefix ~cubes ->
+              write_shard w ~prefix
+                (List.map (fun (c, witness) -> (c, Some witness)) cubes));
+        };
   }
 
 (* ------------------------------------------------------------------ *)
@@ -288,6 +303,7 @@ let sink w =
 type recovered = {
   meta : meta;
   cubes : Cube.t list;
+  witnesses : Witness.t option list;
   segments : (checkpoint * Cube.t list) list;
   last : checkpoint;
   torn : bool;
@@ -313,10 +329,13 @@ let recover ~path =
           let offset = ref (String.length magic) in
           let meta = ref None in
           let torn = ref false in
-          (* Cubes since the last checkpoint (reverse order) and the
-             closed (checkpoint, segment) pairs so far. *)
+          (* Cubes since the last checkpoint with their witnesses
+             (reverse order), the closed (checkpoint, segment) pairs so
+             far, and the witnesses of all closed segments (reverse
+             order). *)
           let pending = ref [] in
           let segments = ref [] in
+          let witnesses = ref [] in
           let valid_bytes = ref 0 in
           (* Counters over the *valid* region only, snapshotted at each
              checkpoint. *)
@@ -335,26 +354,32 @@ let recover ~path =
                 | 'M' ->
                   if !meta <> None then raise (Bad_payload "duplicate meta");
                   meta := Some (meta_of_payload payload)
-                | 'C' ->
+                | ('C' | 'W') as tag ->
                   let width =
                     match !meta with
                     | Some m -> m.width
                     | None -> raise (Bad_payload "cube before meta")
                   in
+                  let n = String.length payload in
+                  if (tag = 'C' && n <> width) || n < width then
+                    raise (Bad_payload "cube width mismatch");
                   let c =
-                    try Cube.of_string payload
+                    try Cube.of_string (String.sub payload 0 width)
                     with Invalid_argument _ ->
                       raise (Bad_payload "bad cube payload")
                   in
-                  if Cube.width c <> width then
-                    raise (Bad_payload "cube width mismatch");
-                  pending := c :: !pending;
+                  let witness =
+                    if tag = 'C' then None
+                    else Some (String.sub payload width (n - width))
+                  in
+                  pending := (c, witness) :: !pending;
                   incr cubes
                 | 'K' ->
                   if !meta = None then
                     raise (Bad_payload "checkpoint before meta");
                   let ck = checkpoint_of_payload payload in
-                  segments := (ck, List.rev !pending) :: !segments;
+                  segments := (ck, List.rev_map fst !pending) :: !segments;
+                  witnesses := List.map snd !pending @ !witnesses;
                   pending := [];
                   incr ckpts;
                   valid_bytes := !offset + bytes;
@@ -382,6 +407,7 @@ let recover ~path =
               {
                 meta;
                 cubes = cube_list;
+                witnesses = List.rev !witnesses;
                 segments;
                 last;
                 torn = !torn;
@@ -441,9 +467,11 @@ let resume ?checkpoint_every ?(trace = Trace.null) ~path () =
         else begin
           (match recover ~path:f with
           | Ok sr ->
-            List.iter
-              (fun c -> if append w c then shard_cubes := c :: !shard_cubes)
-              sr.cubes
+            List.iter2
+              (fun c witness ->
+                if append ?witness w c then
+                  shard_cubes := (c, witness) :: !shard_cubes)
+              sr.cubes sr.witnesses
           | Error _ -> ());
           try Sys.remove f with Sys_error _ -> ()
         end)
@@ -452,4 +480,11 @@ let resume ?checkpoint_every ?(trace = Trace.null) ~path () =
       Trace.emit trace
         (Trace.Store_open { path; cubes = w.w_cubes; resumed = true });
     checkpoint ~kind:"resume" w ();
-    Ok ({ r with cubes = r.cubes @ List.rev !shard_cubes }, w)
+    let shard_cubes = List.rev !shard_cubes in
+    Ok
+      ( {
+          r with
+          cubes = r.cubes @ List.map fst shard_cubes;
+          witnesses = r.witnesses @ List.map snd shard_cubes;
+        },
+        w )

@@ -3,8 +3,12 @@
     An append-only binary log of enumerated solution cubes, durable at
     record granularity: the file starts with the magic ["PSTORE1\n"],
     followed by {!Record} frames — one ['M'] meta record describing the
-    run, ['C'] records carrying one positional cube each, and ['K']
-    checkpoint records marking consistent prefixes. Every record is
+    run, one ['C'] or ['W'] record per cube, and ['K'] checkpoint
+    records marking consistent prefixes. A ['C'] record carries one
+    positional cube; a ['W'] record carries the cube followed by its
+    {!Ps_allsat.Witness} (the packed values of the formula's other
+    variables in the model the cube was cut from), so that [verify] can
+    certify the cube without a solver. Every record is
     CRC-guarded, and the writer flushes after each one, so a SIGKILL
     (or power cut) loses at most the in-flight record and a torn or
     bit-flipped tail is always {e detected}, never silently accepted:
@@ -29,7 +33,8 @@
     {b Shard sub-logs} ([<path>.shard-<prefix>]) are whole mini-logs
     written atomically (tmp + rename) by {!Ps_allsat.Parallel} workers
     as each guiding-path shard completes; distinct prefixes mean
-    distinct files, so concurrent workers never collide. A clean
+    distinct files, so concurrent workers never collide. They keep the
+    witnesses of their cubes. A clean
     {!finalize} deletes them (the merged stream is already in the main
     log); after a crash, {!resume} consolidates survivors into the main
     log in prefix order — deterministic — and removes them. *)
@@ -82,10 +87,12 @@ val create :
   meta ->
   writer
 
-(** [append w c] logs one cube; [false] means the trie dropped it as
-    duplicate/subsumed (nothing written). Flushes. Raises
-    [Invalid_argument] on width mismatch or a closed writer. *)
-val append : writer -> Ps_allsat.Cube.t -> bool
+(** [append ?witness w c] logs one cube, as a ['W'] record with
+    [witness] when it is given and not empty, as a ['C'] record
+    otherwise; [false] means the trie dropped it as duplicate/subsumed
+    (nothing written). Flushes. Raises [Invalid_argument] on width
+    mismatch or a closed writer. *)
+val append : ?witness:Ps_allsat.Witness.t -> writer -> Ps_allsat.Cube.t -> bool
 
 (** [checkpoint w ()] writes a checkpoint record carrying the current
     kept-cube count. Defaults: [kind = "auto"], [frame = -1],
@@ -113,8 +120,9 @@ val finalize :
   unit
 
 (** [sink w] adapts the writer to the engines' streaming interface:
-    [on_cube] is {!append}; [on_shard] writes an atomic shard
-    sub-log. *)
+    [on_cube] is {!append}; [on_shard] writes an atomic shard sub-log.
+    The sink takes witnesses: [on_witnessed] and [on_witnessed_shard]
+    log each cube with its witness. *)
 val sink : writer -> Ps_allsat.Run.sink
 
 val stats : writer -> stats
@@ -126,6 +134,9 @@ type recovered = {
   meta : meta;
   cubes : Ps_allsat.Cube.t list;
       (** all cubes of the recovered region, in log order *)
+  witnesses : Ps_allsat.Witness.t option list;
+      (** the witness of each of [cubes], same order ([None] for a
+          ['C'] record) *)
   segments : (checkpoint * Ps_allsat.Cube.t list) list;
       (** every valid checkpoint in order, paired with the cubes logged
           since the previous checkpoint (the ["start"] checkpoint's
@@ -149,7 +160,8 @@ val recover : path:string -> (recovered, string) result
     any shard sub-logs into the main log in prefix order, reopens for
     append, and writes a ["resume"] checkpoint. The returned
     [recovered] includes the consolidated shard cubes. Emits
-    [Store_open] with [resumed = true]. *)
+    [Store_open] with [resumed = true]. Shard cubes keep their
+    witnesses. *)
 val resume :
   ?checkpoint_every:int ->
   ?trace:Ps_util.Trace.sink ->

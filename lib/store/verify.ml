@@ -1,5 +1,6 @@
 module Cube = Ps_allsat.Cube
 module Project = Ps_allsat.Project
+module Witness = Ps_allsat.Witness
 module Solver = Ps_sat.Solver
 module Cnf = Ps_sat.Cnf
 module Lit = Ps_sat.Lit
@@ -11,6 +12,7 @@ type report = {
   unsound : Cube.t list;
   missing : Cube.t option;
   sat_calls : int;
+  witnessed : int;
   propagations : int;
 }
 
@@ -137,6 +139,49 @@ let find_missing solver proj cubes sat_calls =
   | _ -> None
   | exception Missing m -> Some m
 
+(* Soundness of a cube with a witness, by one pass over the clauses
+   (docs/ALGORITHMS.md §12): [check cube witness] holds when every clause
+   has a literal true under the cube's fixed literals or the witness.
+   That holds for every minterm of the cube, whatever its free positions
+   say. A variable at several positions counts as fixed only if all of
+   them fix it alike: a cube that leaves one of them free, or fixes them
+   apart, holds minterms no assignment projects to. A witness of the
+   wrong length fails. *)
+let witness_check (cnf : Cnf.t) (proj : Project.t) wvars =
+  let vars = proj.Project.vars in
+  let nvars = Array.fold_left (fun n v -> max n (v + 1)) cnf.Cnf.nvars vars in
+  let nw = Array.length wvars in
+  let occurrences = Array.make nvars 0 in
+  Array.iter (fun v -> occurrences.(v) <- occurrences.(v) + 1) vars;
+  let clauses = Array.of_list cnf.Cnf.clauses in
+  (* 1 true, 0 false, -1 unassigned *)
+  let value = Array.make nvars (-1) in
+  let fix v b = if value.(v) < 0 then (value.(v) <- b; true) else value.(v) = b in
+  let satisfied clause =
+    let rec go k =
+      k < Array.length clause
+      && (value.(Lit.var clause.(k)) = Bool.to_int (Lit.sign clause.(k))
+         || go (k + 1))
+    in
+    go 0
+  in
+  fun cube witness ->
+    String.length witness = Witness.bytes nw
+    && begin
+      Array.iter (fun v -> value.(v) <- -1) vars;
+      for i = 0 to nw - 1 do
+        value.(wvars.(i)) <- Bool.to_int (Witness.get witness i)
+      done;
+      let fixed = ref true in
+      Array.iteri
+        (fun p v ->
+          match Cube.get cube p with
+          | Cube.DontCare -> if occurrences.(v) > 1 then fixed := false
+          | b -> if not (fix v (Bool.to_int (b = Cube.True))) then fixed := false)
+        vars;
+      !fixed && Array.for_all satisfied clauses
+    end
+
 let run ?(trace = Trace.null) ~cnf (r : Store.recovered) =
   let meta = r.Store.meta in
   if Array.length meta.Store.vars = 0 then
@@ -148,22 +193,34 @@ let run ?(trace = Trace.null) ~cnf (r : Store.recovered) =
   let root_ok = Solver.load solver cnf in
   Array.iter (fun v -> Solver.ensure_vars solver (v + 1)) meta.Store.vars;
   let sat_calls = ref 0 in
+  let witnessed = ref 0 in
   let unsound = ref [] in
-  (* Soundness: each cube must intersect the solution set. Assumptions
-     keep the solver reusable across probes (and across the
-     completeness check below). A root-unsat formula makes every cube
-     unsound. *)
-  List.iter
-    (fun c ->
+  (* Soundness. A cube with a witness is certified by [witness_check];
+     over a projection that covers every variable, every cube has the
+     empty witness. A minterm without one must be a solution: one SAT
+     call under its literals, as assumptions that keep the solver
+     reusable across probes and for the completeness check below (a
+     root-unsat formula fails them all). A wider cube without a witness
+     cannot be certified. *)
+  let wvars = Witness.vars proj ~nvars:cnf.Cnf.nvars in
+  let check = witness_check cnf proj wvars in
+  List.iter2
+    (fun c witness ->
+      let witness = if witness = None && wvars = [||] then Some "" else witness in
       let is_sound =
-        root_ok
-        &&
-        (incr sat_calls;
-         Solver.solve ~assumptions:(Project.lits_of_cube proj c) solver
-         = Solver.Sat)
+        match witness with
+        | Some w ->
+          incr witnessed;
+          check c w
+        | None ->
+          Cube.num_free c = 0
+          && root_ok
+          && (incr sat_calls;
+              Solver.solve ~assumptions:(Project.lits_of_cube proj c) solver
+              = Solver.Sat)
       in
       if not is_sound then unsound := c :: !unsound)
-    r.Store.cubes;
+    r.Store.cubes r.Store.witnesses;
   (* Completeness: the solver holds the formula's clauses only. *)
   let missing =
     if root_ok then find_missing solver proj r.Store.cubes sat_calls else None
@@ -175,12 +232,13 @@ let run ?(trace = Trace.null) ~cnf (r : Store.recovered) =
       unsound = List.rev !unsound;
       missing;
       sat_calls = !sat_calls;
+      witnessed = !witnessed;
       propagations = Ps_util.Stats.get (Solver.stats solver) "propagations";
     }
   in
   if not (Trace.is_null trace) then
     Trace.emit trace
       (Trace.Store_verified
-         { cubes = report.cubes; sound = report.sound;
-           complete = complete report });
+         { cubes = report.cubes; witnessed = report.witnessed;
+           sound = report.sound; complete = complete report });
   report

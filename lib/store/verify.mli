@@ -1,12 +1,19 @@
 (** Independent coverage certification of a solution log.
 
-    Replays a recovered log against the original formula with a fresh
-    solver — none of the enumeration machinery is trusted — and
-    certifies two properties:
+    Replays a recovered log against the original formula — none of the
+    enumeration machinery is trusted — and certifies two properties:
 
-    - {b Soundness}: every logged cube really is a solution region —
-      one SAT call per cube, asserting the cube's literals as
-      assumptions; the call must be satisfiable.
+    - {b Soundness}: every minterm of every logged cube is a solution.
+      A cube logged with its {!Ps_allsat.Witness} is certified by one
+      pass over the clauses, without a solver: every clause must hold a
+      literal that is true under the cube's fixed literals or the
+      witness, which then holds whatever the cube's free positions say.
+      Over a projection that covers every variable of the formula, every
+      cube has the empty witness. A minterm without a witness takes one
+      SAT call with its literals as assumptions, which must be
+      satisfiable. A wider cube without a witness is rejected: a SAT
+      call would only show that it meets the solution set. So is a
+      witness of the wrong length.
     - {b Completeness}: the cubes cover {e every} solution — a descent
       over the cover from the all-don't-care region splits each region
       on the first position it leaves free that some cube in it fixes
@@ -17,13 +24,13 @@
       proven empty that closes the later regions it subsumes without a
       call (docs/ALGORITHMS.md §12).
 
-    Both checks use only {!Ps_sat.Solver.solve} under assumptions and
-    {!Ps_sat.Solver.unsat_core}, never the enumeration code. The
-    soundness calls follow the log's order and the gap calls the
-    descent's, so consecutive calls share assumption prefixes, whose
-    decision levels the solver keeps from one call to the next
-    (docs/ALGORITHMS.md §14). [propagations] in the report counts that
-    solver's work.
+    The solver calls are {!Ps_sat.Solver.solve} under assumptions and
+    {!Ps_sat.Solver.unsat_core} on a fresh solver that holds only the
+    formula, never the enumeration code. The soundness calls follow the
+    log's order and the gap calls the descent's, so consecutive calls
+    share assumption prefixes, whose decision levels the solver keeps
+    from one call to the next (docs/ALGORITHMS.md §14). [propagations]
+    in the report counts that solver's work.
 
     The certificate is only meaningful for a log whose enumeration
     finished: callers must reject logs whose recovery was torn, dropped
@@ -33,11 +40,19 @@
 type report = {
   cubes : int;  (** cubes checked *)
   sound : bool;
-  unsound : Ps_allsat.Cube.t list;  (** counterexample cubes (all of them) *)
+  unsound : Ps_allsat.Cube.t list;
+      (** every cube not certified sound, in log order: a witness check
+          or SAT call failed, the witness has the wrong length, or a
+          cube wider than a minterm has no witness *)
   missing : Ps_allsat.Cube.t option;
       (** a projected solution (a minterm) outside every logged cube, or
           [None] when the cubes cover every solution *)
-  sat_calls : int;  (** one per cube, plus one per uncovered region proved *)
+  sat_calls : int;
+      (** one per minterm logged without a witness, plus one per
+          uncovered region proved *)
+  witnessed : int;
+      (** cubes whose soundness was decided by their witness, without
+          a SAT call *)
   propagations : int;
       (** literals propagated by the verifier's own solver over both
           checks (its ["propagations"] statistic) *)

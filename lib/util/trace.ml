@@ -24,7 +24,12 @@ type event =
     }
   | Store_open of { path : string; cubes : int; resumed : bool }
   | Checkpoint of { frame : int; cubes : int; bytes : int }
-  | Store_verified of { cubes : int; sound : bool; complete : bool }
+  | Store_verified of {
+      cubes : int;
+      witnessed : int;
+      sound : bool;
+      complete : bool;
+    }
 
 let event_name = function
   | Restart _ -> "restart"
@@ -98,9 +103,9 @@ let to_json ~time_s ev =
         cubes resumed
     | Checkpoint { frame; cubes; bytes } ->
       Printf.sprintf {|"frame":%d,"cubes":%d,"bytes":%d|} frame cubes bytes
-    | Store_verified { cubes; sound; complete } ->
-      Printf.sprintf {|"cubes":%d,"sound":%b,"complete":%b|} cubes sound
-        complete
+    | Store_verified { cubes; witnessed; sound; complete } ->
+      Printf.sprintf {|"cubes":%d,"witnessed":%d,"sound":%b,"complete":%b|}
+        cubes witnessed sound complete
   in
   Printf.sprintf {|{"t":%.6f,"ev":%s,%s}|} time_s
     (json_string (event_name ev))

@@ -66,10 +66,16 @@ type event =
       (** a durable checkpoint record was written (and the log flushed):
           reachability frame index (or a sequence number for allsat
           logs), kept cubes so far, and the log size in bytes *)
-  | Store_verified of { cubes : int; sound : bool; complete : bool }
-      (** the independent cover certification finished: [sound] — every
-          stored cube's assumptions are satisfiable; [complete] —
-          formula ∧ ¬(∪ cubes) is unsatisfiable *)
+  | Store_verified of {
+      cubes : int;
+      witnessed : int;
+      sound : bool;
+      complete : bool;
+    }
+      (** the independent cover certification finished: [witnessed] —
+          cubes certified by their witness, without a SAT call;
+          [sound] — every minterm of every stored cube is a solution;
+          [complete] — formula ∧ ¬(∪ cubes) is unsatisfiable *)
 
 val event_name : event -> string
 

@@ -402,7 +402,8 @@ module Verify = Ps_store.Verify
 
 let n_verify_seeds = if long then 600 else 200
 
-(* Store [cubes] as a finished log over [proj] and certify it. *)
+(* Store [cubes], each with its witness if it has one, as a finished log
+   over [proj] and certify it. *)
 let verify_cover cnf proj cubes =
   let path = Filename.temp_file "diff_verify" ".log" in
   Fun.protect
@@ -414,7 +415,7 @@ let verify_cover cnf proj cubes =
           source_crc = 0 }
       in
       let w = St.create ~path meta in
-      List.iter (fun c -> ignore (St.append w c)) cubes;
+      List.iter (fun (c, witness) -> ignore (St.append ?witness w c)) cubes;
       St.finalize w ~complete:true ();
       match St.recover ~path with
       | Ok r -> Verify.run ~cnf r
@@ -491,15 +492,18 @@ let test_lifted_covers () =
     check_lifted_cnf seed
   done
 
-(* Covers per instance: the exact minterms, the lifted blocking run's
-   disjoint cubes and a cover of overlapping lifted cubes (each model's
-   own) certify; dropping a solution minterm, or a lifted cube that no
-   other cube makes up for, must yield a real solution outside the cover
-   as the witness; adding a cube with no solution must name exactly that
-   cube. A model's own lifted cube frees positions, not variables, so
-   over a repeated variable it holds minterms that are no solution;
-   those instances skip the overlapping cover (the blocking run keeps a
-   repeated variable fixed). *)
+(* Covers per instance: the exact minterms (logged bare), the lifted
+   blocking run's disjoint cubes and a cover of overlapping lifted cubes
+   (each model's own; both logged with their witnesses) certify;
+   dropping a solution minterm, or a lifted cube that no other cube
+   makes up for, must yield a real solution outside the cover as the
+   missed solution; adding a cube with no solution must name exactly
+   that cube, and so must widening a lifted cube, with its witness, by
+   one position until it covers a non-solution. A model's own lifted
+   cube frees positions, not variables, so over a repeated variable it
+   holds minterms that are no solution; those instances skip the
+   overlapping cover (the blocking run keeps a repeated variable
+   fixed). *)
 let check_verify seed =
   let cnf, proj, repeated = verify_instance seed in
   let width = A.Project.width proj in
@@ -507,27 +511,34 @@ let check_verify seed =
   let solution s = List.mem (Cube.to_string s) oracle in
   let covered cubes m = List.exists (fun c -> Cube.subsumes c m) cubes in
   let exact = List.map Cube.of_string oracle in
+  let bare = List.map (fun c -> (c, None)) in
   let certified what cubes =
     let rep = verify_cover cnf proj cubes in
     if not (Verify.ok rep) then
       Alcotest.failf "verify seed %d: %s cover rejected" seed what
   in
-  certified "exact" exact;
+  certified "exact" (bare exact);
   let lift = A.Cnf_lift.make cnf proj in
   let lifted =
     let s = Solver.create () in
     ignore (Solver.load s cnf);
-    (A.Blocking.enumerate ~lift s proj).A.Run.cubes
+    let r = A.Blocking.enumerate ~keep_witnesses:true ~lift s proj in
+    List.combine r.A.Run.cubes
+      (List.map Option.some (Option.get r.A.Run.witnesses))
   in
+  let wvars = A.Witness.vars proj ~nvars:cnf.Cnf.nvars in
   let overlapping =
     if repeated then []
     else
-      List.sort_uniq Cube.compare
+      List.sort_uniq
+        (fun (a, _) (b, _) -> Cube.compare a b)
         (List.map
            (fun m ->
-             Cube.of_masked_assignment
-               (Array.map (fun v -> m.(v)) proj.A.Project.vars)
-               (lift m))
+             ( Cube.of_masked_assignment
+                 (Array.map (fun v -> m.(v)) proj.A.Project.vars)
+                 (lift m),
+               Some (A.Witness.init (Array.length wvars) (fun i -> m.(wvars.(i))))
+             ))
            (Cnf.brute_force_models cnf))
   in
   let lifted_covers =
@@ -535,7 +546,7 @@ let check_verify seed =
   in
   List.iter
     (fun (what, cubes) ->
-      if minterm_set width cubes <> oracle then
+      if minterm_set width (List.map fst cubes) <> oracle then
         Alcotest.failf "verify seed %d: %s cover differs from truth table" seed
           what;
       certified what cubes)
@@ -544,7 +555,7 @@ let check_verify seed =
   (if exact <> [] then
      let dropped = R.pick rng exact in
      let rest = List.filter (fun c -> not (Cube.equal c dropped)) exact in
-     let rep = verify_cover cnf proj rest in
+     let rep = verify_cover cnf proj (bare rest) in
      match rep.Verify.missing with
      | Some m when solution m && not (covered rest m) -> ()
      | _ ->
@@ -554,9 +565,10 @@ let check_verify seed =
   List.iter
     (fun (what, cubes) ->
       if cubes <> [] then begin
-        let dropped = R.pick rng cubes in
-        let rest = List.filter (fun c -> not (Cube.equal c dropped)) cubes in
+        let dropped, _ = R.pick rng cubes in
+        let rest = List.filter (fun (c, _) -> not (Cube.equal c dropped)) cubes in
         let rep = verify_cover cnf proj rest in
+        let rest = List.map fst rest in
         let expect_complete = minterm_set width rest = oracle in
         match rep.Verify.missing with
         | None when expect_complete -> ()
@@ -573,7 +585,7 @@ let check_verify seed =
       if not (solution m) then non_solutions := m :: !non_solutions);
   if !non_solutions <> [] then begin
     let bad = R.pick rng !non_solutions in
-    let rep = verify_cover cnf proj (exact @ [ bad ]) in
+    let rep = verify_cover cnf proj (bare (exact @ [ bad ])) in
     if
       rep.Verify.sound || (not (Verify.complete rep))
       || not (List.equal Cube.equal rep.Verify.unsound [ bad ])
@@ -581,6 +593,37 @@ let check_verify seed =
       Alcotest.failf "verify seed %d: unsound cube %s not the only culprit"
         seed (Cube.to_string bad)
   end;
+  (* Widening: a lifted cube with one fixed position freed so that it
+     covers a non-solution keeps meeting the solution set, so only the
+     witness check can tell. *)
+  List.iter
+    (fun (what, cubes) ->
+      let widenings =
+        List.concat_map
+          (fun ((c, _) as entry) ->
+            List.filter_map
+              (fun (p, _) ->
+                let wide = Cube.set c p Cube.DontCare in
+                let covers_non_solution = ref false in
+                Cube.iter_minterms wide (fun bits ->
+                    if not (solution (Cube.of_assignment bits)) then
+                      covers_non_solution := true);
+                if !covers_non_solution then Some (entry, wide) else None)
+              (Cube.to_list c))
+          cubes
+      in
+      if widenings <> [] then begin
+        let ((c, witness) as entry), wide = R.pick rng widenings in
+        let cover =
+          List.map (fun e -> if e == entry then (wide, witness) else e) cubes
+        in
+        let rep = verify_cover cnf proj cover in
+        if rep.Verify.sound || not (List.equal Cube.equal rep.Verify.unsound [ wide ])
+        then
+          Alcotest.failf "verify seed %d: %s cube %s widened to %s not rejected"
+            seed what (Cube.to_string c) (Cube.to_string wide)
+      end)
+    lifted_covers;
   true
 
 let test_verify =

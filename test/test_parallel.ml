@@ -234,7 +234,7 @@ let synthetic_run_shard ~prefix ~limit ~budget:_ ~trace:_ =
       (List.filteri (fun i _ -> i < l) all, `CubeLimit)
     | _ -> (all, `Complete)
   in
-  { Run.cubes; graph = None; stats = Stats.create (); stopped }
+  { Run.cubes; witnesses = None; graph = None; stats = Stats.create (); stopped }
 
 let test_fixed_depth () =
   let events = ref [] in

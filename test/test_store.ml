@@ -289,6 +289,27 @@ let store_cubes path cubes ~complete =
 let recover_exn path =
   match St.recover ~path with Ok r -> r | Error e -> Alcotest.fail e
 
+(* Witnesses survive a crash before the merge: a witnessed shard
+   sub-log keeps them, and resume carries them into the main log next to
+   a cube appended with one before the crash. *)
+let test_shard_witnesses_on_resume () =
+  with_log @@ fun path ->
+  let w = St.create ~path (meta 2) in
+  let ws = Option.get (St.sink w).Run.witnessed in
+  ignore (St.append ~witness:"\001" w (c "11"));
+  St.checkpoint w ();
+  ws.Run.on_witnessed_shard ~prefix:"0-" ~cubes:[ (c "01", "\002"); (c "00", "\003") ];
+  match St.resume ~path () with
+  | Error e -> Alcotest.fail e
+  | Ok (r, w2) ->
+      let pairs r = List.combine (cube_strings r.St.cubes) r.St.witnesses in
+      let expected =
+        [ ("11", Some "\001"); ("01", Some "\002"); ("00", Some "\003") ]
+      in
+      check_bool "resume returns the witnesses" true (pairs r = expected);
+      St.finalize w2 ~complete:true ();
+      check_bool "the main log keeps them" true (pairs (recover_exn path) = expected)
+
 let test_verify_accepts_good_log () =
   with_log @@ fun path ->
   store_cubes path (enumerate_probe ()) ~complete:true;
@@ -323,7 +344,9 @@ let test_verify_rejects_missing_cube () =
 
 (* Every minterm with x3 set, over a formula that forces x3: the descent
    meets four gaps ("000", "010", "100", "110"), and the core of the
-   first one, ~x3 alone, closes the other three without a call. *)
+   first one, ~x3 alone, closes the other three without a call. The
+   projection covers every variable, so each cube has the empty witness
+   and takes no call of its own. *)
 let test_verify_core_closes_gaps () =
   with_log @@ fun path ->
   let w = St.create ~path (meta ~vars:[| 0; 1; 2 |] 3) in
@@ -333,7 +356,8 @@ let test_verify_core_closes_gaps () =
     Verify.run ~cnf:(Dimacs.parse_string "p cnf 3 1\n3 0\n") (recover_exn path)
   in
   check_bool "ok" true (Verify.ok rep);
-  check_int "4 soundness calls + 1 gap call" 5 rep.Verify.sat_calls
+  check_int "4 cubes certified by witness" 4 rep.Verify.witnessed;
+  check_int "1 gap call" 1 rep.Verify.sat_calls
 
 (* A projection that repeats x: positions 0 and 1 are both x. The log
    misses 111. The gap 01- assumes ~x and x, so its core must name both
@@ -354,8 +378,9 @@ let test_verify_repeated_projection_var () =
     (Option.map Cube.to_string rep.Verify.missing)
 
 (* A lifted cube leaving 59 of 60 positions free: the descent splits
-   only on the one position the cube fixes, so certification takes the
-   soundness call plus a single gap call, not a walk over 2^59 regions. *)
+   only on the one position the cube fixes, so certification takes a
+   single gap call, not a walk over 2^59 regions. (The projection covers
+   every variable, so the cube's soundness is its empty witness's.) *)
 let test_verify_wide_lifted_log () =
   with_log @@ fun path ->
   let vars = Array.init 60 Fun.id in
@@ -368,16 +393,9 @@ let test_verify_wide_lifted_log () =
   check_bool "ok" true (Verify.ok rep);
   check_bool "at most 2 sat calls" true (rep.Verify.sat_calls <= 2)
 
-(* The count12 upper-half minterm log: 2,049 cubes, each checked by one
-   soundness call, in the lexicographic order the blocking loop emits
-   them. Consecutive calls share most of their assumptions, and the
-   solver keeps the levels they share, so the verifier propagates less
-   than half as many literals as when every call started from level 0.
-   [parent_propagations] was measured with a solver that cancelled to
-   level 0 after every call. *)
-let test_verify_reuses_trail () =
-  with_log @@ fun path ->
-  let parent_propagations = 73_964 in
+(* The count12 upper-half minterm log, written through Blocking's store
+   sink; [witnesses] says whether the sink takes them. *)
+let count12_log ~witnesses path =
   let inst =
     Preimage.Instance.make
       (Ps_gen.Counters.binary ~bits:12 ())
@@ -394,13 +412,84 @@ let test_verify_reuses_trail () =
   in
   let solver = Solver.create () in
   ignore (Solver.load solver cnf);
-  let r = Blocking.enumerate ~sink:(St.sink w) solver proj in
+  let sink = St.sink w in
+  let sink = if witnesses then sink else Run.sink_of_fun sink.Run.on_cube in
+  let r = Blocking.enumerate ~sink solver proj in
   St.finalize w ~complete:(Run.complete r) ();
-  let rep = Verify.run ~cnf (recover_exn path) in
+  Verify.run ~cnf (recover_exn path)
+
+(* The count12 upper-half minterm log without witnesses: 2,049 cubes,
+   each checked by one soundness call, in the lexicographic order the
+   blocking loop emits them. Consecutive calls share most of their
+   assumptions, and the solver keeps the levels they share, so the
+   verifier propagates less than half as many literals as when every
+   call started from level 0. [parent_propagations] was measured with a
+   solver that cancelled to level 0 after every call. *)
+let test_verify_reuses_trail () =
+  with_log @@ fun path ->
+  let parent_propagations = 73_964 in
+  let rep = count12_log ~witnesses:false path in
   check_bool "ok" true (Verify.ok rep);
   check_int "cubes" 2049 rep.Verify.cubes;
   check_bool "at most half the parent's propagations" true
     (2 * rep.Verify.propagations <= parent_propagations)
+
+(* The same log with witnesses: every cube is certified by one pass over
+   the clauses, so the only SAT calls left are the gap calls of the
+   completeness descent. *)
+let test_verify_witnessed_log () =
+  let bare = with_log (count12_log ~witnesses:false) in
+  let rep = with_log (count12_log ~witnesses:true) in
+  check_bool "ok" true (Verify.ok rep);
+  check_int "every cube witnessed" 2049 rep.Verify.witnessed;
+  check_int "bare log: one call per cube" 0 bare.Verify.witnessed;
+  check_int "gap calls only" (bare.Verify.sat_calls - 2049) rep.Verify.sat_calls
+
+(* Over-wide cubes meet the solution set, but hold non-solutions too:
+   [1---] and [01--] both cover [1-11]/[0111], which violate
+   (~v3 \/ ~v4), and [----] covers everything. *)
+let test_verify_rejects_wide_cubes () =
+  List.iter
+    (fun (log, culprits) ->
+      with_log @@ fun path ->
+      store_cubes path (List.map c log) ~complete:true;
+      let rep = Verify.run ~cnf:(Dimacs.parse_string probe_cnf) (recover_exn path) in
+      check_bool "rejected" false (Verify.ok rep);
+      Alcotest.(check (list string)) "the culprits" culprits
+        (cube_strings rep.Verify.unsound))
+    [ ([ "1---"; "01--" ], [ "1---"; "01--" ]); ([ "----" ], [ "----" ]) ]
+
+(* (x1 \/ x2 \/ x17) /\ (~x3 \/ x4 \/ x18) /\ (x5 \/ ~x6 \/ ~x17) projected
+   onto x1..x16: x17 and x18 are the witness variables, bits 0 and 1 of a
+   one-byte witness. [00--1-----------] holds only solutions when
+   x17 = x18 = 1. *)
+let dense_cnf = "p cnf 18 3\n1 2 17 0\n-3 4 18 0\n5 -6 -17 0\n"
+
+let witnessed_dense_log witness =
+  with_log @@ fun path ->
+  let w = St.create ~path (meta ~vars:(Array.init 16 Fun.id) 16) in
+  ignore (St.append ?witness w (c "00--1-----------"));
+  St.finalize w ~complete:true ();
+  Verify.run ~cnf:(Dimacs.parse_string dense_cnf) (recover_exn path)
+
+let test_verify_checks_witness () =
+  let good = witnessed_dense_log (Some "\003") in
+  check_bool "x17 = x18 = 1 certifies" true good.Verify.sound;
+  check_int "witnessed" 1 good.Verify.witnessed;
+  List.iter
+    (fun (what, witness, witnessed) ->
+      let rep = witnessed_dense_log witness in
+      check_bool (what ^ ": unsound") false rep.Verify.sound;
+      Alcotest.(check (list string))
+        (what ^ ": the culprit") [ "00--1-----------" ]
+        (cube_strings rep.Verify.unsound);
+      check_int (what ^ ": witnessed") witnessed rep.Verify.witnessed)
+    [
+      (* x17 = 0 leaves (x1 \/ x2 \/ x17) false *)
+      ("flipped bit", Some "\002", 1);
+      ("witness too long", Some "\003\000", 1);
+      ("no witness on a wide cube", None, 0);
+    ]
 
 let test_verify_rejects_unsound_cube () =
   with_log @@ fun path ->
@@ -862,6 +951,8 @@ let () =
           Alcotest.test_case "shard lifecycle" `Quick test_shard_lifecycle;
           Alcotest.test_case "shard consolidation on resume" `Quick
             test_shard_consolidation_on_resume;
+          Alcotest.test_case "shard witnesses survive resume" `Quick
+            test_shard_witnesses_on_resume;
         ] );
       ( "verify",
         [
@@ -883,6 +974,12 @@ let () =
             test_verify_repeated_projection_var;
           Alcotest.test_case "reused trail halves propagations" `Quick
             test_verify_reuses_trail;
+          Alcotest.test_case "witnessed log: gap calls only" `Quick
+            test_verify_witnessed_log;
+          Alcotest.test_case "rejects over-wide cubes" `Quick
+            test_verify_rejects_wide_cubes;
+          Alcotest.test_case "checks each witness" `Quick
+            test_verify_checks_witness;
         ] );
       ( "resume",
         [
