@@ -14,8 +14,8 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?(keep_witnesses = fals
   let stopped = ref `Complete in
   let under_limit () = match limit with None -> true | Some l -> !n_cubes < l in
   (* Witnesses are read off each cube's model at its report point, and
-     only when someone takes them. *)
-  let capture = keep_witnesses || Run.takes_witnesses sink in
+     only for a sink or [keep_witnesses]. *)
+  let capture = keep_witnesses || Option.is_some sink in
   let wvars =
     if capture then Witness.vars proj ~nvars:(Solver.nvars solver) else [||]
   in
@@ -26,7 +26,7 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?(keep_witnesses = fals
   let emit ?witness cube =
     cubes := cube :: !cubes;
     if keep_witnesses then witnesses := Option.get witness :: !witnesses;
-    Run.emit_cube ?witness sink cube;
+    Option.iter (fun s -> s.Run.on_cube ?witness cube) sink;
     incr n_cubes;
     Stats.add stats "fixed_literals" (Cube.num_fixed cube);
     if not (Trace.is_null trace) then

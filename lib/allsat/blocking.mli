@@ -41,13 +41,15 @@
     events, and a final [Stopped] event.
 
     [sink] receives every emitted cube in discovery order, as it is
-    found — the streaming hook of the durable solution store. A
-    witness-taking sink also receives each cube's {!Witness}: the
+    found, together with its {!Witness} ({!Run.sink.on_cube}) — the
+    streaming hook of the durable solution store. The witness is the
     values of the solver's other variables in the model the cube was
     cut from, read where the cube is reported (in the chronological
-    phase, before a lift shrinks the model). Without a lift, or with
-    {!Cnf_lift}, cube and witness together satisfy every clause; with
-    a circuit lift ({!Lifting}) they need not (see {!Witness}).
+    phase, before a lift shrinks the model). Witnesses are captured
+    only when [sink] is given or [keep_witnesses] is set. Without a
+    lift, or with {!Cnf_lift}, cube and witness together satisfy every
+    clause; with a circuit lift ({!Lifting}) they need not (see
+    {!Witness}).
     [keep_witnesses] (default [false]) keeps them in the result's
     [witnesses] too; {!Parallel}'s shards use it to carry them to the
     merged stream.

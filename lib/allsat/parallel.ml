@@ -45,6 +45,11 @@ let re_anchor ~prefix ~depth cube =
 
 let default_split_depth width = min width 4
 
+(* [cubes] paired with their witnesses, if any *)
+let with_witnesses cubes = function
+  | Some ws -> List.map2 (fun c w -> (c, Some w)) cubes ws
+  | None -> List.map (fun c -> (c, None)) cubes
+
 let run ?(jobs = 1) ?split_depth ?limit ?budget ?(trace = Trace.null) ?sink
     ~width ~run_shard () =
   if jobs < 1 then invalid_arg "Parallel.run: jobs must be >= 1";
@@ -114,12 +119,11 @@ let run ?(jobs = 1) ?split_depth ?limit ?budget ?(trace = Trace.null) ?sink
          calls from different workers never collide (see Run.sink). A
          witness stays valid under the prefix: the shard's model agrees
          with it. *)
-      (match (sink, r.Run.witnesses) with
-      | Some { Run.witnessed = Some ws; _ }, Some w ->
-        ws.Run.on_witnessed_shard ~prefix:shard_name
-          ~cubes:(List.combine anchored w)
-      | Some s, _ -> s.Run.on_shard ~prefix:shard_name ~cubes:anchored
-      | None, _ -> ());
+      Option.iter
+        (fun s ->
+          s.Run.on_shard ~prefix:shard_name
+            (with_witnesses anchored r.Run.witnesses))
+        sink;
       Some (r, anchored)
     end
   in
@@ -167,7 +171,12 @@ let run ?(jobs = 1) ?split_depth ?limit ?budget ?(trace = Trace.null) ?sink
       (true, first l cubes, Option.map (first l) witnesses)
     | _ -> (false, cubes, witnesses)
   in
-  Run.emit_cubes ?witnesses sink cubes;
+  Option.iter
+    (fun s ->
+      List.iter
+        (fun (c, witness) -> s.Run.on_cube ?witness c)
+        (with_witnesses cubes witnesses))
+    sink;
   let stats =
     Stats.sum (List.map (fun ((r : Run.t), _) -> r.Run.stats) kept)
   in

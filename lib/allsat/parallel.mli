@@ -28,10 +28,8 @@
 
     {b Witnesses.} When every shard that found a cube kept its
     witnesses ([Run.t.witnesses]; [Blocking.enumerate ~keep_witnesses]),
-    the merged run keeps them too, and a witness-taking sink receives
-    them with each shard's cubes and with the merged stream. A witness
-    stays valid under its prefix, which the shard's model agrees
-    with. *)
+    the merged run keeps them too. A witness stays valid under its
+    prefix, which the shard's model agrees with. *)
 
 (** [guiding_paths ~width ~depth] is the ordered list of [2^depth]
     disjoint prefix cubes fixing positions [0..depth-1] (lexicographic:
@@ -63,6 +61,11 @@ val default_split_depth : int -> int
     stops with [`CubeLimit]. [trace] receives [Shard_start] /
     [Shard_done] events per shard plus everything the shard
     enumerations emit, and a final [Stopped] event.
+
+    [sink] gets one [on_shard] call per completed shard, with its
+    re-anchored cubes and their witnesses (if the shard kept them), and
+    then one [on_cube] call per merged cube, with its witness when the
+    merged run has them ({!Run.sink}).
 
     Exceptions raised by [run_shard] cancel the remaining work and are
     re-raised (first one wins) after the pool drains. *)

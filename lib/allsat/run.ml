@@ -1,11 +1,4 @@
-type stopped =
-  [ `Complete
-  | `CubeLimit
-  | `Deadline
-  | `Conflicts
-  | `Decisions
-  | `Propagations
-  | `Cancelled ]
+type stopped = [ `Complete | `CubeLimit | `Deadline | `Conflicts | `Cancelled ]
 
 type t = {
   cubes : Cube.t list;
@@ -16,34 +9,12 @@ type t = {
 }
 
 type sink = {
-  on_cube : Cube.t -> unit;
-  on_shard : prefix:string -> cubes:Cube.t list -> unit;
-  witnessed : witnessed option;
+  on_cube : ?witness:Witness.t -> Cube.t -> unit;
+  on_shard : prefix:string -> (Cube.t * Witness.t option) list -> unit;
 }
 
-and witnessed = {
-  on_witnessed : Cube.t -> Witness.t -> unit;
-  on_witnessed_shard : prefix:string -> cubes:(Cube.t * Witness.t) list -> unit;
-}
-
-let sink_of_fun on_cube =
-  { on_cube; on_shard = (fun ~prefix:_ ~cubes:_ -> ()); witnessed = None }
-
-let takes_witnesses = function
-  | Some { witnessed = Some _; _ } -> true
-  | _ -> false
-
-let emit_cube ?witness sink c =
-  match (sink, witness) with
-  | None, _ -> ()
-  | Some { witnessed = Some ws; _ }, Some w -> ws.on_witnessed c w
-  | Some s, _ -> s.on_cube c
-
-let emit_cubes ?witnesses sink cubes =
-  match (sink, witnesses) with
-  | None, _ -> ()
-  | Some { witnessed = Some ws; _ }, Some w -> List.iter2 ws.on_witnessed cubes w
-  | Some s, _ -> List.iter s.on_cube cubes
+let sink_of_fun f =
+  { on_cube = (fun ?witness:_ c -> f c); on_shard = (fun ~prefix:_ _ -> ()) }
 
 let solutions r =
   List.fold_left (fun acc c -> acc +. Cube.minterm_count c) 0.0 r.cubes
@@ -54,8 +25,6 @@ let stopped_name : stopped -> string = function
   | `Complete -> "complete"
   | `CubeLimit -> "cube_limit"
   | #Ps_util.Budget.stop as s -> Ps_util.Budget.stop_name s
-
-let pp_stopped ppf s = Format.pp_print_string ppf (stopped_name s)
 
 let stopped_of_budget budget ~default =
   match budget with

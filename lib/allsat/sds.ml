@@ -12,11 +12,6 @@ type decision = Static | Dynamic
 
 type variant = Sds | SdsDynamic | SdsNoMemo
 
-let variant_name = function
-  | Sds -> "sds"
-  | SdsDynamic -> "sds-dynamic"
-  | SdsNoMemo -> "sds-nomemo"
-
 type config = {
   use_memo : bool;
   decision : decision;
@@ -53,7 +48,7 @@ module Memo = Hashtbl.Make (Key)
 let tri_code = function G.F -> 0 | G.T -> 1 | G.X -> 2
 
 let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
-    ?sink ?prefix ~netlist ~root ~proj_nets ~solver () =
+    ?prefix ~netlist ~root ~proj_nets ~solver () =
   let n = Array.length proj_nets in
   let nnets = N.num_nets netlist in
   (* The ternary simulator only reads leaves, and a net owns a single
@@ -317,7 +312,4 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
   if not (Trace.is_null trace) then
     Trace.emit trace (Trace.Stopped { reason = Run.stopped_name stopped });
   let cubes = Sg.cubes graph in
-  (* SDS materializes cubes only when the graph is complete, so the sink
-     receives the disjoint path cover in one burst at the end. *)
-  Run.emit_cubes sink cubes;
   { Run.cubes; witnesses = None; graph = Some graph; stats; stopped }

@@ -37,8 +37,6 @@ type decision = Static | Dynamic
     - [SdsNoMemo] — ablation: learning off, plain DPLL enumeration. *)
 type variant = Sds | SdsDynamic | SdsNoMemo
 
-val variant_name : variant -> string
-
 (** Search configuration. Read-only record — build one with {!config}
     from a {!variant} (the builder is the only constructor, so the
     variant enum and the knobs cannot disagree). *)
@@ -96,7 +94,6 @@ val search :
   ?limit:int ->
   ?budget:Ps_util.Budget.t ->
   ?trace:Ps_util.Trace.sink ->
-  ?sink:Run.sink ->
   ?prefix:Cube.t ->
   netlist:Ps_circuit.Netlist.t ->
   root:int ->

@@ -66,7 +66,6 @@ let not_ b ?name a = gate b ?name Gate.Not [ a ]
 let buf b ?name a = gate b ?name Gate.Buf [ a ]
 let and_ b ?name fanins = gate b ?name Gate.And fanins
 let or_ b ?name fanins = gate b ?name Gate.Or fanins
-let nand_ b ?name fanins = gate b ?name Gate.Nand fanins
 let nor_ b ?name fanins = gate b ?name Gate.Nor fanins
 let xor_ b ?name fanins = gate b ?name Gate.Xor fanins
 let xnor_ b ?name fanins = gate b ?name Gate.Xnor fanins

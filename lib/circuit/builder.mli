@@ -34,7 +34,6 @@ val not_ : t -> ?name:string -> int -> int
 val buf : t -> ?name:string -> int -> int
 val and_ : t -> ?name:string -> int list -> int
 val or_ : t -> ?name:string -> int list -> int
-val nand_ : t -> ?name:string -> int list -> int
 val nor_ : t -> ?name:string -> int list -> int
 val xor_ : t -> ?name:string -> int list -> int
 val xnor_ : t -> ?name:string -> int list -> int

@@ -122,9 +122,3 @@ let kind_of_string s =
   | "CONST1" | "VCC" | "VDD" -> Some Const1
   | _ -> None
 
-let pp_kind ppf k = Format.pp_print_string ppf (kind_to_string k)
-
-let pp_tri ppf = function
-  | F -> Format.pp_print_char ppf '0'
-  | T -> Format.pp_print_char ppf '1'
-  | X -> Format.pp_print_char ppf 'X'

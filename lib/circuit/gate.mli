@@ -45,8 +45,5 @@ val kind_to_string : kind -> string
     accepts [BUFF] for [Buf]). *)
 val kind_of_string : string -> kind option
 
-val pp_kind : Format.formatter -> kind -> unit
-val pp_tri : Format.formatter -> tri -> unit
-
 (** All gate kinds, for random generation and exhaustive tests. *)
 val all_kinds : kind list

@@ -1,8 +1,6 @@
 module Cnf = Ps_sat.Cnf
 module Lit = Ps_sat.Lit
 
-let var_of_net net = net
-
 (* Consistency clauses for [y = kind(fanins)], all as positive-logic
    implications in both directions. [aux] allocates chain variables. *)
 let gate_clauses y kind fanins fresh =
@@ -75,5 +73,3 @@ let encode ?cone n =
   in
   let cnf = Cnf.of_clauses ~nvars:(Netlist.num_nets n) clauses in
   { cnf with Cnf.nvars = max cnf.Cnf.nvars !next_aux }
-
-let constrain cnf net value = Cnf.add_clause cnf [ Lit.make net value ]

@@ -15,9 +15,3 @@
     those with [cone.(net) = true]). Variables [0 .. num_nets-1] map to
     nets; variables beyond are XOR-chain auxiliaries. *)
 val encode : ?cone:bool array -> Netlist.t -> Ps_sat.Cnf.t
-
-(** [var_of_net net] is the CNF variable of [net] (the identity). *)
-val var_of_net : int -> Ps_sat.Lit.var
-
-(** [constrain cnf net value] appends a unit clause fixing [net]. *)
-val constrain : Ps_sat.Cnf.t -> int -> bool -> Ps_sat.Cnf.t

@@ -6,16 +6,15 @@ module T = Ps_circuit.Transition
 module Sim = Ps_circuit.Sim
 module G = Ps_circuit.Gate
 
-let result_bdd ?positions man (r : Ps_allsat.Run.t) ~width =
-  (match positions with
-  | Some p when Array.length p <> width ->
-    invalid_arg "Check.result_bdd: positions length mismatch"
-  | _ -> ());
+(* Projection position [i] becomes BDD variable [positions.(i)]
+   (default: [i]). *)
+let run_bdd ?positions man (r : Ps_allsat.Run.t) ~width =
   match r.graph with
   | Some g ->
-    let vars = Option.value positions ~default:(Array.init width Fun.id) in
-    Sg.to_bdd man vars g
+    Sg.to_bdd man (Option.value positions ~default:(Array.init width Fun.id)) g
   | None -> Ps_allsat.Cube_set.to_bdd ?var_of_pos:positions man r.cubes
+
+let result_bdd man r ~width = run_bdd man r ~width
 
 let engines_agree instance results =
   let width = Ps_allsat.Project.width instance.Instance.proj in
@@ -24,7 +23,7 @@ let engines_agree instance results =
     List.map
       (fun r ->
         ( Engine.method_name r.Engine.method_,
-          result_bdd ~positions:instance.Instance.positions man r.Engine.run
+          run_bdd ~positions:instance.Instance.positions man r.Engine.run
             ~width ))
       results
   in
@@ -96,7 +95,7 @@ let matches_brute_force instance (r : Engine.result) =
   let width = nstate in
   let man = B.new_man ~nvars:(max width 1) in
   let f =
-    result_bdd ~positions:instance.Instance.positions man r.Engine.run ~width
+    run_bdd ~positions:instance.Instance.positions man r.Engine.run ~width
   in
   let bits = Array.make width false in
   let ok = ref true in

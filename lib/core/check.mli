@@ -6,13 +6,11 @@
     The test suite runs these on randomized circuits; the benchmark
     harness runs them once per experiment as a sanity gate. *)
 
-(** [result_bdd ?positions man r ~width] is the BDD of a run's
-    solution set (its solution graph if it has one, else its cubes),
-    mapping projection position [i] to BDD variable [positions.(i)]
-    (default: the identity — correct for [Instance.Natural]-ordered
-    instances and for {!Kstep} results). *)
+(** [result_bdd man r ~width] is the BDD of a run's solution set (its
+    solution graph if it has one, else its cubes), with projection
+    position [i] as BDD variable [i] — correct for
+    [Instance.Natural]-ordered instances and for {!Kstep} results. *)
 val result_bdd :
-  ?positions:int array ->
   Ps_bdd.Bdd.man ->
   Ps_allsat.Run.t ->
   width:int ->

@@ -47,14 +47,14 @@ let now () = Unix.gettimeofday ()
    would be unsound for them, the simulator would not see them); the
    blocking engines take it as unit clauses, which also keeps each
    shard's blocking-clause database limited to its own subspace. *)
-let enumerate ?prefix ?limit ?budget ?sink ?(trace = Trace.null) method_
+let enumerate ?prefix ?limit ?budget ?(trace = Trace.null) method_
     ~netlist ~root ~proj solver =
   let proj_nets = proj.A.Project.vars in
   match sds_variant method_ with
   | Some variant ->
     A.Sds.search
       ~config:(A.Sds.config variant)
-      ?limit ?budget ~trace ?sink ?prefix ~netlist ~root ~proj_nets ~solver ()
+      ?limit ?budget ~trace ?prefix ~netlist ~root ~proj_nets ~solver ()
   | None ->
     Option.iter
       (fun prefix ->
@@ -71,10 +71,9 @@ let enumerate ?prefix ?limit ?budget ?sink ?(trace = Trace.null) method_
               ~proj_nets)
       else None
     in
-    A.Blocking.enumerate ?limit ?budget ~trace ?sink ?lift solver proj
+    A.Blocking.enumerate ?limit ?budget ~trace ?lift solver proj
 
-let run ?budget ?(trace = Trace.null) ?limit ?jobs ?split_depth ?sink method_
-    instance =
+let run ?budget ?(trace = Trace.null) ?limit ?jobs ?split_depth method_ instance =
   if not (Trace.is_null trace) then
     Trace.emit trace
       (Trace.Phase { engine = method_name method_; phase = "start" });
@@ -90,7 +89,7 @@ let run ?budget ?(trace = Trace.null) ?limit ?jobs ?split_depth ?sink method_
     | Some jobs ->
       let width = A.Project.width proj in
       timed (fun () ->
-          A.Parallel.run ~jobs ?split_depth ?limit ?budget ~trace ?sink ~width
+          A.Parallel.run ~jobs ?split_depth ?limit ?budget ~trace ~width
             ~run_shard:(fun ~prefix ~limit ~budget ~trace ->
               enumerate ~prefix ?limit ?budget ~trace method_ ~netlist ~root
                 ~proj (Instance.solver instance))
@@ -98,8 +97,7 @@ let run ?budget ?(trace = Trace.null) ?limit ?jobs ?split_depth ?sink method_
     | None ->
       let solver = Instance.solver instance in
       timed (fun () ->
-          enumerate ?limit ?budget ?sink ~trace method_ ~netlist ~root ~proj
-            solver)
+          enumerate ?limit ?budget ~trace method_ ~netlist ~root ~proj solver)
   in
   if not (Trace.is_null trace) then
     Trace.emit trace

@@ -61,10 +61,10 @@ val complete : result -> bool
     the committed disjoint solution-graph paths; either way the run
     stops with [`CubeLimit] and the partial result is returned.
 
-    [budget] bounds the whole run (wall clock, conflicts, decisions,
-    propagations, cancellation) — see {!Ps_util.Budget}. On exhaustion
-    the result carries the budget's stop reason and everything found so
-    far: a sound anytime under-approximation of the solution set.
+    [budget] bounds the whole run (wall clock, conflicts, cancellation)
+    — see {!Ps_util.Budget}. On exhaustion the result carries the
+    budget's stop reason and everything found so far: a sound anytime
+    under-approximation of the solution set.
 
     [trace] observes the run: engine [Phase] markers, solver restarts
     and reductions, per-cube and memo-hit events, and a final
@@ -81,25 +81,18 @@ val complete : result -> bool
     [trace] additionally receives per-shard [Shard_start] /
     [Shard_done] events. [split_depth] (default [min width 4]) sets the
     partition: [2^split_depth] shards; omitting [jobs] runs the classic
-    sequential path (no sharding at all).
-
-    [sink] streams the enumerated cubes to an external consumer —
-    typically the durable solution store ({!Ps_allsat.Run.sink}): the
-    blocking engines emit per cube in discovery order, SDS in one burst
-    when the graph completes, and the parallel path additionally emits
-    per-shard durable records before the deterministic merged stream. *)
+    sequential path (no sharding at all). *)
 val run :
   ?budget:Ps_util.Budget.t ->
   ?trace:Ps_util.Trace.sink ->
   ?limit:int ->
   ?jobs:int ->
   ?split_depth:int ->
-  ?sink:Ps_allsat.Run.sink ->
   method_ ->
   Instance.t ->
   result
 
-(** [enumerate ?prefix ?limit ?budget ?sink ?trace method_ ~netlist ~root
+(** [enumerate ?prefix ?limit ?budget ?trace method_ ~netlist ~root
     ~proj solver] is one sequential run of [method_] on [solver], which
     must hold [netlist]'s CNF with [root] asserted; [proj] projects onto
     nets of [netlist]. [prefix] confines the run to one guiding-path
@@ -109,7 +102,6 @@ val enumerate :
   ?prefix:Ps_allsat.Cube.t ->
   ?limit:int ->
   ?budget:Ps_util.Budget.t ->
-  ?sink:Ps_allsat.Run.sink ->
   ?trace:Ps_util.Trace.sink ->
   method_ ->
   netlist:Ps_circuit.Netlist.t ->

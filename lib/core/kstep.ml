@@ -26,7 +26,7 @@ let graft_target unrolled target =
   in
   (B.finalize b, root)
 
-let preimage ?(method_ = Engine.Sds) ?sink circuit target ~k =
+let preimage ?(method_ = Engine.Sds) circuit target ~k =
   let t0 = Unix.gettimeofday () in
   let unrolled = U.unroll circuit ~k in
   let augmented, root = graft_target unrolled target in
@@ -40,5 +40,5 @@ let preimage ?(method_ = Engine.Sds) ?sink circuit target ~k =
   let solver = Solver.create () in
   ignore (Solver.load solver cnf);
   ignore (Solver.add_clause solver [ Lit.pos root ]);
-  let r = Engine.enumerate ?sink method_ ~netlist:augmented ~root ~proj solver in
+  let r = Engine.enumerate method_ ~netlist:augmented ~root ~proj solver in
   { run = r; solutions = A.Run.solutions r; time_s = Unix.gettimeofday () -. t0 }

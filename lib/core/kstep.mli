@@ -23,11 +23,9 @@ val stats : result -> Ps_util.Stats.t
 
 (** [preimage ?method_ circuit target ~k] runs the chosen engine
     (default [Sds]) on the unrolled instance. [target] is a DNF cube
-    list over the state bits, as in {!Instance.make}. [sink] streams
-    the enumerated frame-0 cubes (see {!Ps_allsat.Run.sink}). *)
+    list over the state bits, as in {!Instance.make}. *)
 val preimage :
   ?method_:Engine.method_ ->
-  ?sink:Ps_allsat.Run.sink ->
   Ps_circuit.Netlist.t ->
   Ps_allsat.Cube.t list ->
   k:int ->

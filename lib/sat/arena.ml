@@ -62,7 +62,6 @@ let dead t cr = t.data.(cr) land dead_bit <> 0
 let relocated t cr = t.data.(cr) land reloc_bit <> 0
 
 let lit t cr i = t.data.(cr + header_words + i)
-let set_lit t cr i l = t.data.(cr + header_words + i) <- l
 let lits t cr = Array.sub t.data (cr + header_words) (size t cr)
 
 let activity t cr = act_of_bits t.data.(cr + 1)

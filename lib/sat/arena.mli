@@ -47,7 +47,6 @@ val size : t -> Cref.t -> int
 val learnt : t -> Cref.t -> bool
 val dead : t -> Cref.t -> bool
 val lit : t -> Cref.t -> int -> Lit.t
-val set_lit : t -> Cref.t -> int -> Lit.t -> unit
 val lits : t -> Cref.t -> Lit.t array
 val activity : t -> Cref.t -> float
 val set_activity : t -> Cref.t -> float -> unit

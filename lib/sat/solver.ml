@@ -70,7 +70,6 @@ type t = {
   (* Transient per-call state of the CDCL loop (set on entry). *)
   mutable budget : Budget.t option;
   mutable trace : Trace.sink;
-  mutable props_charged : int;           (* propagations charged to [budget] *)
   mutable unpolled : int;                (* decisions since the last budget poll *)
   (* Backjumps and restarts stop here: the highest flipped level of an
      enumeration, 0 otherwise. *)
@@ -128,7 +127,6 @@ let create () =
     n_learnts_kept = 0;
     budget = None;
     trace = Trace.null;
-    props_charged = 0;
     unpolled = 0;
     floor = 0;
   }
@@ -713,22 +711,12 @@ let decide t lit =
    conflict-free runs (conflicts poll the budget unconditionally). *)
 let decision_poll_grain = 128
 
-let charge_props t =
-  match t.budget with
-  | None -> ()
-  | Some b ->
-    Budget.charge_propagations b (t.n_propagations - t.props_charged);
-    t.props_charged <- t.n_propagations
-
 let out_of_budget t =
-  match t.budget with
-  | None -> false
-  | Some b -> (charge_props t; Budget.check b <> None)
+  match t.budget with None -> false | Some b -> Budget.check b <> None
 
 let count_decision t =
   t.n_decisions <- t.n_decisions + 1;
-  t.unpolled <- t.unpolled + 1;
-  match t.budget with Some b -> Budget.charge_decisions b 1 | None -> ()
+  t.unpolled <- t.unpolled + 1
 
 (* The one CDCL loop: propagate, learn and backjump on a conflict, Luby
    restarts, learnt-DB reduction and budget polls. Backjumps and
@@ -741,7 +729,6 @@ let count_decision t =
    [Unsat], a spent budget with [Unknown]. *)
 let cdcl t ~next ~refute =
   t.max_learnts <- max t.max_learnts (float_of_int (Vec.size t.clauses) /. 3.0);
-  t.props_charged <- t.n_propagations;
   t.unpolled <- 0;
   let attempt = ref 0 and conflicts = ref 0 and restart_lim = ref 0 in
   let next_episode () =
@@ -792,7 +779,6 @@ let cdcl t ~next ~refute =
       outcome := next ()
     end
   done;
-  charge_props t;
   Option.get !outcome
 
 (* Entry and exit of [solve] and [enumerate_projected]: [body] runs

@@ -22,10 +22,10 @@
 type t
 
 (** [Unknown] is only returned by budgeted [solve] calls: the resource
-    budget ran out (deadline, conflict/decision/propagation limit, or
-    cancellation) before the question was decided. The solver is left
-    at decision level 0 with all learnt clauses intact, so a later call
-    — with a fresh budget — resumes from the accumulated knowledge. *)
+    budget ran out (deadline, conflict limit, or cancellation) before
+    the question was decided. The solver is left at decision level 0
+    with all learnt clauses intact, so a later call — with a fresh
+    budget — resumes from the accumulated knowledge. *)
 type result = Sat | Unsat | Unknown
 
 val create : unit -> t
@@ -121,9 +121,8 @@ val learnts_kept : t -> int
     captured. Callers that assume in a fixed outermost-first order
     gain the most.
 
-    [budget] makes the call interruptible: conflicts, decisions and
-    propagations are charged against it as they happen and the deadline
-    / cancellation flag is polled at every conflict and every batch of
+    [budget] makes the call interruptible: conflicts are charged against
+    it as they happen and the budget is polled at every conflict and every batch of
     decisions; on exhaustion the call returns [Unknown] (see {!result}).
     Without a budget, [solve] never returns [Unknown]. The same budget
     may be shared by many [solve] calls — charges accumulate — which is

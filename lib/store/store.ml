@@ -282,19 +282,8 @@ let write_shard w ~prefix cubes =
 
 let sink w =
   {
-    Run.on_cube = (fun c -> ignore (append w c));
-    on_shard =
-      (fun ~prefix ~cubes ->
-        write_shard w ~prefix (List.map (fun c -> (c, None)) cubes));
-    witnessed =
-      Some
-        {
-          Run.on_witnessed = (fun c witness -> ignore (append ~witness w c));
-          on_witnessed_shard =
-            (fun ~prefix ~cubes ->
-              write_shard w ~prefix
-                (List.map (fun (c, witness) -> (c, Some witness)) cubes));
-        };
+    Run.on_cube = (fun ?witness c -> ignore (append ?witness w c));
+    on_shard = write_shard w;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -119,10 +119,10 @@ val finalize :
   unit ->
   unit
 
-(** [sink w] adapts the writer to the engines' streaming interface:
-    [on_cube] is {!append}; [on_shard] writes an atomic shard sub-log.
-    The sink takes witnesses: [on_witnessed] and [on_witnessed_shard]
-    log each cube with its witness. *)
+(** [sink w] adapts the writer to the engines' per-cube stream:
+    [on_cube] is {!append}, logging the cube with its witness when it
+    has one; [on_shard] writes an atomic shard sub-log of the shard's
+    cubes and witnesses. *)
 val sink : writer -> Ps_allsat.Run.sink
 
 val stats : writer -> stats

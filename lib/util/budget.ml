@@ -1,4 +1,4 @@
-type stop = [ `Deadline | `Conflicts | `Decisions | `Propagations | `Cancelled ]
+type stop = [ `Deadline | `Conflicts | `Cancelled ]
 
 (* All mutable accounting is [Atomic.t] so one budget can be shared by
    solver instances running on several domains: workers charge their own
@@ -9,13 +9,9 @@ type stop = [ `Deadline | `Conflicts | `Decisions | `Propagations | `Cancelled ]
 type t = {
   deadline : float option;           (* absolute gettimeofday instant *)
   max_conflicts : int option;
-  max_decisions : int option;
-  max_propagations : int option;
   cancel : (unit -> bool) option;
   limited : bool;
   conflicts : int Atomic.t;
-  decisions : int Atomic.t;
-  propagations : int Atomic.t;
   polls : int Atomic.t;
   stop : stop option Atomic.t;
 }
@@ -27,11 +23,10 @@ let cancel flag = Atomic.set flag true
 let cancel_requested flag = Atomic.get flag
 
 (* Deadline / cancellation are polled once per [poll_grain] checks; the
-   discrete limits are exact. *)
+   conflict limit is exact. *)
 let poll_grain = 16
 
-let make ?timeout_s ?conflicts ?decisions ?propagations ?cancel ?cancel_with
-    () =
+let make ?timeout_s ?conflicts ?cancel ?cancel_with () =
   let deadline =
     match timeout_s with
     | None -> None
@@ -46,31 +41,18 @@ let make ?timeout_s ?conflicts ?decisions ?propagations ?cancel ?cancel_with
     | None, Some flag -> Some (fun () -> Atomic.get flag)
     | None, None -> None
   in
-  let limited =
-    deadline <> None || conflicts <> None || decisions <> None
-    || propagations <> None || cancel <> None
-  in
+  let limited = deadline <> None || conflicts <> None || cancel <> None in
   {
     deadline;
     max_conflicts = conflicts;
-    max_decisions = decisions;
-    max_propagations = propagations;
     cancel;
     limited;
     conflicts = Atomic.make 0;
-    decisions = Atomic.make 0;
-    propagations = Atomic.make 0;
     polls = Atomic.make 0;
     stop = Atomic.make None;
   }
 
-let unlimited () = make ()
-
-let is_limited t = t.limited
-
 let tick_conflict t = Atomic.incr t.conflicts
-let charge_decisions t n = ignore (Atomic.fetch_and_add t.decisions n)
-let charge_propagations t n = ignore (Atomic.fetch_and_add t.propagations n)
 
 let over limit spent = match limit with Some l -> spent >= l | None -> false
 
@@ -84,15 +66,11 @@ let check t =
   | None ->
     if not t.limited then None
     else begin
-      (* Discrete resources first: their exhaustion point is
+      (* The conflict limit first: its exhaustion point is
          deterministic, so a conflict-budgeted rerun stops identically
          even if the clock would also have fired. *)
       let s =
         if over t.max_conflicts (Atomic.get t.conflicts) then Some `Conflicts
-        else if over t.max_decisions (Atomic.get t.decisions) then
-          Some `Decisions
-        else if over t.max_propagations (Atomic.get t.propagations) then
-          Some `Propagations
         else begin
           let polls = 1 + Atomic.fetch_and_add t.polls 1 in
           if polls land (poll_grain - 1) <> 0 then None
@@ -113,19 +91,8 @@ let check t =
 let stopped t = Atomic.get t.stop
 
 let conflicts_spent t = Atomic.get t.conflicts
-let decisions_spent t = Atomic.get t.decisions
-let propagations_spent t = Atomic.get t.propagations
-
-let time_left t =
-  match t.deadline with
-  | None -> infinity
-  | Some d -> Float.max 0.0 (d -. Unix.gettimeofday ())
 
 let stop_name : stop -> string = function
   | `Deadline -> "deadline"
   | `Conflicts -> "conflicts"
-  | `Decisions -> "decisions"
-  | `Propagations -> "propagations"
   | `Cancelled -> "cancelled"
-
-let pp_stop ppf s = Format.pp_print_string ppf (stop_name s)

@@ -1,8 +1,8 @@
 (** Resource budgets for interruptible solving.
 
     A budget is a mutable accounting object shared by every layer of one
-    solving run: the CDCL solver charges conflicts, decisions and
-    propagations against it, the enumeration engines poll it between
+    solving run: the CDCL solver charges conflicts against it and polls
+    it every batch of decisions, the enumeration engines poll it between
     cubes and search nodes, and whoever created it can flip the
     cancellation flag from the outside. When any resource is exhausted,
     every layer observes the same sticky {!stop} reason and unwinds with
@@ -15,17 +15,17 @@
     the stop reason; every other domain observes it on its next
     {!check} and unwinds too.
 
-    Accounting is deterministic for the discrete resources on a single
-    domain: two runs of the same deterministic search with the same
-    conflict budget stop at exactly the same point. Only the wall-clock
-    deadline depends on the machine, and multi-domain runs interleave
-    charges nondeterministically.
+    Conflict accounting is deterministic on a single domain: two runs
+    of the same deterministic search with the same conflict budget stop
+    at exactly the same point. Only the wall-clock deadline depends on
+    the machine, and multi-domain runs interleave charges
+    nondeterministically.
 
-    A budget is single-use: create one per run ({!make} / {!unlimited}),
+    A budget is single-use: create one per run ({!make}),
     thread it through, then read {!stopped}. *)
 
 (** Why a budgeted run stopped early. *)
-type stop = [ `Deadline | `Conflicts | `Decisions | `Propagations | `Cancelled ]
+type stop = [ `Deadline | `Conflicts | `Cancelled ]
 
 type t
 
@@ -52,10 +52,9 @@ val cancel_requested : cancel_flag -> bool
       clock, throttled, so overshoot is bounded by the polling grain of
       the caller — the solver polls at every conflict, restart and
       batch of decisions).
-    - [conflicts] / [decisions] / [propagations]: total counts charged
-      via the [tick_*]/[charge_*] functions, across {e all} solver
-      calls sharing this budget — including calls running on other
-      domains.
+    - [conflicts]: total conflicts charged via {!tick_conflict},
+      across {e all} solver calls sharing this budget — including calls
+      running on other domains.
     - [cancel]: polled on every {!check}; return [true] to stop the run
       cooperatively. The closure must be safe to call from any domain
       that polls the budget — when in doubt, use [cancel_with].
@@ -65,25 +64,13 @@ val cancel_requested : cancel_flag -> bool
 val make :
   ?timeout_s:float ->
   ?conflicts:int ->
-  ?decisions:int ->
-  ?propagations:int ->
   ?cancel:(unit -> bool) ->
   ?cancel_with:cancel_flag ->
   unit ->
   t
 
-(** A fresh budget with no limits (checks always pass). *)
-val unlimited : unit -> t
-
-(** [is_limited t] is [true] iff any limit or cancel hook is set —
-    lets hot loops skip the bookkeeping entirely. *)
-val is_limited : t -> bool
-
-(** Charge consumed resources. Cheap (one atomic fetch-and-add). *)
+(** Charge one conflict. Cheap (one atomic fetch-and-add). *)
 val tick_conflict : t -> unit
-
-val charge_decisions : t -> int -> unit
-val charge_propagations : t -> int -> unit
 
 (** [check t] — has the budget run out? The first exhausted resource is
     recorded and returned on every subsequent call (sticky, across all
@@ -95,14 +82,7 @@ val check : t -> stop option
 (** The sticky stop reason, without polling anything. *)
 val stopped : t -> stop option
 
-(** Resources consumed so far (for stats / traces). *)
+(** Conflicts charged so far (for stats / traces). *)
 val conflicts_spent : t -> int
 
-val decisions_spent : t -> int
-val propagations_spent : t -> int
-
-(** Seconds left until the deadline ([infinity] when none). *)
-val time_left : t -> float
-
 val stop_name : stop -> string
-val pp_stop : Format.formatter -> stop -> unit

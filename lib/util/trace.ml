@@ -131,20 +131,6 @@ let jsonl_file path =
   let oc = open_out path in
   (jsonl oc, fun () -> close_out oc)
 
-let throttled ?(interval_s = 0.1) f =
-  let last = ref neg_infinity in
-  callback (fun ~time_s ev ->
-      match ev with
-      | Stopped _ | Phase _ | Frame_start _ | Frame_done _ | Store_open _
-      | Checkpoint _ | Store_verified _ ->
-        last := time_s;
-        f ~time_s ev
-      | _ ->
-        if time_s -. !last >= interval_s then begin
-          last := time_s;
-          f ~time_s ev
-        end)
-
 let emit sink ev =
   match sink with
   | Null -> ()

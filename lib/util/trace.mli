@@ -6,7 +6,7 @@
     budgeted run reports how it stopped. Sinks are pluggable — the
     {!null} sink makes emission free, {!jsonl} streams machine-readable
     logs (one JSON object per line, schema in docs/OBSERVABILITY.md),
-    and {!throttled} drives progress callbacks without flooding them.
+    and {!callback} hands each event to a function.
 
     Events are timestamped with seconds elapsed since the sink was
     created, so one sink shared across engines yields one coherent
@@ -101,13 +101,6 @@ val jsonl : out_channel -> sink
 (** [jsonl_file path] opens [path] for writing and returns the sink
     plus a closer. *)
 val jsonl_file : string -> sink * (unit -> unit)
-
-(** [throttled ~interval_s f] forwards at most one event per
-    [interval_s] seconds to [f] — except {!Stopped}, {!Phase},
-    {!Frame_start}, {!Frame_done}, {!Store_open}, {!Checkpoint} and
-    {!Store_verified} events, which always pass (they are rare and
-    structural). Default interval: 0.1 s. *)
-val throttled : ?interval_s:float -> (time_s:float -> event -> unit) -> sink
 
 (** [locked s] serializes emissions into [s] with a mutex, making one
     sink shareable by several worker domains (JSONL lines never

@@ -227,8 +227,8 @@ let test_shard_lifecycle () =
   with_log @@ fun path ->
   let w = St.create ~path (meta 2) in
   let sink = St.sink w in
-  sink.Run.on_shard ~prefix:"1-" ~cubes:[ c "11"; c "10" ];
-  sink.Run.on_shard ~prefix:"0-" ~cubes:[ c "01" ];
+  sink.Run.on_shard ~prefix:"1-" [ (c "11", None); (c "10", None) ];
+  sink.Run.on_shard ~prefix:"0-" [ (c "01", None) ];
   check_bool "shard file exists" true (Sys.file_exists (path ^ ".shard-1-"));
   St.finalize w ~complete:true ();
   check_bool "finalize removes shards" false
@@ -242,8 +242,8 @@ let test_shard_consolidation_on_resume () =
   let sink = St.sink w in
   ignore (St.append w (c "11"));
   (* shards that survived a crash before the merge *)
-  sink.Run.on_shard ~prefix:"1-" ~cubes:[ c "11"; c "10" ];
-  sink.Run.on_shard ~prefix:"0-" ~cubes:[ c "01" ];
+  sink.Run.on_shard ~prefix:"1-" [ (c "11", None); (c "10", None) ];
+  sink.Run.on_shard ~prefix:"0-" [ (c "01", None) ];
   (* a torn half-written shard must be swept, not consolidated *)
   write_file (path ^ ".shard-0-.tmp") "garbage";
   (* "crash": never finalize [w]; the log ends after the start
@@ -295,10 +295,10 @@ let recover_exn path =
 let test_shard_witnesses_on_resume () =
   with_log @@ fun path ->
   let w = St.create ~path (meta 2) in
-  let ws = Option.get (St.sink w).Run.witnessed in
   ignore (St.append ~witness:"\001" w (c "11"));
   St.checkpoint w ();
-  ws.Run.on_witnessed_shard ~prefix:"0-" ~cubes:[ (c "01", "\002"); (c "00", "\003") ];
+  (St.sink w).Run.on_shard ~prefix:"0-"
+    [ (c "01", Some "\002"); (c "00", Some "\003") ];
   match St.resume ~path () with
   | Error e -> Alcotest.fail e
   | Ok (r, w2) ->
@@ -900,9 +900,12 @@ let test_union_count_checked () =
 
 (* --- parallel producer through the sink ---------------------------------- *)
 
-let test_parallel_store_verified () =
+(* [cnf] projected onto its first four variables, enumerated on four
+   guiding-path shards into a store through [Parallel]'s shard and
+   merged streams; [keep_witnesses] makes the shards keep theirs.
+   Returns the merged run and the recovered log. *)
+let parallel_log ~keep_witnesses cnf =
   with_log @@ fun path ->
-  let cnf = Dimacs.parse_string probe_cnf in
   let w = St.create ~path (meta ~vars:[| 0; 1; 2; 3 |] 4) in
   let run_shard ~prefix ~limit ~budget ~trace =
     let solver = Solver.create () in
@@ -910,7 +913,7 @@ let test_parallel_store_verified () =
     List.iter
       (fun lit -> ignore (Solver.add_clause solver [ lit ]))
       (Project.lits_of_cube probe_proj prefix);
-    Blocking.enumerate ?limit ?budget ~trace solver probe_proj
+    Blocking.enumerate ?limit ?budget ~trace ~keep_witnesses solver probe_proj
   in
   let r =
     Ps_allsat.Parallel.run ~jobs:2 ~split_depth:2 ~sink:(St.sink w) ~width:4
@@ -925,11 +928,33 @@ let test_parallel_store_verified () =
              (String.length f > String.length (Filename.basename path)
              && String.sub f 0 (String.length (Filename.basename path))
                 = Filename.basename path)));
-  let rec_log = recover_exn path in
+  (r, recover_exn path)
+
+(* The probe formula, then (v1 \/ v2 \/ v5) /\ (~v3 \/ ~v4): 12
+   projected solutions, whose witness is v5's value. With witnessed
+   shards every logged cube is certified by its witness and the only
+   SAT calls left are the completeness descent's gap calls. *)
+let test_parallel_store_verified () =
+  let cnf = Dimacs.parse_string probe_cnf in
+  let _, rec_log = parallel_log ~keep_witnesses:false cnf in
   check_bool "merged stream equals solution set" true
     (Cube_set.equal_union 4 (enumerate_probe ()) rec_log.St.cubes);
   check_bool "parallel log verified" true
-    (Verify.ok (Verify.run ~cnf rec_log))
+    (Verify.ok (Verify.run ~cnf rec_log));
+  let cnf = Dimacs.parse_string "p cnf 5 2\n1 2 5 0\n-3 -4 0\n" in
+  let report ~keep_witnesses =
+    let r, rec_log = parallel_log ~keep_witnesses cnf in
+    check_bool "the run keeps witnesses" keep_witnesses (r.Run.witnesses <> None);
+    Verify.run ~cnf rec_log
+  in
+  let bare = report ~keep_witnesses:false in
+  let rep = report ~keep_witnesses:true in
+  check_bool "witnessed log verified" true (Verify.ok rep);
+  check_int "cubes" 12 rep.Verify.cubes;
+  check_int "every cube witnessed" rep.Verify.cubes rep.Verify.witnessed;
+  check_int "bare log: none witnessed" 0 bare.Verify.witnessed;
+  check_int "gap calls only" (bare.Verify.sat_calls - bare.Verify.cubes)
+    rep.Verify.sat_calls
 
 let () =
   Alcotest.run "store"
