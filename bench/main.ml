@@ -438,12 +438,20 @@ let fig5 () =
         List.map
           (fun m ->
             let r = run_capped m inst in
+            (* why SDS costs what it does: search nodes, memo hits and
+               solver calls (the SDS counters; blocking-lift has none) *)
+            let stat k =
+              if m = E.Sds then string_of_int (Stats.get (E.stats r) k) else "-"
+            in
             [
               string_of_int k;
               E.method_name m;
               mark_dnf r (g r.E.solutions);
               mark_dnf r (string_of_int r.E.n_cubes);
               (match r.E.graph_nodes with Some n -> string_of_int n | None -> "-");
+              stat "search_nodes";
+              stat "memo_hits";
+              stat "sat_calls";
               ms r.E.time_s;
             ])
           [ E.Sds; E.BlockingLift ])
@@ -452,7 +460,8 @@ let fig5 () =
   print_table
     "Figure 5: XOR-dominated targets (16-bit LFSR, target = feedback bit over \
      k taps; lifting cannot enlarge, the solution graph stays linear)"
-    [ "taps"; "engine"; "solutions"; "cubes"; "graph"; "ms" ]
+    [ "taps"; "engine"; "solutions"; "cubes"; "graph"; "nodes"; "memo_hits";
+      "sat_calls"; "ms" ]
     rows
 
 (* --- Table 5: k-step preimage (extension) ------------------------------------------ *)

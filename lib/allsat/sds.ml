@@ -25,7 +25,8 @@ let config = function
 let default_config = config Sds
 
 (* Memo keys. A signature is the frontier walk as a sequence of ints
-   (net × 3 + ternary code) with a rolling hash of that sequence. Two
+   (net × 3 + ternary code, or -1 - parity after an X-valued XOR's
+   fanins) with a rolling hash of that sequence. Two
    keys are equal only when their depths and whole sequences are: the
    hash merely picks the bucket, so a collision costs a comparison and
    can never return another node's subgraph. *)
@@ -72,7 +73,8 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
   (* Justification-frontier signature: the residual solution set below a
      search node is determined by the sub-DAG of X-valued gates still
      observable from the root, together with the values of their
-     immediate fanins. The DFS serializes exactly that — nets whose value
+     immediate fanins (for an XOR, only the parity of its constant
+     ones). The DFS serializes exactly that — nets whose value
      can no longer reach the root (e.g. behind a controlling input) are
      excluded, so residual-equivalent nodes produced by different
      prefixes collide in the memo table. This is the success-driven
@@ -85,24 +87,50 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
      BDD (per-path variable orders), which is exactly the
      representation the original solver built from its search tree.
 
-     The walk visits each net at most once, so [nnets] words always
-     suffice; the buffer is shared by every node of the recursion. *)
+     An X-valued XOR/XNOR is parity-folded: below it the residual is
+     [parity ⊕ XOR(X fanins)], so the walk descends only into its X
+     fanins and then writes one word [-1 - parity] for the XOR of its
+     constant fanins (net words are ≥ 0, so the two never collide).
+     Prefixes that assign the taps differently but with equal parity
+     then share one memo entry. The constant fanins are not marked
+     visited, so another path that reaches one still serializes it.
+
+     The walk visits each net at most once and writes one extra word
+     per X-valued XOR, so [nnets + xor gates] words always suffice; the
+     buffer is shared by every node of the recursion. *)
   let visited = Array.make nnets (-1) in
   let visit_epoch = ref 0 in
-  let sig_words = Array.make nnets 0 in
+  let n_xors = ref 0 in
+  for net = 0 to nnets - 1 do
+    match N.driver netlist net with
+    | N.Gate ((G.Xor | G.Xnor), _) -> incr n_xors
+    | _ -> ()
+  done;
+  let sig_words = Array.make (nnets + !n_xors) 0 in
   let sig_len = ref 0 in
   let sig_hash = ref 0 in
   let candidate = ref (-1) in
+  let push w =
+    sig_words.(!sig_len) <- w;
+    incr sig_len;
+    sig_hash := (!sig_hash lxor w) * 0x100000001b3
+  in
   let rec mark epoch net =
     if visited.(net) <> epoch then begin
       visited.(net) <- epoch;
       let v = values.(net) in
-      let w = (net * 3) + tri_code v in
-      sig_words.(!sig_len) <- w;
-      incr sig_len;
-      sig_hash := (!sig_hash lxor w) * 0x100000001b3;
+      push ((net * 3) + tri_code v);
       if v = G.X then
         match N.driver netlist net with
+        | N.Gate ((G.Xor | G.Xnor), fanins) ->
+          let parity = ref 0 in
+          for i = 0 to Array.length fanins - 1 do
+            match values.(fanins.(i)) with
+            | G.X -> mark epoch fanins.(i)
+            | G.T -> parity := !parity lxor 1
+            | G.F -> ()
+          done;
+          push (-1 - !parity)
         | N.Gate (_, fanins) ->
           for i = 0 to Array.length fanins - 1 do
             mark epoch fanins.(i)

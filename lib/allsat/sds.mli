@@ -7,12 +7,16 @@
     + {b Three-valued simulation} of the constraint cone decides the whole
       subtree when the objective is already forced to 0 or 1 — forced-1
       subtrees contribute a full don't-care subcube in O(1).
-    + {b Success-driven learning}: the ternary value vector of the cone is
-      the node's {e signature}; since the residual solution set is a
-      function of the signature alone, a signature seen before (at the
-      same depth) returns the previously built solution subgraph without
-      any search. This is what collapses the search {e tree} into a
-      solution {e graph}.
+    + {b Success-driven learning}: the ternary values of the
+      justification frontier (the X-valued gates the objective still
+      sees, with their fanins' values; an X-valued XOR/XNOR contributes
+      only the parity of its constant fanins) are the node's
+      {e signature}; since the residual solution set is a function of
+      the signature alone, a signature seen before (at the same depth)
+      returns the previously built solution subgraph without any
+      search. Prefixes with equal parity under an XOR share one entry.
+      This is what collapses the search {e tree} into a solution
+      {e graph}.
     + A {b CDCL oracle} call (under the prefix as assumptions) refutes
       unsatisfiable subtrees immediately; its learnt clauses persist, so
       successive probes get cheaper. A probe whose prefix the last model

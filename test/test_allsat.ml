@@ -643,49 +643,111 @@ let sds_golden =
     ("rand_c", (29, 12, 4, 15, "f0277e41"), (5, 0, 4, 3, "f0277e41"));
   ]
 
-let test_sds_golden () =
+(* Checks one golden row pair against [Engine.run] on [inst]. *)
+let check_sds_golden name inst (sds, dyn) =
   let module E = Preimage.Engine in
+  List.iter
+    (fun (m, (nodes, hits, graph, probes, digest)) ->
+      let what k = Printf.sprintf "%s %s %s" name (E.method_name m) k in
+      let r = E.run m inst in
+      let stat = Ps_util.Stats.get (E.stats r) in
+      check_int (what "search_nodes") nodes (stat "search_nodes");
+      check_int (what "memo_hits") hits (stat "memo_hits");
+      check_int (what "graph_nodes") graph (stat "graph_nodes");
+      check_int (what "probes") probes (stat "sat_calls" + stat "model_hits");
+      Alcotest.(check string) (what "cubes") digest
+        (String.sub
+           (Digest.to_hex
+              (Digest.string
+                 (String.concat "," (List.map Cube.to_string (E.cubes r)))))
+           0 8);
+      (match Preimage.Check.engines_agree inst [ r ] with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s: %s" (what "bdd") msg);
+      if name = "fifo16" then begin
+        check_bool (what "model_hits > 0") true (stat "model_hits" > 0);
+        check_bool (what "fewer solver calls") true (stat "sat_calls" < probes)
+      end)
+    [ (E.Sds, sds); (E.SdsDynamic, dyn) ]
+
+let test_sds_golden () =
   let module Suite = Ps_gen.Suite in
   check_int "every medium circuit" (List.length Suite.medium)
     (List.length sds_golden);
   List.iter
     (fun e ->
       let name = e.Suite.name in
-      let sds, dyn =
+      let row =
         match List.find_opt (fun (n, _, _) -> n = name) sds_golden with
         | Some (_, sds, dyn) -> (sds, dyn)
         | None -> Alcotest.failf "%s: no golden row" name
       in
-      let inst =
-        Preimage.Instance.make (Lazy.force e.Suite.circuit)
-          (Suite.default_target e)
-      in
-      List.iter
-        (fun (m, (nodes, hits, graph, probes, digest)) ->
-          let what k = Printf.sprintf "%s %s %s" name (E.method_name m) k in
-          let r = E.run m inst in
-          let stat = Ps_util.Stats.get (E.stats r) in
-          check_int (what "search_nodes") nodes (stat "search_nodes");
-          check_int (what "memo_hits") hits (stat "memo_hits");
-          check_int (what "graph_nodes") graph (stat "graph_nodes");
-          check_int (what "probes") probes
-            (stat "sat_calls" + stat "model_hits");
-          Alcotest.(check string) (what "cubes") digest
-            (String.sub
-               (Digest.to_hex
-                  (Digest.string
-                     (String.concat "," (List.map Cube.to_string (E.cubes r)))))
-               0 8);
-          (match Preimage.Check.engines_agree inst [ r ] with
-          | Ok _ -> ()
-          | Error msg -> Alcotest.failf "%s: %s" (what "bdd") msg);
-          if name = "fifo16" then begin
-            check_bool (what "model_hits > 0") true (stat "model_hits" > 0);
-            check_bool (what "fewer solver calls") true
-              (stat "sat_calls" < probes)
-          end)
-        [ (E.Sds, sds); (E.SdsDynamic, dyn) ])
+      check_sds_golden name
+        (Preimage.Instance.make (Lazy.force e.Suite.circuit)
+           (Suite.default_target e))
+        row)
     Suite.medium
+
+(* The 16-bit Fibonacci LFSR with k taps, target = feedback bit high: a
+   parity objective. Before the signature folded an X-valued XOR's
+   constant fanins into one parity word, every row searched 2^(k+1) - 1
+   nodes with 0 memo hits (k = 12: 8191 nodes, 4095 probes); the graph
+   and the cubes were the same as now. *)
+let sds_golden_lfsr =
+  [
+    (* taps, (nodes, hits, graph, probes, cubes digest) for sds, then sds-dynamic *)
+    (10, (39, 16, 21, 19, "4b41d2c4"), (39, 16, 21, 19, "4b41d2c4"));
+    (12, (47, 20, 25, 23, "4b32441a"), (47, 20, 25, 23, "4b32441a"));
+    (14, (55, 24, 29, 27, "be45aa4f"), (55, 24, 29, 27, "be45aa4f"));
+  ]
+
+let test_sds_golden_lfsr () =
+  List.iter
+    (fun (k, sds, dyn) ->
+      let c = Ps_gen.Lfsr.fibonacci ~bits:16 ~taps:(List.init k Fun.id) () in
+      check_sds_golden
+        (Printf.sprintf "lfsr16-xor%d" k)
+        (Preimage.Instance.make c (Ps_gen.Targets.bit_high ~bits:16 0))
+        (sds, dyn))
+    sds_golden_lfsr
+
+let test_sds_xnor_shared_fanin () =
+  (* r = XNOR(a, b, c) ∨ (a ∧ d). Once a and b are assigned, the XNOR
+     is X with the parity a ⊕ b folded into one signature word; a is
+     also read by the AND, whose walk must still record a's value.
+     Prefixes 00 and 01 differ only in that parity, and their residuals
+     (¬c and c) differ too. *)
+  let b = Ps_circuit.Builder.create () in
+  let input = Ps_circuit.Builder.input b in
+  let xa = input "a" and xb = input "b" and xc = input "c" and xd = input "d" in
+  let x = Ps_circuit.Builder.xnor_ b ~name:"x" [ xa; xb; xc ] in
+  let y = Ps_circuit.Builder.and_ b ~name:"y" [ xa; xd ] in
+  let r = Ps_circuit.Builder.or_ b ~name:"r" [ x; y ] in
+  Ps_circuit.Builder.output b r;
+  let n = Ps_circuit.Builder.finalize b in
+  let cnf = Ts.encode n in
+  let proj_nets = [| xa; xb; xc; xd |] in
+  let reference bits =
+    let a = bits.(0) and b = bits.(1) and c = bits.(2) and d = bits.(3) in
+    not (a <> b <> c) || (a && d)
+  in
+  List.iter
+    (fun (label, variant) ->
+      let s = Solver.create () in
+      ignore (Solver.load s cnf);
+      ignore (Solver.add_clause s [ Lit.pos r ]);
+      let res =
+        A.Sds.search ~config:(A.Sds.config variant) ~netlist:n ~root:r
+          ~proj_nets ~solver:s ()
+      in
+      Helpers.iter_assignments 4 (fun bits ->
+          let bits = Array.sub bits 0 4 in
+          check_bool
+            (Printf.sprintf "%s %s" label (Cube.to_string (Cube.of_assignment bits)))
+            (reference bits)
+            (List.exists (fun c -> Cube.contains c bits) res.A.Run.cubes)))
+    [ ("sds", A.Sds.Sds); ("sds-dynamic", A.Sds.SdsDynamic);
+      ("sds-nomemo", A.Sds.SdsNoMemo) ]
 
 let () =
   Alcotest.run "ps_allsat"
@@ -734,5 +796,8 @@ let () =
           Alcotest.test_case "sds rejects bad projections" `Quick
             test_sds_rejects_bad_projection;
           Alcotest.test_case "sds golden medium suite" `Quick test_sds_golden;
+          Alcotest.test_case "sds golden lfsr parity" `Quick test_sds_golden_lfsr;
+          Alcotest.test_case "sds xnor fanin on two paths" `Quick
+            test_sds_xnor_shared_fanin;
         ] );
     ]
