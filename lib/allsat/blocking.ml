@@ -35,10 +35,28 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?(keep_witnesses = fals
   in
   (* Minterm runs hand over to chronological enumeration once the
      blocking clauses, [prior]'s included, outnumber the problem clauses
-     they started with. Lifted runs start there and shrink every model
-     to a cube (docs/ALGORITHMS.md §13). *)
+     they started with. Each projection variable the root fixes (a
+     shard's prefix units, say) halves that threshold while the
+     classical loop finds its models at no more than one conflict each:
+     a dense share of the space, which chronological enumeration drains
+     cheaply. Sparse, hard shards keep the full threshold. Lifted runs
+     enumerate chronologically from the start and shrink every model to
+     a cube (docs/ALGORITHMS.md §13). *)
   let problem_clauses = Solver.n_clauses solver in
+  let root_fixed =
+    Array.to_list proj.Project.vars
+    |> List.sort_uniq compare
+    |> List.filter (fun v -> Solver.root_value solver v <> None)
+    |> List.length
+  in
+  let scaled = problem_clauses asr min root_fixed 62 in
+  let conflicts () = Stats.get (Solver.stats solver) "conflicts" in
+  let conflicts_on_entry = conflicts () in
   let blocked = ref 0 in
+  let hand_over () =
+    !blocked > problem_clauses
+    || (!blocked > scaled && conflicts () - conflicts_on_entry <= !sat_calls)
+  in
   (* [false] once nothing is left to enumerate *)
   let block cube =
     incr blocked;
@@ -66,7 +84,7 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?(keep_witnesses = fals
       stopped := Run.stopped_of_budget budget ~default:`Cancelled;
       running := false
     end
-    else if Option.is_some shrink || !blocked > problem_clauses then begin
+    else if Option.is_some shrink || hand_over () then begin
       incr sat_calls;
       running := false;
       match

@@ -8,6 +8,11 @@
     solver held on entry, the rest of the minterms are drained by
     chronological enumeration inside the solver
     ({!Ps_sat.Solver.enumerate_projected}), which adds no clause at all.
+    While the classical calls have cost at most one conflict each, that
+    threshold is halved for every projection variable fixed at the root
+    on entry (a {!Parallel} shard's prefix units, say): a dense shard
+    hands over in proportion to its share of the space, a sparse one
+    keeps the full threshold.
 
     With lifting, there is no classical loop: one chronological
     enumeration shrinks each model to a cube inside the lifting

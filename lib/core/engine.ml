@@ -46,7 +46,10 @@ let now () = Unix.gettimeofday ()
    prefix natively (ternary seeding + assumptions — unit clauses alone
    would be unsound for them, the simulator would not see them); the
    blocking engines take it as unit clauses, which also keeps each
-   shard's blocking-clause database limited to its own subspace. *)
+   shard's blocking-clause database limited to its own subspace: the
+   units fix the prefix bits at the root, and [Blocking] scales its
+   hand-over threshold down by them while the shard's models cost at
+   most one conflict each. *)
 let enumerate ?prefix ?limit ?budget ?(trace = Trace.null) method_
     ~netlist ~root ~proj solver =
   let proj_nets = proj.A.Project.vars in

@@ -46,10 +46,10 @@ let stateless preimage_of =
   { Ri.reached = ignore; learnts = (fun () -> 0); preimage }
 
 (* The rebuild enumerator: a fresh instance and engine run per frame,
-   nothing kept across frames. *)
-let rebuild m circuit =
+   nothing kept across frames; each run's events go to [trace]. *)
+let rebuild ?trace m circuit =
   stateless (fun man cubes ->
-      let r = Engine.run m (Instance.make circuit cubes) in
+      let r = Engine.run ?trace m (Instance.make circuit cubes) in
       let s = Engine.stats r in
       ( Check.result_bdd man r.Engine.run ~width:(B.nvars man),
         Ps_util.Stats.get s "solve_calls",
@@ -64,9 +64,9 @@ let bdd circuit =
 let backward ?(engine = E_sds) ?max_steps ?trace ?store ?resume circuit target =
   let enumerator =
     match engine with
-    | E_sds -> Some (rebuild Engine.Sds circuit)
-    | E_sds_dynamic -> Some (rebuild Engine.SdsDynamic circuit)
-    | E_blocking_lift -> Some (rebuild Engine.BlockingLift circuit)
+    | E_sds -> Some (rebuild ?trace Engine.Sds circuit)
+    | E_sds_dynamic -> Some (rebuild ?trace Engine.SdsDynamic circuit)
+    | E_blocking_lift -> Some (rebuild ?trace Engine.BlockingLift circuit)
     | E_bdd -> Some (bdd circuit)
     | E_incremental -> None (* the session *)
   in

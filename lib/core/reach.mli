@@ -57,8 +57,10 @@ type result = {
     [trace] receives a {!Ps_util.Trace.Frame_start} /
     {!Ps_util.Trace.Frame_done} pair per frame (every engine but
     [E_incremental] reports [learnts = 0] and [blocked = 0], since it
-    keeps no solver across frames), plus the session's solver events
-    under [E_incremental].
+    keeps no solver across frames), plus each frame's engine events
+    (phases, [memo_hit], [solve], [cube], [stopped]) under [E_sds],
+    [E_sds_dynamic] and [E_blocking_lift], and the session's solver
+    events under [E_incremental].
 
     [store] persists the fixpoint into a durable solution log, one
     ["frame"] checkpoint per frame; [resume] replays a recovered log

@@ -70,6 +70,13 @@ let random_cnf rng ~nvars ~nclauses ~max_len =
   in
   Ps_sat.Cnf.of_clauses ~nvars (List.init nclauses (fun _ -> clause ()))
 
+(* Seeded random 3-CNF: [nclauses] clauses of three literals each. *)
+let random_3cnf ~seed ~nvars ~nclauses =
+  let rng = R.create ~seed in
+  Ps_sat.Cnf.of_clauses ~nvars
+    (List.init nclauses (fun _ ->
+         List.init 3 (fun _ -> Ps_sat.Lit.make (R.int rng nvars) (R.bool rng))))
+
 (* Random expression trees over [nvars] variables, with reference
    evaluation — used to cross-check the BDD package. *)
 type expr =

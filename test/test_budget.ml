@@ -35,25 +35,45 @@ let test_deadline_partial () =
 
 (* --- conflict budget: deterministic stop point ---------------------------- *)
 
-(* rand_c's all-ones state needs 91 conflicts for 384 minterms; the
-   budget of 60 runs out after the hand-over to chronological
-   enumeration. (Dense sets such as a counter's upper half are drained
-   with a handful of conflicts, too few for a budget to bite.) *)
+(* A seeded random 3-CNF (50 variables, 170 clauses, 2,218 minterms
+   over its first 14) fixes no projection variable at the root, so the
+   blocking loop hands over to chronological enumeration after one
+   blocking clause more than the problem clauses, with 143 conflicts
+   spent. The whole run needs 321; a budget of 230 runs out after the
+   hand-over. (Dense sets such as a counter's upper half are drained
+   with a handful of conflicts, too few for a budget to bite, and a
+   target that fixes state bits at the root can hand over early.) *)
 let test_conflict_budget_determinism () =
-  let e = Ps_gen.Suite.find "rand_c" in
-  let inst = I.make (Lazy.force e.Ps_gen.Suite.circuit) (Ps_gen.Suite.tight_target e) in
+  let cnf = Helpers.random_3cnf ~seed:6 ~nvars:50 ~nclauses:170 in
+  let proj = A.Project.of_vars (Array.init 14 Fun.id) in
+  let solver () =
+    let s = Solver.create () in
+    ignore (Solver.load s cnf);
+    s
+  in
+  let s = solver () in
+  check_bool "premise: no projection variable fixed at the root" true
+    (Array.for_all (fun v -> Solver.root_value s v = None) proj.A.Project.vars);
+  let problem_clauses = Solver.n_clauses s in
   let run () =
-    let budget = Budget.make ~conflicts:60 () in
-    E.run ~budget E.Blocking inst
+    let budget = Budget.make ~conflicts:230 () in
+    A.Blocking.enumerate ~budget (solver ()) proj
   in
   let r1 = run () in
   let r2 = run () in
-  check_bool "stopped on conflicts" true (E.stopped r1 = `Conflicts);
-  check_bool "same stop reason" true (E.stopped r2 = E.stopped r1);
-  check_bool "same stop point" true (E.cubes r1 = E.cubes r2);
-  check_int "same sat calls"
-    (Ps_util.Stats.get (E.stats r1) "sat_calls")
-    (Ps_util.Stats.get (E.stats r2) "sat_calls")
+  check_bool "stopped on conflicts" true (r1.A.Run.stopped = `Conflicts);
+  check_bool "same stop reason" true (r2.A.Run.stopped = r1.A.Run.stopped);
+  check_bool "same stop point" true (r1.A.Run.cubes = r2.A.Run.cubes);
+  check_int "same sat calls" (A.Blocking.sat_calls r1) (A.Blocking.sat_calls r2);
+  (* one classical call per blocking clause up to one past the problem
+     clauses, then the chronological call, which the budget interrupts
+     and which drains the rest of an unbudgeted run *)
+  check_int "stopped after the hand-over" (problem_clauses + 2)
+    (A.Blocking.sat_calls r1);
+  let full = A.Blocking.enumerate (solver ()) proj in
+  check_bool "unbudgeted run completes" true (A.Run.complete full);
+  check_int "unbudgeted run hands over at the same call" (problem_clauses + 2)
+    (A.Blocking.sat_calls full)
 
 (* --- uniform cube limit: SDS partial result is an under-approximation ----- *)
 

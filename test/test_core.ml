@@ -307,6 +307,37 @@ let test_reach_no_latches () =
         (fun () -> ignore (Rh.backward ~engine (comb_free ()) [ Cube.make 1 ])))
     all_reach_engines
 
+(* A traced rebuild-per-frame fixpoint carries each frame's engine
+   events between that frame's [frame_start] and [frame_done]: on
+   count8's upper half, SDS solves and reuses subgraphs. *)
+let test_reach_rebuild_trace () =
+  let module Trace = Ps_util.Trace in
+  let c = Ps_gen.Counters.binary ~bits:8 () in
+  let open_frame = ref false in
+  let frames = ref 0 and solves = ref 0 and memo_hits = ref 0 in
+  let stopped = ref 0 and outside = ref 0 in
+  let trace =
+    Trace.callback (fun ~time_s:_ ev ->
+        match ev with
+        | Trace.Frame_start _ -> open_frame := true
+        | Trace.Frame_done _ ->
+          incr frames;
+          open_frame := false
+        | _ ->
+          if not !open_frame then incr outside;
+          (match ev with
+           | Trace.Solve _ -> incr solves
+           | Trace.Memo_hit _ -> incr memo_hits
+           | Trace.Stopped _ -> incr stopped
+           | _ -> ()))
+  in
+  let r = Rh.backward ~engine:Rh.E_sds ~trace c (T.upper_half ~bits:8) in
+  check_int "one frame_done per step" (List.length r.Rh.steps) !frames;
+  check_bool "solve events" true (!solves > 0);
+  check_bool "memo_hit events" true (!memo_hits > 0);
+  check_int "one stopped per frame" !frames !stopped;
+  check_int "engine events inside their frame" 0 !outside
+
 (* The session against a rebuild engine on 16-bit suite circuits, in both
    regimes: narrow frontiers (one state per frame, 48 frames, against
    SDS) and wide ones (upper-half targets to fixpoint, against
@@ -596,6 +627,8 @@ let () =
           reach_matches_kstep_union;
           Alcotest.test_case "no latches: every engine" `Quick
             test_reach_no_latches;
+          Alcotest.test_case "rebuild frames trace their engine" `Quick
+            test_reach_rebuild_trace;
           Alcotest.test_case "session = rebuild on 16-bit suite circuits"
             `Quick test_session_matches_rebuild_16bit;
         ] );

@@ -185,9 +185,9 @@ let test_cancel_from_other_domain () =
 
 let test_global_conflict_budget () =
   (* the 4-client arbiter's upper half: 240 preimage minterms, found
-     with about 150 conflicts across the 16 shards — a counter's full
-     state space, say, is drained by chronological enumeration with
-     next to none *)
+     with 13 conflicts across the 16 shards — a counter's full state
+     space, say, is drained by chronological enumeration with next to
+     none *)
   let e = Ps_gen.Suite.find "arbiter4" in
   let inst = I.make (Lazy.force e.Ps_gen.Suite.circuit) (Ps_gen.Suite.default_target e) in
   let width = A.Project.width inst.I.proj in
@@ -217,6 +217,73 @@ let test_global_conflict_budget () =
     (fun m -> check_bool "cube in full set" true (List.mem m full_set))
     (minterm_set width (E.cubes r));
   check_sound inst (E.cubes r)
+
+(* --- per-shard hand-over ------------------------------------------------ *)
+
+(* A shard's prefix units fix its leading projection bits at the root,
+   and while its models cost at most one conflict each, each fixed bit
+   halves the blocking clauses the shard adds before it hands over to
+   chronological enumeration. count12's upper half has 2,049 minterms
+   over 16 shards. *)
+let test_shards_hand_over_early () =
+  let e = Ps_gen.Suite.find "count12" in
+  let inst = I.make (Lazy.force e.Ps_gen.Suite.circuit) (T.upper_half ~bits:12) in
+  let width = A.Project.width inst.I.proj in
+  let seq = E.run E.Blocking inst in
+  let par = E.run ~jobs:2 E.Blocking inst in
+  let shards = Stats.get (E.stats par) "shards" in
+  let sat_calls = Stats.get (E.stats par) "sat_calls" in
+  check_bool "complete" true (E.complete par);
+  check_bool
+    (Printf.sprintf "%d sat calls over %d shards" sat_calls shards)
+    true
+    (sat_calls <= 4 * shards);
+  Alcotest.(check (list string))
+    "sharded minterms = unsharded"
+    (minterm_set width (E.cubes seq))
+    (minterm_set width (E.cubes par))
+
+(* A near-threshold random 3-CNF (60 variables, 230 clauses, 577
+   minterms over its first 18) has sparse shards whose models cost
+   about 2.5 conflicts each, the regime of EXPERIMENTS.md Table 2b,
+   where projection-first chronological search pays far more
+   conflicts. They keep the full threshold; no shard holds more
+   minterms than the problem clauses, so none hands over: one classical
+   call per minterm plus the final unsatisfiable one, per shard. *)
+let test_sparse_shards_keep_full_threshold () =
+  let cnf = Helpers.random_3cnf ~seed:6 ~nvars:60 ~nclauses:230 in
+  let width = 18 in
+  let proj = A.Project.of_vars (Array.init width Fun.id) in
+  let solver () =
+    let s = Ps_sat.Solver.create () in
+    ignore (Ps_sat.Solver.load s cnf);
+    s
+  in
+  let problem_clauses = Ps_sat.Solver.n_clauses (solver ()) in
+  let seq = A.Blocking.enumerate (solver ()) proj in
+  let par =
+    Par.run ~jobs:2 ~width
+      ~run_shard:(fun ~prefix ~limit ~budget ~trace ->
+        let s = solver () in
+        List.iter
+          (fun l -> ignore (Ps_sat.Solver.add_clause s [ l ]))
+          (A.Project.lits_of_cube proj prefix);
+        A.Blocking.enumerate ?limit ?budget ~trace s proj)
+      ()
+  in
+  let cubes = List.length par.Run.cubes in
+  let shards = Stats.get par.Run.stats "shards" in
+  check_bool "complete" true (Run.complete par);
+  check_bool "premise: no shard holds more minterms than problem clauses"
+    true
+    (Stats.get par.Run.stats "shard_cubes_max" <= problem_clauses);
+  check_int "no shard hands over" 0 (Stats.get par.Run.stats "chrono_cubes");
+  check_int "one classical call per minterm and shard" (cubes + shards)
+    (A.Blocking.sat_calls par);
+  Alcotest.(check (list string))
+    "sharded minterms = unsharded"
+    (minterm_set width seq.Run.cubes)
+    (minterm_set width par.Run.cubes)
 
 (* --- fixed-depth sharding ----------------------------------------------- *)
 
@@ -322,6 +389,13 @@ let () =
         [
           Alcotest.test_case "global conflict budget" `Quick
             test_global_conflict_budget;
+        ] );
+      ( "hand-over",
+        [
+          Alcotest.test_case "shards hand over early" `Quick
+            test_shards_hand_over_early;
+          Alcotest.test_case "sparse shards keep the full threshold" `Quick
+            test_sparse_shards_keep_full_threshold;
         ] );
       ( "re-splitting",
         [

@@ -240,12 +240,6 @@ let test_solver_growing_vars () =
    search is deterministic, so any change to the CDCL loop's decisions,
    restarts or learnt-DB reductions shows here first. *)
 
-let random_3cnf ~seed ~nvars ~nclauses =
-  let rng = R.create ~seed in
-  Cnf.of_clauses ~nvars
-    (List.init nclauses (fun _ ->
-         List.init 3 (fun _ -> Lit.make (R.int rng nvars) (R.bool rng))))
-
 let trajectory s =
   let st = Solver.stats s in
   List.map (Stats.get st)
@@ -261,7 +255,7 @@ let check_run name ~stats ~transcript s text =
 let test_trajectory_solve () =
   List.iter
     (fun (seed, answer, stats, transcript) ->
-      let s = solver_of (random_3cnf ~seed ~nvars:200 ~nclauses:852) in
+      let s = solver_of (Helpers.random_3cnf ~seed ~nvars:200 ~nclauses:852) in
       let text =
         match Solver.solve s with
         | Solver.Sat -> "sat " ^ bits (Solver.model s)
@@ -280,7 +274,7 @@ let test_trajectory_solve () =
    reuse) and appends up to eleven fresh literals; the learnt DB
    outgrows its cap between restarts. *)
 let test_trajectory_assumptions () =
-  let s = solver_of (random_3cnf ~seed:3 ~nvars:150 ~nclauses:540) in
+  let s = solver_of (Helpers.random_3cnf ~seed:3 ~nvars:150 ~nclauses:540) in
   let rng = R.create ~seed:4 in
   let text = Buffer.create 4096 in
   let answers = Array.make 2 0 in
@@ -311,7 +305,7 @@ let test_trajectory_assumptions () =
     ~transcript:"596d6b062726210707b2284847e21fcc"
 
 let test_trajectory_enumerate () =
-  let f = random_3cnf ~seed:5 ~nvars:90 ~nclauses:330 in
+  let f = Helpers.random_3cnf ~seed:5 ~nvars:90 ~nclauses:330 in
   let proj = Array.init 22 (fun i -> 4 * i) in
   let run name ?shrink ~stats ~transcript () =
     let s = solver_of f in
