@@ -149,8 +149,9 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
   (* Static keys include the depth (the branch variable is a function of
      the depth); dynamic keys are the signature alone (the branch
      variable is a function of the signature), which shares subgraphs
-     across depths too. *)
-  let memo : Sg.t Memo.t = Memo.create 1024 in
+     across depths too. The table starts at one bucket per net, the
+     size of the signature buffer; it grows with the search. *)
+  let memo : Sg.t Memo.t = Memo.create nnets in
   let assumption_stack = ref [] in
   let n_search_nodes = ref 0 in
   let n_memo_hits = ref 0 in

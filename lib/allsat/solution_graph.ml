@@ -17,16 +17,18 @@ and man = {
 
 let terminal_level = max_int
 
+(* The tables start at a few buckets per level and grow with the graph,
+   so a small search does not pay for a large one's tables. *)
 let new_man ~width =
   if width < 0 then invalid_arg "Solution_graph.new_man";
   let rec man =
     {
       w = width;
-      unique = Hashtbl.create 1024;
+      unique = Hashtbl.create (4 * width);
       next_id = 2;
       zero_n = zero;
       one_n = one;
-      cache_paths = Hashtbl.create 256;
+      cache_paths = Hashtbl.create width;
     }
   and zero = { id = 0; level = terminal_level; lo = zero; hi = zero; man }
   and one = { id = 1; level = terminal_level; lo = one; hi = one; man } in

@@ -43,23 +43,28 @@ let validate drivers names outputs =
         invalid_arg (Printf.sprintf "Netlist.make: duplicate name %S" nm);
       Hashtbl.add tbl nm i)
     names;
-  let check_net ctx j =
+  (* The referrer is [what] followed by net [i]'s name ([i] < 0: none);
+     the message is only built for an invalid reference. *)
+  let check_net what i j =
     if j < 0 || j >= n then
+      let ctx = if i < 0 then what else Printf.sprintf "%s %S" what names.(i) in
       invalid_arg (Printf.sprintf "Netlist.make: %s references invalid net %d" ctx j)
   in
   Array.iteri
     (fun i d ->
       match d with
       | Input -> ()
-      | Latch { data; _ } -> check_net (Printf.sprintf "latch %S" names.(i)) data
+      | Latch { data; _ } -> check_net "latch" i data
       | Gate (kind, fanins) ->
         if not (Gate.arity_ok kind (Array.length fanins)) then
           invalid_arg
             (Printf.sprintf "Netlist.make: gate %S has bad arity %d" names.(i)
                (Array.length fanins));
-        Array.iter (check_net (Printf.sprintf "gate %S" names.(i))) fanins)
+        for k = 0 to Array.length fanins - 1 do
+          check_net "gate" i fanins.(k)
+        done)
     drivers;
-  List.iter (check_net "outputs") outputs;
+  List.iter (check_net "outputs" (-1)) outputs;
   tbl
 
 exception Cycle of int

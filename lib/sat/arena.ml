@@ -20,7 +20,7 @@ type t = {
   mutable wasted : int;
 }
 
-let create ?(capacity = 1024) () =
+let create ?(capacity = 16) () =
   { data = Array.make (max capacity 16) 0; len = 0; wasted = 0 }
 
 let len t = t.len
@@ -28,16 +28,21 @@ let wasted t = t.wasted
 let live_words t = t.len - t.wasted
 let should_gc t = 5 * t.wasted > t.len
 
+let resize t cap =
+  let data' = Array.make cap 0 in
+  Array.blit t.data 0 data' 0 t.len;
+  t.data <- data'
+
 let ensure t n =
   if t.len + n > Array.length t.data then begin
     let cap = ref (Array.length t.data) in
     while t.len + n > !cap do
       cap := 2 * !cap
     done;
-    let data' = Array.make !cap 0 in
-    Array.blit t.data 0 data' 0 t.len;
-    t.data <- data'
+    resize t !cap
   end
+
+let reserve t n = if t.len + n > Array.length t.data then resize t (t.len + n)
 
 (* Activities are non-negative floats whose low-order mantissa bit is
    irrelevant (they only rank clauses), so they fit a 63-bit immediate
@@ -45,8 +50,7 @@ let ensure t n =
 let bits_of_act a = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float a) 1)
 let act_of_bits i = Int64.float_of_bits (Int64.shift_left (Int64.of_int i) 1)
 
-let alloc t ~learnt lits =
-  let size = Array.length lits in
+let alloc t ~learnt lits size =
   if size < 2 then invalid_arg "Arena.alloc: clause needs at least 2 literals";
   ensure t (header_words + size);
   let cr = t.len in

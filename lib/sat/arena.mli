@@ -32,12 +32,19 @@ type t
 (** Words of header before the literals of every clause. *)
 val header_words : int
 
+(** [create ?capacity ()] is an empty arena with room for [capacity]
+    words (default 16). *)
 val create : ?capacity:int -> unit -> t
 
-(** [alloc t ~learnt lits] appends a clause block and returns its
-    reference. Raises [Invalid_argument] when [lits] has fewer than two
-    literals (unit and empty clauses never reach the arena). *)
-val alloc : t -> learnt:bool -> Lit.t array -> Cref.t
+(** [reserve t n] makes room for [n] more words at once, growing the
+    storage to exactly [len t + n] words when it is smaller. *)
+val reserve : t -> int -> unit
+
+(** [alloc t ~learnt lits size] appends a clause block holding the first
+    [size] literals of [lits] and returns its reference. Raises
+    [Invalid_argument] when [size] is below two (unit and empty clauses
+    never reach the arena). *)
+val alloc : t -> learnt:bool -> Lit.t array -> int -> Cref.t
 
 (** [free t cr] marks the clause dead and accounts its block as wasted.
     The block stays walkable until the next {!reloc} pass. *)

@@ -67,6 +67,8 @@ type t = {
   groups : (int, int Vec.t) Hashtbl.t;
   mutable n_groups_retired : int;
   mutable n_learnts_kept : int;
+  (* Scratch for the clause normaliser: a clause's literals, in place. *)
+  mutable lit_buf : int array;
   (* Transient per-call state of the CDCL loop (set on entry). *)
   mutable budget : Budget.t option;
   mutable trace : Trace.sink;
@@ -125,6 +127,7 @@ let create () =
     groups = Hashtbl.create 16;
     n_groups_retired = 0;
     n_learnts_kept = 0;
+    lit_buf = Array.make 16 0;
     budget = None;
     trace = Trace.null;
     unpolled = 0;
@@ -133,38 +136,40 @@ let create () =
 
 let nvars t = t.n_vars
 
+(* Resize every per-variable array to [cap] slots. *)
+let grow_vars t cap =
+  let v = t.n_vars in
+  let grow_int a init =
+    let a' = Array.make cap init in
+    Array.blit a 0 a' 0 v;
+    a'
+  in
+  let grow_bool a =
+    let a' = Array.make cap false in
+    Array.blit a 0 a' 0 v;
+    a'
+  in
+  t.assigns <- grow_int t.assigns v_undef;
+  t.level <- grow_int t.level (-1);
+  t.reason <- grow_int t.reason cref_undef;
+  t.phase <- grow_bool t.phase;
+  t.seen <- grow_bool t.seen;
+  (let a' = Array.make cap 0.0 in
+   Array.blit !(t.activity) 0 a' 0 v;
+   t.activity := a');
+  (let tr' = Array.make cap 0 in
+   Array.blit t.trail 0 tr' 0 t.n_trail;
+   t.trail <- tr');
+  (let wd' = Array.make (2 * cap) [||] in
+   Array.blit t.w_data 0 wd' 0 (2 * v);
+   t.w_data <- wd');
+  let ws' = Array.make (2 * cap) 0 in
+  Array.blit t.w_size 0 ws' 0 (2 * v);
+  t.w_size <- ws'
+
 let new_var t =
   let v = t.n_vars in
-  if v >= Array.length t.assigns then begin
-    let cap = max 16 (2 * Array.length t.assigns) in
-    let grow_int a init =
-      let a' = Array.make cap init in
-      Array.blit a 0 a' 0 v;
-      a'
-    in
-    let grow_bool a =
-      let a' = Array.make cap false in
-      Array.blit a 0 a' 0 v;
-      a'
-    in
-    t.assigns <- grow_int t.assigns v_undef;
-    t.level <- grow_int t.level (-1);
-    t.reason <- grow_int t.reason cref_undef;
-    t.phase <- grow_bool t.phase;
-    t.seen <- grow_bool t.seen;
-    (let a' = Array.make cap 0.0 in
-     Array.blit !(t.activity) 0 a' 0 v;
-     t.activity := a');
-    (let tr' = Array.make cap 0 in
-     Array.blit t.trail 0 tr' 0 t.n_trail;
-     t.trail <- tr');
-    (let wd' = Array.make (2 * cap) [||] in
-     Array.blit t.w_data 0 wd' 0 (2 * v);
-     t.w_data <- wd');
-    (let ws' = Array.make (2 * cap) 0 in
-     Array.blit t.w_size 0 ws' 0 (2 * v);
-     t.w_size <- ws')
-  end;
+  if v >= Array.length t.assigns then grow_vars t (max 16 (2 * Array.length t.assigns));
   t.assigns.(v) <- v_undef;
   t.level.(v) <- -1;
   t.reason.(v) <- cref_undef;
@@ -490,7 +495,7 @@ let analyze t confl =
 
 (* Store a learnt clause of two or more literals. *)
 let store_learnt t lits =
-  let cr = Arena.alloc t.arena ~learnt:true lits in
+  let cr = Arena.alloc t.arena ~learnt:true lits (Array.length lits) in
   Vec.push t.learnts cr;
   attach t cr;
   cla_bump t cr;
@@ -581,50 +586,127 @@ let reduce_db t =
 
 (* --- adding clauses ---------------------------------------------------- *)
 
-(* Shared add path; returns the arena reference when the (simplified)
-   clause was actually stored, so the group registry can index it. *)
-let add_clause_cref t lits =
+(* [lit_buffer t n] is the normaliser's scratch, with room for [n]
+   literals. *)
+let lit_buffer t n =
+  if Array.length t.lit_buf < n then
+    t.lit_buf <- Array.make (max n (2 * Array.length t.lit_buf)) 0;
+  t.lit_buf
+
+(* Sort the first [n] words of [b] in increasing order: an insertion
+   sort for the short clauses that make up nearly every formula, a
+   library sort past [insertion_max] literals. *)
+let insertion_max = 64
+
+let sort_prefix b n =
+  if n > insertion_max then begin
+    let a = Array.sub b 0 n in
+    Array.sort Int.compare a;
+    Array.blit a 0 b 0 n
+  end
+  else
+    for i = 1 to n - 1 do
+      let l = b.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && b.(!j) > l do
+        b.(!j + 1) <- b.(!j);
+        decr j
+      done;
+      b.(!j + 1) <- l
+    done
+
+(* The one clause path, for [add_clause], [add_grouped] and [load]: the
+   clause is the first [n] words of [t.lit_buf]. It is normalised in
+   place: sorted and deduplicated; a tautology ([l] next to [l lxor 1]
+   once sorted) or a root-true literal drops it, and root-false literals
+   are filtered out. Returns the arena reference when the clause was
+   actually stored, so the group registry can index it. *)
+let add_buffered t n =
   cancel_until t 0;
   if not t.ok then (false, cref_undef)
   else begin
-    List.iter (fun l -> ensure_vars t (Lit.var l + 1)) lits;
-    (* Sort, dedupe, drop root-false literals, detect tautology /
-       root-satisfied clauses. *)
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      List.exists (fun l -> List.mem (Lit.negate l) lits) lits
-      || List.exists (fun l -> value_lit t l = 1) lits
-    in
-    if tautology then (true, cref_undef)
+    let b = t.lit_buf in
+    let top = ref (-1) in
+    for i = 0 to n - 1 do
+      if Lit.var b.(i) > !top then top := Lit.var b.(i)
+    done;
+    ensure_vars t (!top + 1);
+    sort_prefix b n;
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      if !k = 0 || b.(!k - 1) <> b.(i) then begin
+        b.(!k) <- b.(i);
+        incr k
+      end
+    done;
+    let k = !k in
+    let satisfied = ref false in
+    for i = 0 to k - 1 do
+      if value_lit t b.(i) = 1 || (i + 1 < k && b.(i + 1) = Lit.negate b.(i)) then
+        satisfied := true
+    done;
+    if !satisfied then (true, cref_undef)
     else begin
-      let lits = List.filter (fun l -> value_lit t l <> 0) lits in
-      match lits with
-      | [] ->
+      let m = ref 0 in
+      for i = 0 to k - 1 do
+        if value_lit t b.(i) <> 0 then begin
+          b.(!m) <- b.(i);
+          incr m
+        end
+      done;
+      match !m with
+      | 0 ->
         t.ok <- false;
         (false, cref_undef)
-      | [ l ] ->
-        ignore (enqueue t l cref_undef);
+      | 1 ->
+        ignore (enqueue t b.(0) cref_undef);
         if propagate t <> cref_undef then begin
           t.ok <- false;
           (false, cref_undef)
         end
         else (true, cref_undef)
-      | _ ->
-        let cr = Arena.alloc t.arena ~learnt:false (Array.of_list lits) in
+      | m ->
+        let cr = Arena.alloc t.arena ~learnt:false b m in
         Vec.push t.clauses cr;
         attach t cr;
         (true, cr)
     end
   end
 
-let add_clause t lits = fst (add_clause_cref t lits)
+(* [add_list t ?first lits] puts [first] (when given) and then [lits] in
+   the scratch buffer and adds them as one clause. *)
+let add_list t ?first lits =
+  let off = if Option.is_some first then 1 else 0 in
+  let n = off + List.length lits in
+  let b = lit_buffer t n in
+  Option.iter (fun l -> b.(0) <- l) first;
+  List.iteri (fun i l -> b.(off + i) <- l) lits;
+  add_buffered t n
 
+let add_clause t lits = fst (add_list t lits)
+
+(* The clause list is newest first: the clauses go into an array oldest
+   first, and the arena and the per-variable arrays are sized to the
+   formula before the first clause is added. *)
 let load t cnf =
+  let n = List.length cnf.Cnf.clauses in
+  let in_order = Array.make n [||] in
+  let words = ref 0 in
+  List.iteri
+    (fun i c ->
+      in_order.(n - 1 - i) <- c;
+      let len = Array.length c in
+      if len >= 2 then words := !words + Arena.header_words + len)
+    cnf.Cnf.clauses;
+  if cnf.Cnf.nvars > Array.length t.assigns then grow_vars t cnf.Cnf.nvars;
   ensure_vars t cnf.Cnf.nvars;
-  List.fold_left
-    (fun ok c -> add_clause t (Array.to_list c) && ok)
-    true
-    (List.rev cnf.Cnf.clauses)
+  Arena.reserve t.arena !words;
+  Array.fold_left
+    (fun ok c ->
+      let len = Array.length c in
+      Array.blit c 0 (lit_buffer t len) 0 len;
+      fst (add_buffered t len) && ok)
+    true in_order
 
 (* --- retractable clause groups ------------------------------------------ *)
 
@@ -647,7 +729,7 @@ let group_clauses t g =
 let add_grouped t g lits =
   if not (Hashtbl.mem t.groups g) then
     invalid_arg "Solver.add_grouped: retired or unknown group";
-  let ok, cr = add_clause_cref t (Lit.neg g :: lits) in
+  let ok, cr = add_list t ~first:(Lit.neg g) lits in
   if cr <> cref_undef then Vec.push (Hashtbl.find t.groups g) cr;
   ok
 

@@ -39,14 +39,22 @@ val nvars : t -> int
 (** [ensure_vars t n] allocates variables until [nvars t >= n]. *)
 val ensure_vars : t -> int -> unit
 
-(** [add_clause t lits] adds a clause over existing variables. The solver
-    backtracks to level 0 first; tautologies are dropped, duplicate and
+(** [add_clause t lits] adds a clause, allocating the variables it
+    mentions past [nvars t]. The solver backtracks to level 0 first;
+    tautologies and root-satisfied clauses are dropped, duplicate and
     root-level-false literals removed. Returns [false] iff the clause
     makes the formula trivially unsatisfiable at the root (the solver is
     then permanently unsat). *)
 val add_clause : t -> Lit.t list -> bool
 
-(** [load t cnf] allocates [cnf]'s variables and adds all its clauses. *)
+(** [load t cnf] allocates [cnf]'s variables and adds all its clauses,
+    oldest first. It leaves the solver exactly as {!ensure_vars} to
+    [cnf.nvars] followed by one {!add_clause} per clause would: every
+    clause goes through the same normaliser, which sorts, dedupes and
+    simplifies the literals in place in a reused buffer. Unlike that
+    sequence, it grows the per-variable arrays once, to [cnf.nvars], and
+    the clause arena once, to the formula's word count. Returns [false]
+    iff the formula is unsatisfiable at the root. *)
 val load : t -> Cnf.t -> bool
 
 (** {2 Retractable clause groups}

@@ -155,11 +155,17 @@ let test_netlist_validation () =
      ignore (mk [ N.Input; N.Input ] [ "a"; "a" ] []);
      Alcotest.fail "expected duplicate-name failure"
    with Invalid_argument _ -> ());
-  (* dangling fanin *)
-  (try
-     ignore (mk [ gate G.Not [ 5 ] ] [ "a" ] []);
-     Alcotest.fail "expected bad-fanin failure"
-   with Invalid_argument _ -> ());
+  (* dangling references: the message names the referring gate or latch *)
+  Alcotest.check_raises "dangling gate fanin"
+    (Invalid_argument "Netlist.make: gate \"g\" references invalid net 7")
+    (fun () -> ignore (mk [ N.Input; gate G.And [ 0; 7 ] ] [ "a"; "g" ] []));
+  Alcotest.check_raises "dangling latch data"
+    (Invalid_argument "Netlist.make: latch \"q\" references invalid net -1")
+    (fun () ->
+      ignore (mk [ N.Input; N.Latch { data = -1; init = None } ] [ "a"; "q" ] []));
+  Alcotest.check_raises "dangling output"
+    (Invalid_argument "Netlist.make: outputs references invalid net 2")
+    (fun () -> ignore (mk [ N.Input; N.Input ] [ "a"; "b" ] [ 2 ]));
   (* combinational cycle *)
   (try
      ignore (mk [ gate G.Not [ 1 ]; gate G.Not [ 0 ] ] [ "a"; "b" ] []);

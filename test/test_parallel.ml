@@ -184,39 +184,64 @@ let test_cancel_from_other_domain () =
 (* --- global budget across shards --------------------------------------- *)
 
 let test_global_conflict_budget () =
-  (* the 4-client arbiter's upper half: 240 preimage minterms, found
-     with 13 conflicts across the 16 shards — a counter's full state
-     space, say, is drained by chronological enumeration with next to
-     none *)
-  let e = Ps_gen.Suite.find "arbiter4" in
-  let inst = I.make (Lazy.force e.Ps_gen.Suite.circuit) (Ps_gen.Suite.default_target e) in
-  let width = A.Project.width inst.I.proj in
-  let full = E.run ~jobs:1 E.Blocking inst in
-  let total_conflicts = Stats.get (E.stats full) "conflicts" in
-  check_bool "run is complete" true (E.complete full);
-  (* if this workload ever stops conflicting the test below would be
-     vacuous *)
-  check_bool "workload produces conflicts" true (total_conflicts >= 8);
-  let cap = total_conflicts / 2 in
-  let budget = Budget.make ~conflicts:cap () in
-  let r = E.run ~jobs:4 ~budget E.Blocking inst in
-  check_bool "stopped on conflicts" true (E.stopped r = `Conflicts);
+  (* a near-threshold random 3-CNF (Table 2b's n120 row, seed 2)
+     projected on its first 24 variables: 2,729 minterms, found with
+     about 8,400 conflicts across the shards, so the cap lies thousands of
+     conflicts before the end of the run and an overshoot past the slack
+     below would show *)
+  let cnf = Helpers.random_3cnf ~seed:2 ~nvars:120 ~nclauses:456 in
+  let width = 24 in
+  let proj = A.Project.of_vars (Array.init width Fun.id) in
+  let run ?budget () =
+    Par.run ~jobs:4 ?budget ~width
+      ~run_shard:(fun ~prefix ~limit ~budget ~trace ->
+        let s = Ps_sat.Solver.create () in
+        ignore (Ps_sat.Solver.load s cnf);
+        List.iter
+          (fun l -> ignore (Ps_sat.Solver.add_clause s [ l ]))
+          (A.Project.lits_of_cube proj prefix);
+        A.Blocking.enumerate ?limit ?budget ~trace s proj)
+      ()
+  in
+  let full = run () in
+  let total_conflicts = Stats.get full.Run.stats "conflicts" in
+  check_bool "run is complete" true (Run.complete full);
   (* globally enforced: total spend across all shards stays within the
      polling grain of the cap (each in-flight solver may overshoot by
      one decision batch before its next poll) *)
   let slack = 4 * 256 in
+  (* if this workload ever spent fewer conflicts, an unbounded overshoot
+     could hide inside the slack *)
+  check_bool
+    (Printf.sprintf "workload spends %d conflicts, more than 4 x slack" total_conflicts)
+    true
+    (total_conflicts > 4 * slack);
+  let cap = total_conflicts / 2 in
+  let budget = Budget.make ~conflicts:cap () in
+  let r = run ~budget () in
+  check_bool "stopped on conflicts" true (r.Run.stopped = `Conflicts);
   check_bool
     (Printf.sprintf "conflicts %d within cap %d + slack"
        (Budget.conflicts_spent budget) cap)
     true
     (Budget.conflicts_spent budget <= cap + slack);
-  check_bool "under-approximation" true (r.E.n_cubes < full.E.n_cubes);
+  check_bool "under-approximation" true
+    (List.length r.Run.cubes < List.length full.Run.cubes);
   (* truncated cubes are a subset of the full solution set *)
-  let full_set = minterm_set width (E.cubes full) in
+  let full_set = Hashtbl.create 4096 in
+  List.iter (fun m -> Hashtbl.replace full_set m ()) (minterm_set width full.Run.cubes);
   List.iter
-    (fun m -> check_bool "cube in full set" true (List.mem m full_set))
-    (minterm_set width (E.cubes r));
-  check_sound inst (E.cubes r)
+    (fun m -> check_bool "cube in full set" true (Hashtbl.mem full_set m))
+    (minterm_set width r.Run.cubes);
+  (* and each extends to a model of the formula *)
+  let s = Ps_sat.Solver.create () in
+  ignore (Ps_sat.Solver.load s cnf);
+  List.iter
+    (fun c ->
+      check_bool "cube is sound" true
+        (Ps_sat.Solver.solve ~assumptions:(A.Project.lits_of_cube proj c) s
+         = Ps_sat.Solver.Sat))
+    r.Run.cubes
 
 (* --- per-shard hand-over ------------------------------------------------ *)
 

@@ -96,6 +96,100 @@ let test_thousand_queries_one_solver () =
   done;
   check_int "all 1000 probes exact" 0 !mismatches
 
+(* --- bulk load ----------------------------------------------------------------- *)
+
+(* [load] and a run of [add_clause] calls, in the formula's order after
+   [ensure_vars], must leave the same solver: the same root state, and
+   the same search from it. *)
+let check_load_is_add_each name cnf =
+  let loaded = Solver.create () in
+  let ok_load = Solver.load loaded cnf in
+  let added = Solver.create () in
+  Solver.ensure_vars added cnf.Cnf.nvars;
+  let ok_add =
+    List.fold_left
+      (fun ok c -> Solver.add_clause added (Array.to_list c) && ok)
+      true (List.rev cnf.Cnf.clauses)
+  in
+  let name s = Printf.sprintf "%s: %s" name s in
+  check_bool (name "load result") ok_add ok_load;
+  check_bool (name "okay") (Solver.okay added) (Solver.okay loaded);
+  check_int (name "nvars") (Solver.nvars added) (Solver.nvars loaded);
+  check_int (name "n_clauses") (Solver.n_clauses added) (Solver.n_clauses loaded);
+  for v = 0 to Solver.nvars added - 1 do
+    Alcotest.(check (option bool))
+      (name (Printf.sprintf "root value of %d" v))
+      (Solver.root_value added v) (Solver.root_value loaded v)
+  done;
+  let n = Solver.nvars added in
+  List.iter
+    (fun assumptions ->
+      let assumptions = List.filter (fun l -> Lit.var l < n) assumptions in
+      let r_add = Solver.solve ~assumptions added in
+      let r_load = Solver.solve ~assumptions loaded in
+      check_bool (name "same answer") true (r_add = r_load);
+      if r_add = Solver.Sat then
+        Alcotest.(check (array bool)) (name "same model") (Solver.model added)
+          (Solver.model loaded);
+      let st_add = Solver.stats added and st_load = Solver.stats loaded in
+      List.iter
+        (fun k -> check_int (name k) (Stats.get st_add k) (Stats.get st_load k))
+        [ "conflicts"; "decisions"; "propagations" ])
+    [ []; [ Lit.pos 0 ]; [ Lit.neg 1; Lit.pos 2 ]; [ Lit.neg 0; Lit.neg 3 ] ]
+
+(* Clause arrays in the order given; [nvars] as declared, even when a
+   literal lies past it. *)
+let cnf_of ~nvars clauses = { Cnf.nvars; clauses = List.rev clauses }
+
+let test_load_is_add_each () =
+  let p = Lit.pos and n = Lit.neg in
+  check_load_is_add_each "duplicates, tautologies, root-true and root-false"
+    (cnf_of ~nvars:6
+       [
+         [| p 0; p 0; n 1 |];
+         [| n 1; p 2; n 1; p 2 |];
+         [| p 4; n 0; n 4; p 1 |];
+         [| p 3 |];
+         [| p 3; p 4 |];
+         [| n 3; p 4; p 5 |];
+         [| n 3; p 5; n 3 |];
+         [| n 5; p 1; p 2 |];
+         [| p 7; n 2 |];
+       ]);
+  check_load_is_add_each "conflicting units mid-load"
+    (cnf_of ~nvars:5
+       [ [| p 0; p 1 |]; [| p 2 |]; [| n 2 |]; [| p 3; n 9 |]; [| p 12 |] ]);
+  check_load_is_add_each "conflict by propagation"
+    (cnf_of ~nvars:4
+       [ [| n 0; p 1 |]; [| n 1; p 2 |]; [| n 2 |]; [| p 0 |]; [| p 6; p 3 |] ]);
+  check_load_is_add_each "empty clause"
+    (cnf_of ~nvars:3 [ [| p 0; n 1 |]; [||]; [| p 1; p 2 |]; [| p 5 |] ]);
+  check_load_is_add_each "literals past nvars"
+    (cnf_of ~nvars:2 [ [| p 0; n 3 |]; [| n 5; p 1; p 5 |]; [| p 4 |] ]);
+  check_load_is_add_each "empty formula" (cnf_of ~nvars:4 [])
+
+(* Random 3-CNFs with a duplicate literal, a tautology or a unit clause
+   injected after some clauses. *)
+let prop_load_is_add_each seed =
+  let rng = R.create ~seed in
+  let nvars = 6 + R.int rng 20 in
+  let base =
+    Helpers.random_3cnf ~seed ~nvars ~nclauses:(nvars * (2 + R.int rng 3))
+  in
+  let clauses =
+    List.concat_map
+      (fun c ->
+        match R.int rng 6 with
+        | 0 -> [ Array.append c [| c.(0) |] ]
+        | 1 -> [ Array.append c [| Lit.negate c.(1) |] ]
+        | 2 -> [ c; [| c.(2) |] ]
+        | _ -> [ c ])
+      (List.rev base.Cnf.clauses)
+  in
+  check_load_is_add_each (Printf.sprintf "seed %d" seed)
+    (cnf_of ~nvars:base.Cnf.nvars clauses);
+  true
+
 (* --- phase saving ------------------------------------------------------------ *)
 
 let test_phase_saving_stability () =
@@ -341,6 +435,11 @@ let () =
           Alcotest.test_case "1000 assumption probes" `Quick
             test_thousand_queries_one_solver;
           Alcotest.test_case "growing variables" `Quick test_solver_growing_vars;
+          Alcotest.test_case "bulk load = clause-by-clause add" `Quick
+            test_load_is_add_each;
+          Helpers.qtest "bulk load = clause-by-clause add, random 3-CNF"
+            QCheck.(make Gen.(int_bound 100_000))
+            prop_load_is_add_each;
         ] );
       ( "behaviour",
         [
