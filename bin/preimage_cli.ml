@@ -20,23 +20,23 @@ let die fmt = Printf.ksprintf (fun s -> prerr_endline ("preimage_cli: " ^ s); ex
 
 (* Bad circuit or target arguments exit 2 with the offending argument
    named, like every other usage error. *)
-let load_circuit ?(arg = "CIRCUIT") spec =
+let load_circuit spec =
   match Ps_gen.Suite.find spec with
   | entry -> Lazy.force entry.Ps_gen.Suite.circuit
   | exception Not_found -> (
     if not (Sys.file_exists spec) then
-      die "%s: unknown circuit %S (not a suite name — try 'suite' — and not a file)"
-        arg spec;
+      die "CIRCUIT: unknown circuit %S (not a suite name — try 'suite' — and not a file)"
+        spec;
     try
       if Filename.check_suffix spec ".v" then Ps_circuit.Verilog.parse_file spec
       else Ps_circuit.Bench.parse_file spec
-    with Failure msg | Sys_error msg -> die "%s: %s: %s" arg spec msg)
+    with Failure msg | Sys_error msg -> die "CIRCUIT: %s: %s" spec msg)
 
-let parse_target ?(arg = "--target") circuit spec =
+let parse_target circuit spec =
   let bits = List.length (N.latches circuit) in
   let names = Array.of_list (List.map (N.name circuit) (N.latches circuit)) in
   try Ps_gen.Targets.parse ~bits ~names spec
-  with Failure msg | Invalid_argument msg -> die "%s %S: %s" arg spec msg
+  with Failure msg | Invalid_argument msg -> die "--target %S: %s" spec msg
 
 let circuit_arg =
   let doc = "Circuit: a suite name (see $(b,suite)) or a .bench file path." in
@@ -673,51 +673,6 @@ let verify_cmd =
           damaged, incomplete, or wrong.")
     Term.(const run $ log_arg $ cnf_arg $ trace_file_arg)
 
-(* --- bmc ------------------------------------------------------------------ *)
-
-let bmc_cmd =
-  let init =
-    Arg.(
-      value
-      & opt string "all-zeros"
-      & info [ "i"; "init" ] ~docv:"INIT" ~doc:"Initial state set (target syntax).")
-  in
-  let max_depth =
-    Arg.(value & opt int 50 & info [ "max-depth" ] ~docv:"N" ~doc:"Depth bound.")
-  in
-  let vcd =
-    Arg.(
-      value & opt (some string) None
-      & info [ "vcd" ] ~docv:"FILE" ~doc:"Dump the counterexample waveform as VCD.")
-  in
-  let run spec bad_spec init_spec max_depth vcd =
-    let circuit = load_circuit spec in
-    let bad = parse_target circuit bad_spec in
-    let init = parse_target ~arg:"--init" circuit init_spec in
-    match Preimage.Bmc.check circuit ~init ~bad ~max_depth with
-    | None -> Format.printf "safe up to depth %d@." max_depth
-    | Some cex ->
-      let bits a =
-        String.concat ""
-          (Array.to_list (Array.map (fun b -> if b then "1" else "0") a))
-      in
-      Format.printf "counterexample at depth %d@." cex.Preimage.Bmc.depth;
-      Format.printf "  initial state: %s@." (bits cex.Preimage.Bmc.initial);
-      List.iteri
-        (fun t iv -> Format.printf "  cycle %d inputs: %s@." t (bits iv))
-        cex.Preimage.Bmc.inputs;
-      Format.printf "  final state:   %s@." (bits cex.Preimage.Bmc.final);
-      match vcd with
-      | None -> ()
-      | Some path ->
-        Ps_circuit.Vcd.write_file path circuit ~state:cex.Preimage.Bmc.initial
-          ~input_seq:cex.Preimage.Bmc.inputs;
-        Format.printf "waveform written to %s@." path
-  in
-  Cmd.v
-    (Cmd.info "bmc" ~doc:"Bounded model checking (shortest counterexample)")
-    Term.(const run $ circuit_arg $ target_arg $ init $ max_depth $ vcd)
-
 (* --- atpg ------------------------------------------------------------------ *)
 
 let atpg_cmd =
@@ -751,83 +706,6 @@ let atpg_cmd =
     (Cmd.info "atpg" ~doc:"Complete stuck-at test sets via all-solutions SAT")
     Term.(const run $ circuit_arg $ engine $ verbose)
 
-(* --- prove (k-induction) ------------------------------------------------------ *)
-
-let prove_cmd =
-  let init =
-    Arg.(
-      value & opt string "all-zeros"
-      & info [ "i"; "init" ] ~docv:"INIT" ~doc:"Initial state set (target syntax).")
-  in
-  let max_k =
-    Arg.(value & opt int 20 & info [ "max-k" ] ~docv:"K" ~doc:"Induction depth bound.")
-  in
-  let unique =
-    Arg.(
-      value & flag
-      & info [ "unique" ] ~doc:"Simple-path (distinct states) constraints.")
-  in
-  let run spec bad_spec init_spec max_k unique =
-    let circuit = load_circuit spec in
-    let bad = parse_target circuit bad_spec in
-    let init = parse_target ~arg:"--init" circuit init_spec in
-    match Preimage.Induction.prove ~unique_states:unique circuit ~init ~bad ~max_k with
-    | Preimage.Induction.Proved k -> Format.printf "PROVED (inductive at k=%d)@." k
-    | Preimage.Induction.Unknown k ->
-      Format.printf "UNKNOWN (not inductive up to k=%d; no counterexample)@." k
-    | Preimage.Induction.Falsified cex ->
-      Format.printf "FALSIFIED at depth %d@." cex.Preimage.Bmc.depth;
-      List.iteri
-        (fun t iv ->
-          Format.printf "  cycle %d inputs: %s@." t
-            (String.concat ""
-               (Array.to_list (Array.map (fun b -> if b then "1" else "0") iv))))
-        cex.Preimage.Bmc.inputs
-  in
-  Cmd.v
-    (Cmd.info "prove" ~doc:"Prove a safety property by k-induction")
-    Term.(const run $ circuit_arg $ target_arg $ init $ max_k $ unique)
-
-(* --- equiv (sequential equivalence) --------------------------------------------- *)
-
-let equiv_cmd =
-  let circuit_b =
-    Arg.(
-      required & pos 1 (some string) None
-      & info [] ~docv:"CIRCUIT_B" ~doc:"Second circuit (suite name or .bench).")
-  in
-  let bits_arg name =
-    Arg.(
-      value & opt (some string) None
-      & info [ name ] ~docv:"BITS"
-          ~doc:"Initial state, 0/1 string (state bit 0 first; default all zeros).")
-  in
-  let run spec_a spec_b init_a init_b =
-    let a = load_circuit spec_a and b = load_circuit ~arg:"CIRCUIT_B" spec_b in
-    let parse_bits circuit = function
-      | None -> Array.make (List.length (N.latches circuit)) false
-      | Some s -> Array.init (String.length s) (fun i -> s.[i] = '1')
-    in
-    match
-      Preimage.Sec.check a b ~init_a:(parse_bits a init_a)
-        ~init_b:(parse_bits b init_b)
-    with
-    | Preimage.Sec.Equivalent { states_explored } ->
-      Format.printf "EQUIVALENT (%g product states explored)@." states_explored
-    | Preimage.Sec.Inequivalent cex ->
-      Format.printf
-        "INEQUIVALENT: outputs can diverge after %d cycles@." cex.Preimage.Bmc.depth;
-      List.iteri
-        (fun t iv ->
-          Format.printf "  cycle %d inputs: %s@." t
-            (String.concat ""
-               (Array.to_list (Array.map (fun b -> if b then "1" else "0") iv))))
-        cex.Preimage.Bmc.inputs
-  in
-  Cmd.v
-    (Cmd.info "equiv" ~doc:"Sequential equivalence check")
-    Term.(const run $ circuit_arg $ circuit_b $ bits_arg "init-a" $ bits_arg "init-b")
-
 let () =
   let doc = "SAT all-solutions preimage computation (DATE 2004 reproduction)" in
   let info = Cmd.info "preimage_cli" ~version:"1.0.0" ~doc in
@@ -836,5 +714,5 @@ let () =
        (Cmd.group info
           [
             suite_cmd; info_cmd; preimage_cmd; reach_cmd; allsat_cmd;
-            verify_cmd; bmc_cmd; atpg_cmd; prove_cmd; equiv_cmd;
+            verify_cmd; atpg_cmd;
           ]))

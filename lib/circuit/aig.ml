@@ -65,8 +65,6 @@ let xor a x y =
   (* x xor y = (x ∨ y) ∧ ¬(x ∧ y) *)
   conj a (disj a x y) (neg (conj a x y))
 
-let mux a ~sel ~if1 ~if0 = disj a (conj a sel if1) (conj a (neg sel) if0)
-
 let rec balanced op a = function
   | [] -> invalid_arg "Aig: empty literal list"
   | [ l ] -> l
@@ -134,87 +132,3 @@ let of_netlist n =
       | Netlist.Input | Netlist.Latch _ -> assert false)
     (Netlist.topo_gates n);
   (a, lits)
-
-let lit_to_sat l = l (* identical encoding: 2*node (+1 for complement) *)
-
-let to_cnf a roots =
-  let module Cnf = Ps_sat.Cnf in
-  let module L = Ps_sat.Lit in
-  let visited = Hashtbl.create 256 in
-  let clauses = ref [ [ L.neg 0 ] ] (* constant node is false *) in
-  let rec visit n =
-    if n <> 0 && (not (is_input a n)) && not (Hashtbl.mem visited n) then begin
-      Hashtbl.add visited n ();
-      let l0 = Vec.get a.lit0 n and l1 = Vec.get a.lit1 n in
-      visit (node_of l0);
-      visit (node_of l1);
-      let y = L.pos n in
-      let s0 = lit_to_sat l0 and s1 = lit_to_sat l1 in
-      (* y = s0 & s1 *)
-      clauses :=
-        [ L.negate y; s0 ]
-        :: [ L.negate y; s1 ]
-        :: [ y; L.negate s0; L.negate s1 ]
-        :: !clauses
-    end
-  in
-  List.iter (fun l -> visit (node_of l)) roots;
-  Cnf.of_clauses ~nvars:(Vec.size a.lit0) !clauses
-
-let support a l =
-  let seen = Hashtbl.create 64 in
-  let acc = Hashtbl.create 16 in
-  let rec go n =
-    if n <> 0 && not (Hashtbl.mem seen n) then begin
-      Hashtbl.add seen n ();
-      if is_input a n then Hashtbl.replace acc n ()
-      else begin
-        go (node_of (Vec.get a.lit0 n));
-        go (node_of (Vec.get a.lit1 n))
-      end
-    end
-  in
-  go (node_of l);
-  Hashtbl.fold (fun n () l -> n :: l) acc [] |> List.sort compare
-
-let to_netlist a ~inputs ~outputs =
-  if Array.length inputs <> num_inputs a then
-    invalid_arg "Aig.to_netlist: wrong number of input names";
-  let b = Builder.create () in
-  (* net of each AIG node's positive literal, built on demand *)
-  let node_net = Hashtbl.create 64 in
-  let const0 = lazy (Builder.const0 b ~name:"_aig_const0" ()) in
-  List.iteri
-    (fun i n -> Hashtbl.replace node_net n (Builder.input b inputs.(i)))
-    (List.rev a.inputs);
-  let inverters = Hashtbl.create 64 in
-  let rec net_of_node n =
-    if n = 0 then Lazy.force const0
-    else begin
-      match Hashtbl.find_opt node_net n with
-      | Some net -> net
-      | None ->
-        let f0 = net_of_lit (Vec.get a.lit0 n) in
-        let f1 = net_of_lit (Vec.get a.lit1 n) in
-        let net = Builder.and_ b [ f0; f1 ] in
-        Hashtbl.replace node_net n net;
-        net
-    end
-  and net_of_lit l =
-    let base = net_of_node (node_of l) in
-    if not (is_complemented l) then base
-    else begin
-      match Hashtbl.find_opt inverters base with
-      | Some net -> net
-      | None ->
-        let net = Builder.not_ b base in
-        Hashtbl.replace inverters base net;
-        net
-    end
-  in
-  List.iter
-    (fun (name, l) ->
-      let net = Builder.buf b ~name (net_of_lit l) in
-      Builder.output b net)
-    outputs;
-  Builder.finalize b

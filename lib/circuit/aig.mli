@@ -3,9 +3,8 @@
     The normalized circuit representation used by modern equivalence
     checkers and SAT front ends: two-input AND nodes with complemented
     edges, structurally hashed so syntactically equal subfunctions share
-    one node. Here it serves as (a) a technology-independent size metric
-    (Table 1), (b) an alternative, often smaller CNF encoding of a
-    netlist cone, and (c) a fast simulation substrate.
+    one node. Here it serves as a technology-independent size metric:
+    Table 1's AIG-node column is {!num_nodes} of {!of_netlist}.
 
     A {e literal} packs a node index and a complement bit ([2*node] /
     [2*node + 1]), mirroring {!Ps_sat.Lit}. Node 0 is the constant
@@ -25,24 +24,12 @@ val false_lit : lit
     positive literal. *)
 val fresh_input : t -> lit
 
-(** [neg l] complements a literal; [is_complemented l]; [node_of l]. *)
+(** [neg l] complements a literal. *)
 val neg : lit -> lit
-
-val is_complemented : lit -> bool
-val node_of : lit -> int
 
 (** [conj a x y] is the structurally hashed AND of two literals, with
     the standard simplifications (constants, idempotence, complements). *)
 val conj : t -> lit -> lit -> lit
-
-val disj : t -> lit -> lit -> lit
-val xor : t -> lit -> lit -> lit
-val mux : t -> sel:lit -> if1:lit -> if0:lit -> lit
-
-(** [conj_list a ls] / [disj_list a ls] — balanced n-ary forms. *)
-val conj_list : t -> lit list -> lit
-
-val disj_list : t -> lit list -> lit
 
 (** [num_nodes a] is the number of AND nodes (inputs and the constant
     excluded) — the standard AIG size metric. *)
@@ -59,24 +46,3 @@ val eval : t -> bool array -> lit -> bool
     Netlist.latches n] order); returns the AIG and the literal of every
     net. *)
 val of_netlist : Netlist.t -> t * lit array
-
-(** [to_cnf a roots] Tseitin-encodes the cones of [roots]: one CNF
-    variable per AIG node ([var = node index]); the constant node is
-    constrained. Returns the CNF; [lit_to_sat] maps an AIG literal to
-    the corresponding solver literal. *)
-val to_cnf : t -> lit list -> Ps_sat.Cnf.t
-
-val lit_to_sat : lit -> Ps_sat.Lit.t
-
-(** [support a l] is the set of input nodes the literal's cone reads,
-    as a sorted list. *)
-val support : t -> lit -> int list
-
-(** [to_netlist a ~inputs ~outputs] converts back to a gate netlist over
-    AND/NOT/BUF/constants: [inputs] names the AIG inputs (allocation
-    order, must cover them all), [outputs] names the root literals.
-    Inverted edges become explicit NOT gates (shared). Together with
-    {!of_netlist} this is the structural-hashing rewrite used by
-    {!Opt.restructure}. *)
-val to_netlist :
-  t -> inputs:string array -> outputs:(string * lit) list -> Netlist.t

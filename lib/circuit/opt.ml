@@ -28,160 +28,3 @@ let gate_histogram n =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) ->
          String.compare (Gate.kind_to_string a) (Gate.kind_to_string b))
-
-(* Constant status of a net after folding: None = not constant. *)
-let constant_fold n =
-  let nnets = Netlist.num_nets n in
-  let const : bool option array = Array.make nnets None in
-  let drivers = Array.init nnets (Netlist.driver n) in
-  let fold_gate g kind fanins =
-    let values = Array.map (fun f -> const.(f)) fanins in
-    (* Drop constant non-controlling fanins; detect controlling ones. *)
-    let module G = Gate in
-    let when_const b = Array.exists (fun v -> v = Some b) values in
-    let live =
-      Array.to_list fanins
-      |> List.filteri (fun i _ -> values.(i) = None)
-    in
-    let mk_const b =
-      const.(g) <- Some b;
-      Netlist.Gate ((if b then G.Const1 else G.Const0), [||])
-    in
-    let unchanged = Netlist.Gate (kind, fanins) in
-    let of_live base neutral_out =
-      (* all constants were neutral; rebuild with the live fanins *)
-      match live with
-      | [] -> mk_const neutral_out
-      | [ single ] -> (
-        match kind with
-        | G.And | G.Or -> Netlist.Gate (G.Buf, [| single |])
-        | G.Nand | G.Nor -> Netlist.Gate (G.Not, [| single |])
-        | _ -> Netlist.Gate (base, Array.of_list live))
-      | _ -> Netlist.Gate (base, Array.of_list live)
-    in
-    match kind with
-    | G.Const0 -> mk_const false
-    | G.Const1 -> mk_const true
-    | G.Buf -> (
-      match values.(0) with Some b -> mk_const b | None -> unchanged)
-    | G.Not -> (
-      match values.(0) with Some b -> mk_const (not b) | None -> unchanged)
-    | G.And -> if when_const false then mk_const false else of_live G.And true
-    | G.Nand -> if when_const false then mk_const true else of_live G.Nand false
-    | G.Or -> if when_const true then mk_const true else of_live G.Or false
-    | G.Nor -> if when_const true then mk_const false else of_live G.Nor true
-    | G.Xor | G.Xnor ->
-      (* parity of the constant fanins flips the polarity *)
-      let flips =
-        Array.fold_left
-          (fun acc v -> if v = Some true then not acc else acc)
-          false values
-      in
-      let base_kind =
-        match (kind, flips) with
-        | G.Xor, false | G.Xnor, true -> G.Xor
-        | G.Xor, true | G.Xnor, false -> G.Xnor
-        | _ -> assert false
-      in
-      (match live with
-      | [] -> mk_const (base_kind = G.Xnor)
-      | [ single ] ->
-        Netlist.Gate ((if base_kind = G.Xor then G.Buf else G.Not), [| single |])
-      | _ -> Netlist.Gate (base_kind, Array.of_list live))
-  in
-  Array.iter
-    (fun g ->
-      match drivers.(g) with
-      | Netlist.Gate (kind, fanins) -> drivers.(g) <- fold_gate g kind fanins
-      | Netlist.Input | Netlist.Latch _ -> assert false)
-    (Netlist.topo_gates n);
-  let names = Array.init nnets (Netlist.name n) in
-  Netlist.make ~drivers ~names ~outputs:(Netlist.outputs n)
-
-let sweep n =
-  let roots =
-    Netlist.outputs n
-    @ List.map (Netlist.latch_data n) (Netlist.latches n)
-    @ Netlist.latches n @ Netlist.inputs n
-  in
-  let keep = Netlist.cone n roots in
-  List.iter (fun r -> keep.(r) <- true) roots;
-  (* latch data cones must be kept too (cone already crossed them via
-     roots including latch_data nets) *)
-  let remap = Array.make (Netlist.num_nets n) (-1) in
-  let kept = ref [] in
-  for i = 0 to Netlist.num_nets n - 1 do
-    if keep.(i) then begin
-      remap.(i) <- List.length !kept;
-      kept := i :: !kept
-    end
-  done;
-  let kept = Array.of_list (List.rev !kept) in
-  let drivers =
-    Array.map
-      (fun old ->
-        match Netlist.driver n old with
-        | Netlist.Input -> Netlist.Input
-        | Netlist.Latch { data; init } -> Netlist.Latch { data = remap.(data); init }
-        | Netlist.Gate (kind, fanins) ->
-          Netlist.Gate (kind, Array.map (fun f -> remap.(f)) fanins))
-      kept
-  in
-  let names = Array.map (Netlist.name n) kept in
-  let outputs = List.map (fun o -> remap.(o)) (Netlist.outputs n) in
-  Netlist.make ~drivers ~names ~outputs
-
-let cleanup n = sweep (constant_fold n)
-
-let restructure n =
-  let a, lits = Aig.of_netlist n in
-  let leaves = Netlist.inputs n @ Netlist.latches n in
-  let input_names = Array.of_list (List.map (Netlist.name n) leaves) in
-  (* roots: primary outputs and latch data functions *)
-  let outputs =
-    List.map (fun o -> ("__po_" ^ Netlist.name n o, lits.(o))) (Netlist.outputs n)
-    @ List.map
-        (fun l -> ("__nx_" ^ Netlist.name n l, lits.(Netlist.latch_data n l)))
-        (Netlist.latches n)
-  in
-  let comb = Aig.to_netlist a ~inputs:input_names ~outputs in
-  (* rebuild the sequential shell: latches replace their pseudo-input
-     nets' roles by re-wiring through a builder import *)
-  let b = Builder.create () in
-  let shell = Hashtbl.create 16 in
-  List.iter
-    (fun net ->
-      let name = Netlist.name n net in
-      let new_net =
-        match Netlist.driver n net with
-        | Netlist.Input -> Builder.input b name
-        | Netlist.Latch { init; _ } ->
-          Builder.latch b ?init:(Option.map Fun.id init) name
-        | Netlist.Gate _ -> assert false
-      in
-      Hashtbl.replace shell name new_net)
-    leaves;
-  (* import the combinational AIG netlist, mapping its inputs to the
-     shell leaves *)
-  let map = Array.make (Netlist.num_nets comb) (-1) in
-  List.iter
-    (fun inp -> map.(inp) <- Hashtbl.find shell (Netlist.name comb inp))
-    (Netlist.inputs comb);
-  Array.iter
-    (fun g ->
-      match Netlist.driver comb g with
-      | Netlist.Gate (kind, fanins) ->
-        map.(g) <-
-          Builder.gate b kind (Array.to_list (Array.map (fun f -> map.(f)) fanins))
-      | Netlist.Input | Netlist.Latch _ -> assert false)
-    (Netlist.topo_gates comb);
-  (* connect latch data and outputs *)
-  List.iter
-    (fun l ->
-      let data = map.(Netlist.find comb ("__nx_" ^ Netlist.name n l)) in
-      Builder.set_latch_data b (Hashtbl.find shell (Netlist.name n l)) data)
-    (Netlist.latches n);
-  List.iter
-    (fun o -> Builder.output b map.(Netlist.find comb ("__po_" ^ Netlist.name n o)))
-    (Netlist.outputs n);
-  Builder.finalize b

@@ -1,17 +1,7 @@
-(** Netlist analysis and light optimization.
+(** Netlist structure metrics.
 
-    Structural metrics (logic depth, fanout, gate histogram) for the
-    benchmark tables, plus the two classic cleanup passes every netlist
-    flow runs before handing a circuit to an engine:
-
-    - {e constant folding}: propagate [Const0]/[Const1] through gates
-      (controlling values collapse a gate outright; non-controlling
-      constant fanins are dropped);
-    - {e sweeping}: drop gates that feed neither an output, a latch, nor
-      any kept gate.
-
-    Both passes preserve observable semantics exactly — property-tested
-    against simulation on all leaf assignments. *)
+    Logic depth, fanout and the gate histogram: the structural columns
+    of the benchmark tables. *)
 
 (** [depth n] is the maximum number of gates on any leaf-to-root
     combinational path (0 for a gate-free netlist). *)
@@ -23,23 +13,3 @@ val max_fanout : Netlist.t -> int
 
 (** [gate_histogram n] counts gates by kind, sorted by kind name. *)
 val gate_histogram : Netlist.t -> (Gate.kind * int) list
-
-(** [constant_fold n] rewrites gates with constant fanins. The result
-    keeps all nets (indices preserved); simplified gates become [Buf]s
-    or constants. *)
-val constant_fold : Netlist.t -> Netlist.t
-
-(** [sweep n] removes gates not in the cone of any output or latch-data
-    net. Net indices are {e not} preserved; names are. Returns the new
-    netlist. *)
-val sweep : Netlist.t -> Netlist.t
-
-(** [cleanup n] is [sweep (constant_fold n)]. *)
-val cleanup : Netlist.t -> Netlist.t
-
-(** [restructure n] rewrites the combinational core through a
-    structurally hashed AIG ({!Aig}) and back: syntactically repeated
-    subfunctions collapse, all logic becomes AND/NOT. Latches, inputs
-    and observable behaviour are preserved (sequential-equivalence
-    tested); internal net names are not. *)
-val restructure : Netlist.t -> Netlist.t

@@ -5,8 +5,8 @@
     latch-output positions. The result is a purely combinational netlist
     whose inputs are the frame-0 present state plus one copy of the
     primary inputs per frame; the original latch-data functions appear as
-    per-frame next-state nets. This is the standard construction behind
-    bounded model checking and k-step preimage computation. *)
+    per-frame next-state nets. It is the frame expansion behind the
+    k-step preimage (the [Kstep] module of the [preimage] library). *)
 
 type t = {
   netlist : Netlist.t;          (** combinational; no latches *)

@@ -59,8 +59,8 @@ val make :
     positions, match the cube: the AND of its literals over shared
     inverters, the literal's net itself for a one-literal cube, a
     constant 1 for the empty cube. New nets are named after [prefix].
-    Every target block (this module's, {!Kstep}'s, {!Bmc}'s and
-    {!Induction}'s) is these nets under one OR. Raises
+    Every target block (this module's and {!Kstep}'s) is these nets
+    under one OR. Raises
     [Invalid_argument] when a cube's width is not [Array.length nets]. *)
 val cube_nets :
   Ps_circuit.Builder.t -> int array -> Ps_allsat.Cube.t list -> prefix:string -> int list

@@ -9,7 +9,6 @@ module N = Ps_circuit.Netlist
 module Sim = Ps_circuit.Sim
 module A = Ps_allsat
 module Cube = A.Cube
-module Sg = A.Solution_graph
 module B = Ps_bdd.Bdd
 module I = Preimage.Instance
 module E = Preimage.Engine
@@ -17,10 +16,8 @@ module K = Preimage.Kstep
 module Uni = Preimage.Universal
 module Img = Preimage.Image
 module Rh = Preimage.Reach
-module Ch = Preimage.Check
 module T = Ps_gen.Targets
 module R = Ps_util.Rng
-module Lit = Ps_sat.Lit
 module Solver = Ps_sat.Solver
 
 let check_bool = Alcotest.(check bool)
@@ -59,24 +56,6 @@ let aig_matches_netlist =
           if Aig.eval a assignment lits.(out) <> values.(out) then ok := false);
       !ok)
 
-let aig_cnf_equisatisfiable =
-  Helpers.qtest "AIG CNF encoding is consistent with simulation" ~count:40
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = R.create ~seed in
-      let n = Helpers.random_comb rng ~nin:(1 + R.int rng 4) ~ngates:(1 + R.int rng 10) in
-      let a, lits = Aig.of_netlist n in
-      let out = List.hd (N.outputs n) in
-      let cnf = Aig.to_cnf a [ lits.(out) ] in
-      let s = Solver.create () in
-      ignore (Solver.load s cnf);
-      ignore (Solver.add_clause s [ Aig.lit_to_sat lits.(out) ]);
-      let sat = Solver.solve s = Solver.Sat in
-      let reachable = ref false in
-      Helpers.iter_leaf_assignments n (fun env _ ->
-          if (Sim.eval n ~env).(out) then reachable := true);
-      sat = !reachable)
-
 let test_aig_smaller_than_gates () =
   (* structural hashing: a netlist computing the same AND twice maps to
      one AIG node *)
@@ -88,10 +67,9 @@ let test_aig_smaller_than_gates () =
   let o = Ps_circuit.Builder.or_ b ~name:"o" [ g1; g2 ] in
   Ps_circuit.Builder.output b o;
   let n = Ps_circuit.Builder.finalize b in
-  let a, lits = Aig.of_netlist n in
+  let a, _ = Aig.of_netlist n in
   (* OR(g,g) collapses: total = 1 AND node *)
-  check_int "shared" 1 (Aig.num_nodes a);
-  Alcotest.(check (list int)) "support" [ 1; 2 ] (Aig.support a lits.(o))
+  check_int "shared" 1 (Aig.num_nodes a)
 
 (* --- Unroll ------------------------------------------------------------- *)
 
@@ -385,8 +363,39 @@ let test_trace_already_there () =
   | Some _ -> Alcotest.fail "expected empty trace"
   | None -> Alcotest.fail "target state must be reached"
 
+(* Explicit-state oracle: the fewest steps from a state into [target], by
+   breadth-first search over [Sim.step] on every state x input vector;
+   [max_int] when no input sequence gets there. *)
+let shortest_distances c target =
+  let nstate = List.length (N.latches c) and nin = List.length (N.inputs c) in
+  let bits_of n code = Array.init n (fun i -> (code lsr i) land 1 = 1) in
+  let code_of bits = Array.fold_right (fun b acc -> (2 * acc) + Bool.to_int b) bits 0 in
+  let succ =
+    Array.init (1 lsl nstate) (fun s ->
+        List.init (1 lsl nin) (fun iv ->
+            let _, next = Sim.step c ~inputs:(bits_of nin iv) ~state:(bits_of nstate s) in
+            code_of next))
+  in
+  let dist =
+    Array.init (1 lsl nstate) (fun s ->
+        if T.mem target (bits_of nstate s) then 0 else max_int)
+  in
+  let rec layer d =
+    let grew = ref false in
+    Array.iteri
+      (fun s nexts ->
+        if dist.(s) = max_int && List.exists (fun n -> dist.(n) = d) nexts then begin
+          dist.(s) <- d + 1;
+          grew := true
+        end)
+      succ;
+    if !grew then layer (d + 1)
+  in
+  layer 0;
+  fun state -> dist.(code_of state)
+
 let trace_replays_correctly =
-  Helpers.qtest "extracted traces replay into the target" ~count:20
+  Helpers.qtest "extracted traces replay into the target" ~count:50
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = R.create ~seed in
@@ -397,14 +406,16 @@ let trace_replays_correctly =
       let nstate = List.length (N.latches c) in
       let target = T.random ~bits:nstate ~ncubes:1 ~density:0.6 rng in
       let r = Rh.backward c target in
+      let distance = shortest_distances c target in
       let ok = ref true in
       Helpers.iter_assignments nstate (fun bits ->
           let from = Array.sub bits 0 nstate in
+          let d = distance from in
           match Rh.trace r c ~from with
-          | None -> if Rh.mem r from then ok := false
+          | None -> if Rh.mem r from || d <> max_int then ok := false
           | Some inputs ->
-            let depth = List.length r.Rh.steps in
-            if List.length inputs > depth then ok := false;
+            (* a trace is as short as any input sequence into the target *)
+            if List.length inputs <> d then ok := false;
             let s = ref from in
             List.iter
               (fun iv ->
@@ -421,7 +432,6 @@ let () =
         [
           Alcotest.test_case "simplifications" `Quick test_aig_simplifications;
           aig_matches_netlist;
-          aig_cnf_equisatisfiable;
           Alcotest.test_case "structural sharing" `Quick test_aig_smaller_than_gates;
         ] );
       ( "unroll",
