@@ -348,6 +348,19 @@ let reach_cmd =
     let circuit = load_circuit spec in
     let target = parse_target circuit target_spec in
     let nstate = List.length (N.latches circuit) in
+    (* Checked before the fixpoint, so a typo costs no run. *)
+    let trace_from =
+      Option.map
+        (fun bits ->
+          if
+            String.length bits <> nstate
+            || String.exists (fun ch -> ch <> '0' && ch <> '1') bits
+          then
+            die "--trace %S: expected %d bits of 0/1, one per latch" bits
+              nstate;
+          (bits, Array.init nstate (fun i -> bits.[i] = '1')))
+        trace_from
+    in
     let r =
       with_trace trace_file (fun trace ->
           (* Reach sessions checkpoint once per frame (auto checkpoints
@@ -401,8 +414,7 @@ let reach_cmd =
       r.R.steps;
     match trace_from with
     | None -> ()
-    | Some bits ->
-      let from = Array.init (String.length bits) (fun i -> bits.[i] = '1') in
+    | Some (bits, from) ->
       (match R.trace r circuit ~from with
       | None -> Format.printf "state %s cannot reach the target@." bits
       | Some inputs ->

@@ -164,9 +164,14 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
      unwinds into a {e valid under-approximation} — the paths completed
      so far — instead of raising. Truncated nodes are never memoized. *)
   let stop : Run.stopped option ref = ref None in
-  (* Paths closed so far = committed cubes; drives the uniform [limit]. *)
+  (* Paths closed so far = committed cubes; drives the uniform [limit].
+     Nodes are immutable and hash-consed, so the path count of a node
+     never changes: one memo for the whole search keeps the repeated
+     counts over the growing graph amortized O(new nodes). *)
   let paths_done = ref 0.0 in
-  let commit node = paths_done := !paths_done +. Sg.count_paths node in
+  let path_memo = Hashtbl.create n in
+  let count_paths = Sg.count_paths path_memo in
+  let commit node = paths_done := !paths_done +. count_paths node in
   let over_limit () =
     match limit with
     | None -> false
@@ -241,7 +246,7 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
     (* The parent's paths are exactly lo's + hi's, both already
        committed — withdraw them so the ancestors' commits don't double
        count. *)
-    paths_done := !paths_done -. Sg.count_paths lo -. Sg.count_paths hi;
+    paths_done := !paths_done -. count_paths lo -. count_paths hi;
     Sg.mk man ~level:pos ~lo ~hi
   in
   let rec go k =

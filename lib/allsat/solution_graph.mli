@@ -2,18 +2,20 @@
 
     Instead of materializing one blocking clause (or one cube) per
     solution, the success-driven searcher folds its search tree into a
-    hash-consed, reduced, ordered decision graph over the projection
-    variables — node [(v, lo, hi)] reads "if variable [v] then solutions
-    [hi] else solutions [lo]", with don't-care levels skipped by
-    reduction. Equivalent subtrees discovered by success-driven learning
-    point at the same node, so the graph is typically exponentially
-    smaller than the solution list.
+    hash-consed, reduced decision graph over the projection positions —
+    node [(v, lo, hi)] reads "if position [v] then solutions [hi] else
+    solutions [lo]", with don't-care levels skipped by reduction.
+    Equivalent subtrees discovered by success-driven learning point at
+    the same node, so the graph is typically exponentially smaller than
+    the solution list.
 
-    Structurally this is an ROBDD over the projection space (a free BDD
-    under dynamic decisions); the test suite exploits that by checking
-    isomorphism against {!Ps_bdd.Bdd}. The graph is only what the search
-    builds and what is read off it: it has no set operations. Unions,
-    counts and comparisons of cube lists go through {!Cube_set.to_bdd}. *)
+    The nodes are {!Ps_bdd.Bdd} nodes, made by {!Ps_bdd.Bdd.mk} in a
+    manager of their own. Static decisions give an ordered BDD; dynamic
+    decisions give a {e free} BDD (per-path variable orders). The type
+    is abstract so that a free graph never reaches the operations that
+    assume the order: the graph is only what the search builds and what
+    is read off it. Unions, counts and comparisons go through {!to_bdd}
+    or {!Cube_set.to_bdd}. *)
 
 type man
 type t
@@ -28,7 +30,8 @@ val is_zero : t -> bool
 val is_one : t -> bool
 val equal : t -> t -> bool
 
-(** [mk m ~level ~lo ~hi] is the reduced, hash-consed node. *)
+(** [mk m ~level ~lo ~hi] is the reduced, hash-consed node
+    ({!Ps_bdd.Bdd.mk}: the level is range-checked, the order is not). *)
 val mk : man -> level:int -> lo:t -> hi:t -> t
 
 (** [size f] is the number of nodes reachable from [f] (terminals
@@ -47,20 +50,20 @@ val count_models : t -> float
     {e free} graphs too (each path tests a variable at most once). *)
 val count_models_paths : t -> float
 
-(** [count_paths f] is the number of 1-paths — the number of disjoint
-    cubes {!iter_cubes} would emit. Cached per node in the manager, so
-    repeated calls during a growing search are amortized O(new nodes). *)
-val count_paths : t -> float
+(** [count_paths memo f] is the number of 1-paths — the number of
+    disjoint cubes {!cubes} returns. [memo] holds the count of every
+    node visited, keyed by {!Ps_bdd.Bdd.id}; sharing one table across
+    the calls on a growing graph (the SDS cube-limit check) makes them
+    amortized O(new nodes). *)
+val count_paths : (int, float) Hashtbl.t -> t -> float
 
-(** [iter_cubes f k] calls [k] per path to the 1-terminal; paths are
-    disjoint cubes covering exactly the solution set. *)
-val iter_cubes : t -> (Cube.t -> unit) -> unit
-
-(** [cubes f] collects {!iter_cubes}. *)
+(** [cubes f] is one cube per path to the 1-terminal ({!Cube_set.of_bdd}):
+    disjoint cubes covering exactly the solution set, 0-branch first. *)
 val cubes : t -> Cube.t list
 
-(** [to_bdd bman vars f] converts into a {!Ps_bdd.Bdd} over [bman],
-    mapping level [i] to BDD variable [vars.(i)]. The conversion is
-    ITE-based, so any injective mapping gives the correct function;
-    strictly increasing [vars] additionally makes it linear-time. *)
+(** [to_bdd bman vars f] is [f] copied into [bman] ({!Ps_bdd.Bdd.copy}),
+    mapping level [i] to BDD variable [vars.(i)]. Any injective mapping
+    gives the correct function, and the result is ordered even when [f]
+    is free; strictly increasing [vars] on an ordered graph additionally
+    makes it linear-time. *)
 val to_bdd : Ps_bdd.Bdd.man -> int array -> t -> Ps_bdd.Bdd.t

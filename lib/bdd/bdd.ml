@@ -1,4 +1,4 @@
-(* Node ids stay far below 2^31 (see [mk]), so an ordered pair of ids
+(* Node ids stay far below 2^31 (see [node]), so an ordered pair of ids
    packs into one int: the binary-operation caches need no key tuple. *)
 let pair a b = (a lsl 31) lor b
 
@@ -33,24 +33,26 @@ and man = {
 
 let terminal_level = max_int
 
-(* The tables start small and grow: a manager is also made per union
+(* The tables start at a few slots per variable and grow with the
+   diagram: a manager is also made per solution graph and per union
    count or comparison of a short cube list, where allocating large
    tables would cost more than the diagram. *)
 let new_man ~nvars =
   if nvars < 0 then invalid_arg "Bdd.new_man: negative nvars";
+  let size = 4 * (nvars + 1) in
   let rec man =
     {
       nvars;
-      unique = Array.make 256 [];
+      unique = Array.make size [];
       num_nodes = 0;
       next_id = 2;
       zero_n = zero;
       one_n = one;
-      cache_not = Itbl.create 256;
-      cache_and = Itbl.create 256;
-      cache_or = Itbl.create 256;
-      cache_xor = Itbl.create 256;
-      cache_ite = Hashtbl.create 256;
+      cache_not = Itbl.create size;
+      cache_and = Itbl.create size;
+      cache_or = Itbl.create size;
+      cache_xor = Itbl.create size;
+      cache_ite = Hashtbl.create size;
     }
   and zero = { id = 0; level = terminal_level; low = zero; high = zero; man }
   and one = { id = 1; level = terminal_level; low = one; high = one; man } in
@@ -92,7 +94,7 @@ let grow m =
          m.unique.(i) <- n :: m.unique.(i)))
     old
 
-let mk m level low high =
+let node m level low high =
   if low == high then low
   else begin
     let rec find = function
@@ -118,13 +120,19 @@ let mk m level low high =
 let check_var m v =
   if v < 0 || v >= m.nvars then invalid_arg "Bdd: variable out of range"
 
+let mk m ~level ~lo ~hi =
+  check_var m level;
+  if lo.man != m || hi.man != m then
+    invalid_arg "Bdd.mk: child from another manager";
+  node m level lo hi
+
 let var m v =
   check_var m v;
-  mk m v m.zero_n m.one_n
+  node m v m.zero_n m.one_n
 
 let nvar m v =
   check_var m v;
-  mk m v m.one_n m.zero_n
+  node m v m.one_n m.zero_n
 
 let rec bnot f =
   if is_zero f then f.man.one_n
@@ -133,7 +141,7 @@ let rec bnot f =
     match Itbl.find_opt f.man.cache_not f.id with
     | Some r -> r
     | None ->
-      let r = mk f.man f.level (bnot f.low) (bnot f.high) in
+      let r = node f.man f.level (bnot f.low) (bnot f.high) in
       Itbl.add f.man.cache_not f.id r;
       r
   end
@@ -155,7 +163,7 @@ let rec band a b =
     | None ->
       let l = min a.level b.level in
       let a0, a1 = cofactor a l and b0, b1 = cofactor b l in
-      let r = mk m l (band a0 b0) (band a1 b1) in
+      let r = node m l (band a0 b0) (band a1 b1) in
       Itbl.add m.cache_and key r;
       r
   end
@@ -174,7 +182,7 @@ let rec bor a b =
     | None ->
       let l = min a.level b.level in
       let a0, a1 = cofactor a l and b0, b1 = cofactor b l in
-      let r = mk m l (bor a0 b0) (bor a1 b1) in
+      let r = node m l (bor a0 b0) (bor a1 b1) in
       Itbl.add m.cache_or key r;
       r
   end
@@ -194,7 +202,7 @@ let rec bxor a b =
     | None ->
       let l = min a.level b.level in
       let a0, a1 = cofactor a l and b0, b1 = cofactor b l in
-      let r = mk m l (bxor a0 b0) (bxor a1 b1) in
+      let r = node m l (bxor a0 b0) (bxor a1 b1) in
       Itbl.add m.cache_xor key r;
       r
   end
@@ -222,7 +230,7 @@ let rec ite f g h =
       let f0, f1 = cofactor f l
       and g0, g1 = cofactor g l
       and h0, h1 = cofactor h l in
-      let r = mk m l (ite f0 g0 h0) (ite f1 g1 h1) in
+      let r = node m l (ite f0 g0 h0) (ite f1 g1 h1) in
       Hashtbl.add m.cache_ite key r;
       r
   end
@@ -247,7 +255,7 @@ let quantify ~combine vars f =
         | None ->
           let r =
             if f.level = v then combine (go f.low rest) (go f.high rest)
-            else mk f.man f.level (go f.low vars) (go f.high vars)
+            else node f.man f.level (go f.low vars) (go f.high vars)
           in
           Hashtbl.add cache key r;
           r
@@ -282,7 +290,7 @@ let and_exists vars f g =
               let f0, f1 = cofactor f l and g0, g1 = cofactor g l in
               let r =
                 if l = v then bor (go f0 g0 rest) (go f1 g1 rest)
-                else mk m l (go f0 g0 vars) (go f1 g1 vars)
+                else node m l (go f0 g0 vars) (go f1 g1 vars)
               in
               Hashtbl.add cache key r;
               r
@@ -301,7 +309,7 @@ let restrict f ~var ~value =
       match Hashtbl.find_opt cache f.id with
       | Some r -> r
       | None ->
-        let r = mk f.man f.level (go f.low) (go f.high) in
+        let r = node f.man f.level (go f.low) (go f.high) in
         Hashtbl.add cache f.id r;
         r
     end
@@ -327,6 +335,26 @@ let compose f subst =
   in
   go f
 
+(* [ite] builds the copy in [into]'s order whatever the order of [f], so
+   a free diagram comes out ordered and reduced. *)
+let copy ~into ~vars f =
+  let cache = Itbl.create 256 in
+  let rec go f =
+    if is_zero f then into.zero_n
+    else if is_one f then into.one_n
+    else begin
+      match Itbl.find_opt cache f.id with
+      | Some r -> r
+      | None ->
+        if f.level >= Array.length vars then
+          invalid_arg "Bdd.copy: variable outside the map";
+        let r = ite (var into vars.(f.level)) (go f.high) (go f.low) in
+        Itbl.add cache f.id r;
+        r
+    end
+  in
+  go f
+
 (* Bottom-up from the deepest variable: each literal puts one node on top
    of the conjunction of the deeper ones, so no [band] is needed. Sorting
    merges repeated literals and puts a variable fixed both ways next to
@@ -337,7 +365,7 @@ let cube m lits =
     | [] -> acc
     | (v, _) :: _ when v = prev -> m.zero_n
     | (v, value) :: rest ->
-      build v (if value then mk m v m.zero_n acc else mk m v acc m.zero_n) rest
+      build v (if value then node m v m.zero_n acc else node m v acc m.zero_n) rest
   in
   let deepest_first (a, x) (b, y) =
     if a <> b then Int.compare b a else Bool.compare x y

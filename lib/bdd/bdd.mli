@@ -41,6 +41,19 @@ val var : man -> int -> t
 (** [nvar m v] is the function "not variable [v]". *)
 val nvar : man -> int -> t
 
+(** [mk m ~level ~lo ~hi] is the reduced, hash-consed node "if variable
+    [level] then [hi] else [lo]" ([lo] itself when [lo == hi]). Raises
+    [Invalid_argument] when [level] is out of range or a child belongs
+    to another manager.
+
+    [mk] does {e not} check the variable order: a child may test a
+    variable above [level]. Such a {e free} diagram still works with
+    {!eval}, {!size}, {!iter_cubes}, {!copy} and the node accessors, but
+    the operations that assume the order ({!band} and the other
+    connectives, {!ite}, quantification, {!restrict}, {!compose},
+    {!count_models}) give wrong results on it. *)
+val mk : man -> level:int -> lo:t -> hi:t -> t
+
 val is_zero : t -> bool
 val is_one : t -> bool
 val equal : t -> t -> bool
@@ -88,6 +101,14 @@ val restrict : t -> var:int -> value:bool -> t
     every variable [v] of [f] ([subst] must cover all of [f]'s support;
     identity entries are fine). *)
 val compose : t -> t array -> t
+
+(** [copy ~into ~vars f] is [f] built in [into] with variable [v]
+    renamed to [vars.(v)], by one [ite] per node of [f]. Any injective
+    [vars] gives the right function, and [f] may be a free diagram
+    ({!mk}); a map that keeps the order makes the copy linear-time.
+    Raises [Invalid_argument] when [f] tests a variable outside
+    [vars]. *)
+val copy : into:man -> vars:int array -> t -> t
 
 (** [cube m lits] is the conjunction of the given (variable, value)
     literals, in any order: a repeated literal counts once, a variable

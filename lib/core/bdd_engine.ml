@@ -4,46 +4,13 @@ module T = Ps_circuit.Transition
 module G = Ps_circuit.Gate
 module Cube = Ps_allsat.Cube
 
-type order = StatesFirst | Interleaved
-
 type result = {
   preimage : B.t;
   man : B.man;
-  state_vars : int array;
-  input_vars : int array;
   nodes_allocated : int;
   preimage_size : int;
   time_s : float;
 }
-
-let variable_maps order ~nstate ~ninputs =
-  match order with
-  | StatesFirst ->
-    ( Array.init nstate (fun i -> i),
-      Array.init ninputs (fun j -> nstate + j) )
-  | Interleaved ->
-    (* Alternate state and input variables while both remain. *)
-    let state_vars = Array.make nstate 0 in
-    let input_vars = Array.make ninputs 0 in
-    let v = ref 0 in
-    let take arr i = arr.(i) <- !v; incr v in
-    let rec go i j =
-      if i < nstate && j < ninputs then begin
-        take state_vars i;
-        take input_vars j;
-        go (i + 1) (j + 1)
-      end
-      else if i < nstate then begin
-        take state_vars i;
-        go (i + 1) j
-      end
-      else if j < ninputs then begin
-        take input_vars j;
-        go i (j + 1)
-      end
-    in
-    go 0 0;
-    (state_vars, input_vars)
 
 (* BDD of every net of the next-state cone, by topological walk. *)
 let next_state_functions man tr ~state_vars ~input_vars =
@@ -80,24 +47,18 @@ type context = {
   state_vars : int array;
   input_vars : int array;
   deltas : B.t array;
-  bit_of_var : int array;  (* state bit of a BDD variable, -1 for an input *)
 }
 
-let create ?(order = StatesFirst) circuit =
+(* State bit [i] is variable [i], input [j] is variable [nstate + j]. *)
+let create circuit =
   let tr = T.of_netlist circuit in
   let nstate = Array.length tr.T.state_nets in
   let ninputs = Array.length tr.T.input_nets in
-  let state_vars, input_vars = variable_maps order ~nstate ~ninputs in
+  let state_vars = Array.init nstate Fun.id in
+  let input_vars = Array.init ninputs (fun j -> nstate + j) in
   let man = B.new_man ~nvars:(nstate + ninputs) in
-  let bit_of_var = Array.make (nstate + ninputs) (-1) in
-  Array.iteri (fun i v -> bit_of_var.(v) <- i) state_vars;
-  {
-    man;
-    state_vars;
-    input_vars;
-    deltas = next_state_functions man tr ~state_vars ~input_vars;
-    bit_of_var;
-  }
+  { man; state_vars; input_vars;
+    deltas = next_state_functions man tr ~state_vars ~input_vars }
 
 (* T(δ(s, x)), or its complement: the target DNF over the function BDDs. *)
 let objective ctx ~negate target =
@@ -119,33 +80,14 @@ let objective ctx ~negate target =
 
 let quantify_inputs ctx f = B.exists (Array.to_list ctx.input_vars) f
 
-(* Re-express a state-only BDD of the context over variables 0..nstate-1
-   of [into] by walking its structure. *)
-let copy_states ctx into f =
-  let cache = Hashtbl.create 256 in
-  let rec go f =
-    if B.is_zero f then B.zero into
-    else if B.is_one f then B.one into
-    else begin
-      match Hashtbl.find_opt cache (B.id f) with
-      | Some x -> x
-      | None ->
-        let v = match B.topvar f with Some v -> v | None -> assert false in
-        let bit = ctx.bit_of_var.(v) in
-        assert (bit >= 0);
-        let x = B.ite (B.var into bit) (go (B.high f)) (go (B.low f)) in
-        Hashtbl.add cache (B.id f) x;
-        x
-    end
-  in
-  go f
-
 let preimage ?(negate = false) ctx ~into target =
-  copy_states ctx into (quantify_inputs ctx (objective ctx ~negate target))
+  (* State bit [i] is variable [i] in both managers. *)
+  B.copy ~into ~vars:ctx.state_vars
+    (quantify_inputs ctx (objective ctx ~negate target))
 
-let run ?order instance =
+let run instance =
   let t0 = Unix.gettimeofday () in
-  let ctx = create ?order instance.Instance.circuit in
+  let ctx = create instance.Instance.circuit in
   let constr = objective ctx ~negate:instance.Instance.negate instance.Instance.target in
   let preimage =
     if instance.Instance.include_inputs then constr else quantify_inputs ctx constr
@@ -153,8 +95,6 @@ let run ?order instance =
   {
     preimage;
     man = ctx.man;
-    state_vars = ctx.state_vars;
-    input_vars = ctx.input_vars;
     nodes_allocated = B.num_nodes ctx.man;
     preimage_size = B.size preimage;
     time_s = Unix.gettimeofday () -. t0;

@@ -13,9 +13,7 @@
     the target, the quantification and a copy at every frame.
 
     BDD variable space: state bit [i] ↦ variable [i]; primary input [j]
-    ↦ variable [nstate + j] ([`StatesFirst], default) or interleaved. *)
-
-type order = StatesFirst | Interleaved
+    ↦ variable [nstate + j]. *)
 
 (** [next_state_functions man tr ~state_vars ~input_vars] is the BDD of
     each next-state net of [tr] (in [next_nets] order) over state bit
@@ -34,8 +32,8 @@ type context
     BDDs of one circuit, built once. Every preimage taken in it adds to
     its manager. *)
 
-(** [create ?order circuit] builds the context. *)
-val create : ?order:order -> Ps_circuit.Netlist.t -> context
+(** [create circuit] builds the context. *)
+val create : Ps_circuit.Netlist.t -> context
 
 (** [preimage ?negate ctx ~into target] is [∃x . T(δ(s, x))] (with
     [negate], [∃x . ¬T(δ(s, x))]), copied onto the state variables
@@ -49,22 +47,20 @@ val preimage :
   Ps_bdd.Bdd.t
 
 type result = {
-  preimage : Ps_bdd.Bdd.t;     (** over [state_vars] of [man] (and
-                                   [input_vars] when the instance projects
-                                   over inputs) *)
+  preimage : Ps_bdd.Bdd.t;     (** over the state variables of [man]
+                                   (and the input variables when the
+                                   instance projects over inputs) *)
   man : Ps_bdd.Bdd.man;
-  state_vars : int array;      (** BDD variable of each state bit *)
-  input_vars : int array;      (** BDD variable of each input *)
   nodes_allocated : int;       (** unique-table size after the run — the
                                    memory proxy reported in Table 3 *)
   preimage_size : int;         (** nodes in the result BDD *)
   time_s : float;
 }
 
-(** [run ?order instance] computes one preimage in a fresh context.
+(** [run instance] computes one preimage in a fresh context.
     When the instance projects over states {e and} inputs, the result is
     the un-quantified constraint over both variable blocks. *)
-val run : ?order:order -> Instance.t -> result
+val run : Instance.t -> result
 
 (** [count r ~nstate] is the number of states in the preimage (inputs,
     if still present, are not counted — quantified results only). *)

@@ -160,6 +160,31 @@ let sgraph_cubes_partition =
           then covered := false);
       sum = Sg.count_models g && pairwise_disjoint cubes && !covered)
 
+(* Injective maps of [w] positions onto BDD variables: the projection
+   positions that the [Cone_first] and [Reverse] orders give a random
+   sequential circuit with [w] latches. *)
+let projection_maps rng w =
+  let c =
+    Helpers.random_seq rng ~nin:(1 + R.int rng 2) ~nlatches:w
+      ~ngates:(2 + R.int rng 12)
+  in
+  let target = Ps_gen.Targets.random ~bits:w ~ncubes:1 ~density:0.5 rng in
+  List.map
+    (fun order -> (Preimage.Instance.make ~order c target).Preimage.Instance.positions)
+    [ Preimage.Instance.Cone_first; Preimage.Instance.Reverse ]
+
+(* [to_bdd] of [g] under [vars] holds exactly where [member] does:
+   position [i] of an assignment is BDD variable [vars.(i)]. *)
+let copy_agrees w g vars member =
+  let f = Sg.to_bdd (B.new_man ~nvars:w) vars g in
+  let moved = Array.make w false in
+  let ok = ref true in
+  Helpers.iter_assignments w (fun bits ->
+      let bits = Array.sub bits 0 w in
+      Array.iteri (fun i v -> moved.(v) <- bits.(i)) vars;
+      if B.eval f moved <> member bits then ok := false);
+  !ok
+
 let sgraph_bdd_roundtrip =
   Helpers.qtest "to_bdd/of_bdd roundtrip" ~count:60
     QCheck.(int_range 0 1_000_000)
@@ -172,7 +197,11 @@ let sgraph_bdd_roundtrip =
          read back from the BDD are the graph's, in the same order *)
       List.equal Cube.equal (A.Cube_set.of_bdd f ~width:w) (Sg.cubes g)
       && B.count_models ~nvars:w f = Sg.count_models g
-      && B.size f = Sg.size g)
+      && B.size f = Sg.size g
+      (* another order: the same function, variables renamed *)
+      && List.for_all
+           (fun vars -> copy_agrees w g vars (B.eval f))
+           (projection_maps rng w))
 
 (* --- Cube sets through the BDD core ---------------------------------------- *)
 
@@ -498,9 +527,17 @@ let dynamic_free_graph_invariants =
           if covered <> Hashtbl.mem expected (Array.to_list bits) then
             membership_ok := false);
       (* 2. path counting equals the true solution count *)
+      let count = float_of_int (Hashtbl.length expected) in
+      let member bits = Hashtbl.mem expected (Array.to_list bits) in
+      (* 3. the copy into an ordered BDD, under the identity and under
+         projection-order maps, is the same set *)
       pairwise_disjoint cubes
       && !membership_ok
-      && Sg.count_models_paths g = float_of_int (Hashtbl.length expected))
+      && Sg.count_models_paths g = count
+      && B.count_models ~nvars:w (identity_bdd w g) = count
+      && List.for_all
+           (fun vars -> copy_agrees w g vars member)
+           (Array.init w Fun.id :: projection_maps rng w))
 
 let count_paths_matches_ordered_count =
   Helpers.qtest "count_models_paths = count_models on ordered graphs" ~count:80
@@ -622,7 +659,8 @@ let test_sds_rejects_bad_projection () =
    nodes, probes (then one solver call each), and an MD5 prefix of the
    cube list. The memo keys must keep meaning the same thing, so all of
    these stay equal; only the split of probes into solver calls and
-   model hits may move. *)
+   model hits may move. The graph sizes also pin the node store: a
+   change of where graph nodes live must leave them equal. *)
 let sds_golden =
   [
     (* name, (nodes, hits, graph, probes, cubes digest) for sds, then sds-dynamic *)

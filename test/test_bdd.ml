@@ -44,6 +44,29 @@ let test_manager_mixing () =
     (Invalid_argument "Bdd: mixing nodes from different managers") (fun () ->
       ignore (B.band (B.var m1 0) (B.var m2 0)))
 
+(* [mk] checks the level and the children's manager, not the order: a
+   free node (a child above its parent) is accepted, and [copy] turns
+   it into the ordered BDD of the same function. *)
+let test_mk_and_copy () =
+  let m = B.new_man ~nvars:2 and into = B.new_man ~nvars:3 in
+  let lo = B.zero m and hi = B.one m in
+  Alcotest.check_raises "level out of range"
+    (Invalid_argument "Bdd: variable out of range") (fun () ->
+      ignore (B.mk m ~level:2 ~lo ~hi));
+  Alcotest.check_raises "child from another manager"
+    (Invalid_argument "Bdd.mk: child from another manager") (fun () ->
+      ignore (B.mk m ~level:0 ~lo:(B.zero into) ~hi));
+  check_bool "reduction" true (B.equal (B.mk m ~level:0 ~lo:hi ~hi) hi);
+  check_bool "same node as var" true (B.equal (B.mk m ~level:0 ~lo ~hi) (B.var m 0));
+  (* x1 ∧ x0, tested x1 first *)
+  let free = B.mk m ~level:1 ~lo ~hi:(B.var m 0) in
+  let copy = B.copy ~into ~vars:[| 2; 0 |] free in
+  check_bool "copy is the ordered BDD" true
+    (B.equal copy (B.band (B.var into 0) (B.var into 2)));
+  Alcotest.check_raises "variable outside the map"
+    (Invalid_argument "Bdd.copy: variable outside the map") (fun () ->
+      ignore (B.copy ~into ~vars:[| 0 |] free))
+
 (* --- operations vs truth tables ------------------------------------------ *)
 
 let ops_match_truth_tables =
@@ -252,6 +275,7 @@ let () =
           Alcotest.test_case "variables" `Quick test_var;
           Alcotest.test_case "hash-consing" `Quick test_hash_consing;
           Alcotest.test_case "manager mixing" `Quick test_manager_mixing;
+          Alcotest.test_case "mk and copy" `Quick test_mk_and_copy;
         ] );
       ( "operations",
         [
