@@ -2,8 +2,8 @@
 
    The all-solutions layer is not preimage-specific: given any CNF and a
    projection set, it enumerates the projected solutions. This example
-   feeds a small crafted DIMACS instance (an at-most-one constraint
-   ladder) through the blocking enumerator and accumulates the result in
+   feeds a small crafted DIMACS instance (three exactly-one groups)
+   through the blocking enumerator and accumulates the result in
    a solution graph to show the compression.
 
    Pass a path to a .cnf file to use your own formula; the projection is
@@ -17,7 +17,7 @@
 module A = Ps_allsat
 
 let builtin =
-  {|c exactly-one in each of three groups of three, plus a coupling clause
+  {|c exactly-one in each of three independent groups of three: 27 models
 p cnf 9 12
 1 2 3 0
 -1 -2 0

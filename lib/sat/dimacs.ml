@@ -14,6 +14,12 @@ let error ~line fmt =
 type state = {
   mutable nvars : int;
   mutable header_seen : bool;
+  mutable header_line : int;
+  mutable nclauses : int; (* declared by the header *)
+  mutable top : int; (* largest variable read in a clause, 1-based *)
+  mutable top_line : int;
+  mutable show_top : int; (* largest 'c p show' variable, 1-based *)
+  mutable show_top_line : int;
   mutable clauses : Lit.t list list; (* reversed; clauses themselves reversed *)
   mutable current : Lit.t list; (* literals of the clause being read *)
   mutable current_line : int; (* line where [current] started *)
@@ -24,6 +30,12 @@ let make_state () =
   {
     nvars = 0;
     header_seen = false;
+    header_line = 0;
+    nclauses = 0;
+    top = 0;
+    top_line = 0;
+    show_top = 0;
+    show_top_line = 0;
     clauses = [];
     current = [];
     current_line = 0;
@@ -43,10 +55,22 @@ let feed_show st ~line rest =
     (fun t ->
       match int_of_string_opt t with
       | Some 0 -> ()
-      | Some n when n > 0 -> st.show <- (n - 1) :: st.show
+      | Some n when n > 0 ->
+        if n > st.show_top then begin
+          st.show_top <- n;
+          st.show_top_line <- line
+        end;
+        st.show <- (n - 1) :: st.show
       | Some n -> error ~line "negative variable %d in 'c p show'" n
       | None -> error ~line "bad token %S in 'c p show'" t)
     rest
+
+(* A header bounds every variable: a literal above it is an error at
+   the literal's line (checked as it is read, or in [finish] for clauses
+   before the header). *)
+let check_top st =
+  if st.header_seen && st.top > st.nvars then
+    error ~line:st.top_line "variable %d above the header's %d" st.top st.nvars
 
 let feed_line st ~line raw =
   match tokens_of_line raw with
@@ -60,11 +84,12 @@ let feed_line st ~line raw =
     match rest with
     | [ "cnf"; nv; nc ] -> (
       st.header_seen <- true;
+      st.header_line <- line;
       (match int_of_string_opt nv with
       | Some n when n >= 0 -> st.nvars <- n
       | _ -> error ~line "bad variable count %S" nv);
       match int_of_string_opt nc with
-      | Some n when n >= 0 -> ()
+      | Some n when n >= 0 -> st.nclauses <- n
       | _ -> error ~line "bad clause count %S" nc)
     | _ -> error ~line "malformed header (want 'p cnf <vars> <clauses>')")
   | toks ->
@@ -77,6 +102,11 @@ let feed_line st ~line raw =
           st.current <- []
         | Some n ->
           if st.current = [] then st.current_line <- line;
+          if abs n > st.top then begin
+            st.top <- abs n;
+            st.top_line <- line;
+            check_top st
+          end;
           st.current <- Lit.of_dimacs n :: st.current)
       toks
 
@@ -85,6 +115,15 @@ let finish st ~last_line =
     error
       ~line:(if st.current_line > 0 then st.current_line else last_line)
       "unterminated clause (missing 0)";
+  if st.header_seen then begin
+    check_top st;
+    let n = List.length st.clauses in
+    if n <> st.nclauses then
+      error ~line:st.header_line "header declares %d clauses, found %d" st.nclauses n;
+    if st.show_top > st.nvars then
+      error ~line:st.show_top_line "'c p show' variable %d above the header's %d"
+        st.show_top st.nvars
+  end;
   let cnf =
     Cnf.of_clauses ~nvars:st.nvars (List.rev_map List.rev st.clauses)
   in

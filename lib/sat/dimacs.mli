@@ -6,7 +6,13 @@
     Parsing is streaming: input is consumed line by line, so loading a
     file keeps only the parsed clauses live — never a second copy of the
     document. Malformed input raises {!Parse_error} carrying the
-    1-based line number of the offending construct. *)
+    1-based line number of the offending construct.
+
+    A header binds: with [p cnf V C], a clause literal or a
+    [c p show] variable above [V] is an error at its line, and a
+    clause count other than [C] is an error at the header's line.
+    Input without a header is accepted, with as many variables as its
+    largest literal. *)
 
 (** Raised on malformed input; [line] is 1-based. For an unterminated
     final clause the line is where that clause started. A printer is

@@ -29,6 +29,9 @@ type t = {
   mutable level : int array;             (* per var *)
   mutable reason : int array;            (* per var; cref_undef = none *)
   mutable phase : bool array;            (* per var, saved polarity *)
+  (* Per var: some stored clause mentions it. Only these are decided;
+     the rest keep their saved phase in a model. *)
+  mutable mentioned : bool array;
   activity : float array ref;            (* per var; the VSIDS heap closes over the ref *)
   mutable seen : bool array;             (* per var, scratch for analyze *)
   mutable trail : int array;             (* assigned literals in order *)
@@ -95,6 +98,7 @@ let create () =
     level = [||];
     reason = [||];
     phase = [||];
+    mentioned = [||];
     activity;
     seen = [||];
     trail = [||];
@@ -153,6 +157,7 @@ let grow_vars t cap =
   t.level <- grow_int t.level (-1);
   t.reason <- grow_int t.reason cref_undef;
   t.phase <- grow_bool t.phase;
+  t.mentioned <- grow_bool t.mentioned;
   t.seen <- grow_bool t.seen;
   (let a' = Array.make cap 0.0 in
    Array.blit !(t.activity) 0 a' 0 v;
@@ -174,6 +179,7 @@ let new_var t =
   t.level.(v) <- -1;
   t.reason.(v) <- cref_undef;
   t.phase.(v) <- false;
+  t.mentioned.(v) <- false;
   t.seen.(v) <- false;
   !(t.activity).(v) <- 0.0;
   t.w_data.(2 * v) <- [||];
@@ -255,7 +261,7 @@ let cancel_until t lvl =
       t.assigns.(v) <- v_undef;
       t.reason.(v) <- cref_undef;
       t.level.(v) <- -1;
-      Iheap.insert t.order v
+      if t.mentioned.(v) then Iheap.insert t.order v
     done;
     t.n_trail <- bound;
     Vec.shrink t.trail_lim lvl;
@@ -666,6 +672,13 @@ let add_buffered t n =
         end
         else (true, cref_undef)
       | m ->
+        for i = 0 to m - 1 do
+          let v = Lit.var b.(i) in
+          if not t.mentioned.(v) then begin
+            t.mentioned.(v) <- true;
+            Iheap.insert t.order v
+          end
+        done;
         let cr = Arena.alloc t.arena ~learnt:false b m in
         Vec.push t.clauses cr;
         attach t cr;
@@ -777,12 +790,13 @@ let learnts_kept t = t.n_learnts_kept
 
 (* --- the CDCL loop ------------------------------------------------------- *)
 
-(* The unassigned variable of highest activity, or -1. *)
+(* The unassigned mentioned variable of highest activity, or -1. An
+   unmentioned one is dropped when popped; learnts mention no other. *)
 let rec pick_branch_var t =
   if Iheap.is_empty t.order then -1
   else begin
     let v = Iheap.remove_max t.order in
-    if value_var t v = v_undef then v else pick_branch_var t
+    if value_var t v = v_undef && t.mentioned.(v) then v else pick_branch_var t
   end
 
 let decide t lit =
@@ -934,8 +948,8 @@ let analyze_final t p =
 let no_floor _ _ = assert false
 
 (* [solve] is the loop at floor 0: level [i+1] decides assumption [i],
-   the levels above it decide by VSIDS, and a total assignment is the
-   model. *)
+   the levels above it decide by VSIDS, and a model gives a variable
+   left unassigned its saved phase. *)
 let solve ?(assumptions = []) ?budget ?(trace = Trace.null) t =
   run t budget trace (fun () ->
       let assumptions = Array.of_list assumptions in
@@ -969,7 +983,9 @@ let solve ?(assumptions = []) ?budget ?(trace = Trace.null) t =
         else begin
           let v = pick_branch_var t in
           if v < 0 then begin
-            t.model_arr <- Array.init (nvars t) (fun v -> value_var t v = 1);
+            t.model_arr <-
+              Array.init (nvars t) (fun v ->
+                  match value_var t v with -1 -> t.phase.(v) | a -> a = 1);
             t.have_model <- true;
             Some Sat
           end
@@ -1016,29 +1032,6 @@ let enumerate_projected ?budget ?(trace = Trace.null) ?shrink ?(witness = [||])
       let is_proj = Array.make t.n_vars false in
       Array.iter (fun v -> is_proj.(v) <- true) proj;
       let pvars = Array.of_list (List.sort_uniq compare (Array.to_list proj)) in
-      (* A variable in no clause never needs a value: it is popped from the
-         order once, set aside, and re-inserted at the end. *)
-      let occurs = Array.make t.n_vars false in
-      let mark cr =
-        for k = 0 to Arena.size t.arena cr - 1 do
-          occurs.(Lit.var (Arena.lit t.arena cr k)) <- true
-        done
-      in
-      Vec.iter mark t.clauses;
-      Vec.iter mark t.learnts;
-      let set_aside = ref [] in
-      let rec pick_other () =
-        if Iheap.is_empty t.order then -1
-        else begin
-          let v = Iheap.remove_max t.order in
-          if value_var t v <> v_undef then pick_other ()
-          else if occurs.(v) then v
-          else begin
-            set_aside := v :: !set_aside;
-            pick_other ()
-          end
-        end
-      in
       (* [closed.(l)]: level [l] is a flip, or a unit learnt (below). *)
       let closed = Array.make (t.n_vars + 1) false in
       (* Unit learnts derived above the root; added there at the end. *)
@@ -1154,7 +1147,7 @@ let enumerate_projected ?budget ?(trace = Trace.null) ?shrink ?(witness = [||])
       let all_fixed = Array.make (Array.length proj) true in
       let next () =
         let v = pick_proj () in
-        let v = if v >= 0 then v else pick_other () in
+        let v = if v >= 0 then v else pick_branch_var t in
         if v >= 0 then begin
           count_decision t;
           open_level (Lit.make v t.phase.(v)) ~close:false;
@@ -1182,7 +1175,6 @@ let enumerate_projected ?budget ?(trace = Trace.null) ?shrink ?(witness = [||])
         ~finally:(fun () ->
           t.floor <- 0;
           cancel_until t 0;
-          List.iter (Iheap.insert t.order) !set_aside;
           List.iter (fun u -> ignore (add_clause t [ u ])) (List.rev !units))
         (fun () -> cdcl t ~next ~refute))
 

@@ -198,7 +198,10 @@ val enumerate_projected :
   result
 
 (** [model_value t v] is the value of [v] in the satisfying assignment
-    found by the last [solve] call that returned [Sat].
+    found by the last [solve] call that returned [Sat]. The solver only
+    decides variables that some stored clause mentions; any other
+    variable the call left unassigned has its saved phase (false until
+    an assignment, such as an assumption, is undone).
     Raises [Invalid_argument] if the last call did not return [Sat]. *)
 val model_value : t -> Lit.var -> bool
 

@@ -749,6 +749,38 @@ let test_sds_golden_lfsr () =
         (sds, dyn))
     sds_golden_lfsr
 
+(* A solver decides only variables that some stored clause mentions, so
+   between two backtracks (a conflict, a restart, or the start of a
+   call) each of them is decided at most once; assumptions are not
+   counted as decisions. Out-of-cone nets and unit-clause variables
+   never count. *)
+let test_sds_decisions_bounded_by_cone () =
+  let module Suite = Ps_gen.Suite in
+  let module E = Preimage.Engine in
+  List.iter
+    (fun e ->
+      let inst =
+        Preimage.Instance.make (Lazy.force e.Suite.circuit) (Suite.default_target e)
+      in
+      let cnf = inst.Preimage.Instance.cnf in
+      let mentioned = Array.make cnf.Ps_sat.Cnf.nvars false in
+      List.iter
+        (fun c ->
+          if Array.length c >= 2 then
+            Array.iter (fun l -> mentioned.(Lit.var l) <- true) c)
+        cnf.Ps_sat.Cnf.clauses;
+      let cone = Array.fold_left (fun n m -> if m then n + 1 else n) 0 mentioned in
+      List.iter
+        (fun m ->
+          let stat = Ps_util.Stats.get (E.stats (E.run m inst)) in
+          let backtracks = stat "sat_calls" + stat "conflicts" + stat "restarts" in
+          let decisions = stat "decisions" in
+          if decisions > backtracks * cone then
+            Alcotest.failf "%s %s: %d decisions > %d backtracks x %d cone variables"
+              e.Suite.name (E.method_name m) decisions backtracks cone)
+        [ E.Sds; E.SdsDynamic ])
+    Suite.medium
+
 let test_sds_xnor_shared_fanin () =
   (* r = XNOR(a, b, c) ∨ (a ∧ d). Once a and b are assigned, the XNOR
      is X with the parity a ⊕ b folded into one signature word; a is
@@ -835,6 +867,8 @@ let () =
             test_sds_rejects_bad_projection;
           Alcotest.test_case "sds golden medium suite" `Quick test_sds_golden;
           Alcotest.test_case "sds golden lfsr parity" `Quick test_sds_golden_lfsr;
+          Alcotest.test_case "sds decisions bounded by the cone" `Quick
+            test_sds_decisions_bounded_by_cone;
           Alcotest.test_case "sds xnor fanin on two paths" `Quick
             test_sds_xnor_shared_fanin;
         ] );

@@ -99,7 +99,16 @@ let test_dimacs_errors () =
   (* Clause spanning lines: the error points at the clause's first line. *)
   fails_at 2 "p cnf 3 1\n1 2\n3\n";
   (* A 'c p show' line with a negative variable is located too. *)
-  fails_at 3 "p cnf 2 1\n1 0\nc p show -1 0\n"
+  fails_at 3 "p cnf 2 1\n1 0\nc p show -1 0\n";
+  (* The header binds: a variable above it at the literal's line, a
+     clause count other than the header's at the header line, a show
+     variable above it at the show line (even before the header). *)
+  fails_at 2 "p cnf 2 1\n1 7 0\n";
+  fails_at 3 "p cnf 6 2\n1 -2 0\n-1 40 0\n";
+  fails_at 1 "p cnf 2 1\n1 2 0\n-1 0\n";
+  fails_at 2 "c x\np cnf 2 3\n1 2 0\n";
+  fails_at 1 "c p show 3 0\np cnf 2 1\n1 0\n";
+  fails_at 3 "p cnf 2 1\n1 0\nc p show 1 5 0\n"
 
 let test_dimacs_error_message () =
   match Dimacs.parse_string "p cnf 2 1\n1 two 0\n" with
@@ -115,7 +124,11 @@ let test_dimacs_projection () =
   Alcotest.(check (option (list int))) "projection (0-based, both lines)"
     (Some [ 0; 2; 3 ]) proj;
   let _, none = Dimacs.parse_string_projected "p cnf 1 1\n1 0\n" in
-  check_bool "no show line" true (none = None)
+  check_bool "no show line" true (none = None);
+  (* Without a header nothing bounds the input. *)
+  let f = Dimacs.parse_string "1 7 0\n-2 0\n" in
+  check_int "header-less nvars" 7 f.Cnf.nvars;
+  check_int "header-less nclauses" 2 (Cnf.nclauses f)
 
 let dimacs_roundtrip =
   Helpers.qtest "dimacs roundtrip" ~count:50 QCheck.(int_range 0 1000) (fun seed ->

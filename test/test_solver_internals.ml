@@ -328,6 +328,39 @@ let test_solver_growing_vars () =
     (Solver.solve ~assumptions:[ Lit.neg v ] s = Solver.Sat);
   check_int "var count grew" 2 (Solver.nvars s)
 
+(* --- the decision rule ----------------------------------------------------- *)
+
+let decisions s = Stats.get (Solver.stats s) "decisions"
+
+(* Only variables that some stored clause mentions are decided. *)
+let test_unmentioned_never_decided () =
+  let s = Solver.create () in
+  Solver.ensure_vars s 100;
+  ignore (Solver.add_clause s [ Lit.pos 0; Lit.pos 1 ]);
+  check_bool "sat" true (Solver.solve s = Solver.Sat);
+  check_bool "at most 2 decisions" true (decisions s <= 2);
+  ignore (Solver.add_clause s [ Lit.pos 50; Lit.pos 51 ]);
+  (* The assumptions satisfy both clauses, so x0 and x50 are left: each
+     is decided, and nothing else is. *)
+  let before = decisions s in
+  check_bool "sat under assumptions" true
+    (Solver.solve ~assumptions:[ Lit.pos 1; Lit.pos 51 ] s = Solver.Sat);
+  check_int "x0 and x50 decided" 2 (decisions s - before)
+
+(* A variable no clause mentions takes its saved phase in a model. *)
+let test_unmentioned_model_is_phase () =
+  let s = Solver.create () in
+  Solver.ensure_vars s 100;
+  ignore (Solver.add_clause s [ Lit.pos 0; Lit.pos 1 ]);
+  ignore (Solver.solve s);
+  check_bool "false at first" false (Solver.model_value s 7);
+  ignore (Solver.solve ~assumptions:[ Lit.pos 7 ] s);
+  check_bool "assumed true" true (Solver.model_value s 7);
+  let before = decisions s in
+  check_bool "sat" true (Solver.solve s = Solver.Sat);
+  check_bool "saved phase, true" true (Solver.model_value s 7);
+  check_bool "x7 was not decided" true (decisions s - before <= 2)
+
 (* --- pinned search trajectory -------------------------------------------- *)
 
 (* Exact counters, models, cores and cubes of fixed seeded runs. The
@@ -455,6 +488,13 @@ let () =
           Alcotest.test_case "activity rescale" `Quick test_activity_rescale;
           Alcotest.test_case "unknown-resume across gc" `Quick
             test_unknown_resume_across_gc;
+        ] );
+      ( "decision rule",
+        [
+          Alcotest.test_case "unmentioned variables are never decided" `Quick
+            test_unmentioned_never_decided;
+          Alcotest.test_case "unmentioned model value is the saved phase" `Quick
+            test_unmentioned_model_is_phase;
         ] );
       ( "trajectory",
         [
