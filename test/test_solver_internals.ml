@@ -489,11 +489,11 @@ let () =
           Alcotest.test_case "unknown-resume across gc" `Quick
             test_unknown_resume_across_gc;
         ] );
-      ( "decision rule",
+      ( "decisions",
         [
-          Alcotest.test_case "unmentioned variables are never decided" `Quick
+          Alcotest.test_case "unmentioned never decided" `Quick
             test_unmentioned_never_decided;
-          Alcotest.test_case "unmentioned model value is the saved phase" `Quick
+          Alcotest.test_case "unmentioned value = saved phase" `Quick
             test_unmentioned_model_is_phase;
         ] );
       ( "trajectory",
