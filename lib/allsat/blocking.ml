@@ -50,7 +50,7 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?(keep_witnesses = fals
     |> List.length
   in
   let scaled = problem_clauses asr min root_fixed 62 in
-  let conflicts () = Stats.get (Solver.stats solver) "conflicts" in
+  let conflicts () = Solver.conflicts solver in
   let conflicts_on_entry = conflicts () in
   let blocked = ref 0 in
   let hand_over () =

@@ -154,7 +154,7 @@ let lift_model s ~frontier =
    already exclude the reached set, so every model is a new state of
    Pre(frontier). *)
 let preimage s ~frontier ~reached frontier_cubes =
-  let conflicts0 = Stats.get (Solver.stats s.solver) "conflicts" in
+  let conflicts0 = Solver.conflicts s.solver in
   let g = post_frontier_group s frontier_cubes in
   let assumptions = [ Solver.group_lit s.solver g ] in
   let man = B.man_of frontier in
@@ -185,7 +185,7 @@ let preimage s ~frontier ~reached frontier_cubes =
     fresh = (if !free_bits then B.band !fresh (B.bnot reached) else !fresh);
     blocked = Some !new_cubes;
     sat_calls = !sat_calls;
-    conflicts = Stats.get (Solver.stats s.solver) "conflicts" - conflicts0;
+    conflicts = Solver.conflicts s.solver - conflicts0;
   }
 
 let session_enumerator s : enumerator =

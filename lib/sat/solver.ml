@@ -20,7 +20,8 @@ let cref_undef = Arena.Cref.undef
    free of bounds checks and allocation. *)
 type t = {
   mutable arena : Arena.t;               (* replaced wholesale by GC *)
-  clauses : int Vec.t;                   (* problem clause refs *)
+  clauses : int Vec.t;                   (* problem clause refs, some dead *)
+  mutable n_dead : int;                  (* dead refs in [clauses], dropped by GC *)
   learnts : int Vec.t;                   (* learnt clause refs *)
   mutable w_data : int array array;      (* per literal: (cref, blocker)* *)
   mutable w_size : int array;            (* per literal: live pair count *)
@@ -32,7 +33,7 @@ type t = {
   (* Per var: some stored clause mentions it. Only these are decided;
      the rest keep their saved phase in a model. *)
   mutable mentioned : bool array;
-  activity : float array ref;            (* per var; the VSIDS heap closes over the ref *)
+  activity : float array ref;            (* per var; shared with the VSIDS heap *)
   mutable seen : bool array;             (* per var, scratch for analyze *)
   mutable trail : int array;             (* assigned literals in order *)
   mutable n_trail : int;
@@ -90,6 +91,7 @@ let create () =
   {
     arena = Arena.create ();
     clauses = Vec.create ~dummy:cref_undef;
+    n_dead = 0;
     learnts = Vec.create ~dummy:cref_undef;
     w_data = [||];
     w_size = [||];
@@ -105,7 +107,7 @@ let create () =
     n_trail = 0;
     trail_lim = Vec.create ~dummy:(-1);
     qhead = 0;
-    order = Iheap.create ~score:(fun v -> !activity.(v));
+    order = Iheap.create ~score:activity;
     var_inc = 1.0;
     cla_inc = 1.0;
     ok = true;
@@ -197,8 +199,10 @@ let ensure_vars t n =
 
 let okay t = t.ok
 
-let n_clauses t = Vec.size t.clauses
+let n_clauses t = Vec.size t.clauses - t.n_dead
 let n_learnts t = Vec.size t.learnts
+
+let conflicts t = t.n_conflicts
 
 let stats t =
   let st = Stats.create () in
@@ -526,7 +530,8 @@ let locked t cr =
    relocated into a fresh arena. Watchers go first so clauses watched on
    the same literal land adjacent (propagation locality). Reasons are
    safe to walk wholesale: only locked clauses are reasons, and locked
-   clauses are never freed, so every non-undef reason is live. *)
+   clauses are never freed, so every non-undef reason is live. The dead
+   references a retired group leaves in [t.clauses] are dropped here. *)
 let garbage_collect t =
   let from = t.arena in
   let before_words = Arena.len from in
@@ -541,9 +546,16 @@ let garbage_collect t =
     let r = t.reason.(v) in
     if r <> cref_undef then t.reason.(v) <- Arena.reloc ~from ~into r
   done;
+  let kept = ref 0 in
   for i = 0 to Vec.size t.clauses - 1 do
-    Vec.set t.clauses i (Arena.reloc ~from ~into (Vec.get t.clauses i))
+    let cr = Vec.get t.clauses i in
+    if not (Arena.dead from cr) then begin
+      Vec.set t.clauses !kept (Arena.reloc ~from ~into cr);
+      incr kept
+    end
   done;
+  Vec.shrink t.clauses !kept;
+  t.n_dead <- 0;
   for i = 0 to Vec.size t.learnts - 1 do
     Vec.set t.learnts i (Arena.reloc ~from ~into (Vec.get t.learnts i))
   done;
@@ -757,32 +769,23 @@ let retire_group t g =
        group is root-satisfied from here on, so freeing the blocks below
        cannot lose information. *)
     ignore (add_clause t [ Lit.neg g ]);
-    if Vec.size crs > 0 then begin
-      let freed = Hashtbl.create (Vec.size crs) in
-      Vec.iter
-        (fun cr ->
-          if not (Arena.dead t.arena cr) then begin
-            detach t cr;
-            Arena.free t.arena cr;
-            Hashtbl.replace freed cr ()
-          end)
-        crs;
-      (* A group clause may be the reason of a root-fixed literal (it
-         went unit before retirement — typically for ¬g itself); level-0
-         literals never need an antecedent, so clear those pointers
-         before the blocks are reclaimed. *)
-      for v = 0 to t.n_vars - 1 do
-        if t.reason.(v) <> cref_undef && Hashtbl.mem freed t.reason.(v) then
-          t.reason.(v) <- cref_undef
-      done;
-      let kept = Vec.create ~dummy:cref_undef in
-      Vec.iter
-        (fun cr -> if not (Hashtbl.mem freed cr) then Vec.push kept cr)
-        t.clauses;
-      Vec.clear t.clauses;
-      Vec.iter (fun cr -> Vec.push t.clauses cr) kept;
-      if Arena.should_gc t.arena then garbage_collect t
-    end
+    (* O(group size): the freed references stay in [t.clauses], counted
+       in [t.n_dead], until the next collection drops them. A group
+       clause may be the reason of a root-fixed literal (it went unit
+       before retirement — typically for ¬g itself); level-0 literals
+       never need an antecedent, so clear that pointer. Propagation puts
+       the implied literal at position 0. *)
+    Vec.iter
+      (fun cr ->
+        if not (Arena.dead t.arena cr) then begin
+          let v = Lit.var (Arena.lit t.arena cr 0) in
+          if t.reason.(v) = cr then t.reason.(v) <- cref_undef;
+          detach t cr;
+          Arena.free t.arena cr;
+          t.n_dead <- t.n_dead + 1
+        end)
+      crs;
+    if Arena.should_gc t.arena then garbage_collect t
 
 let groups_live t = Hashtbl.length t.groups
 let groups_retired t = t.n_groups_retired
@@ -824,7 +827,7 @@ let count_decision t =
    floor at 0 it never runs. A conflict at level 0 ends it with
    [Unsat], a spent budget with [Unknown]. *)
 let cdcl t ~next ~refute =
-  t.max_learnts <- max t.max_learnts (float_of_int (Vec.size t.clauses) /. 3.0);
+  t.max_learnts <- max t.max_learnts (float_of_int (n_clauses t) /. 3.0);
   t.unpolled <- 0;
   let attempt = ref 0 and conflicts = ref 0 and restart_lim = ref 0 in
   let next_episode () =
@@ -1207,7 +1210,15 @@ let check_watches t =
       if Arena.dead t.arena cr then bad "clause list holds dead cref %d" cr;
       Hashtbl.replace live cr 0
     in
-    Vec.iter record t.clauses;
+    (* Dead problem-clause refs are the ones a retired group left for
+       the next collection; [n_dead] counts exactly those. *)
+    let dead = ref 0 in
+    Vec.iter
+      (fun cr ->
+        if cr <> cref_undef && Arena.dead t.arena cr then incr dead else record cr)
+      t.clauses;
+    if !dead <> t.n_dead then
+      bad "problem-clause list holds %d dead crefs, n_dead says %d" !dead t.n_dead;
     Vec.iter record t.learnts;
     (* Live group registries only reference live problem clauses. *)
     Hashtbl.iter
@@ -1249,6 +1260,15 @@ let check_watches t =
     Hashtbl.iter
       (fun cr n -> if n <> 2 then bad "cref %d has %d watchers (want 2)" cr n)
       live;
+    (* A reason is a live clause that implies its variable at position 0. *)
+    for v = 0 to t.n_vars - 1 do
+      let r = t.reason.(v) in
+      if r <> cref_undef then begin
+        if not (Hashtbl.mem live r) then bad "reason of %d is unknown cref %d" v r;
+        if Lit.var (Arena.lit t.arena r 0) <> v then
+          bad "reason %d of %d implies another variable" r v
+      end
+    done;
     Ok ()
   with Bad msg -> Error msg
 

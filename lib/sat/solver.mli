@@ -93,10 +93,10 @@ val group_lit : t -> group -> Lit.t
 val add_grouped : t -> group -> Lit.t list -> bool
 
 (** [retire_group t g] permanently disables the group (root unit [¬g])
-    and frees its clauses; the arena reclaims the space at the next
-    collection (triggered immediately when the 20% waste threshold is
-    crossed). Learnt clauses are untouched. Raises [Invalid_argument]
-    when already retired. *)
+    and frees its clauses in time proportional to the group's size; the
+    arena reclaims the space at the next collection (triggered
+    immediately when the 20% waste threshold is crossed). Learnt clauses
+    are untouched. Raises [Invalid_argument] when already retired. *)
 val retire_group : t -> group -> unit
 
 (** [group_is_live t g] — has the group not been retired? *)
@@ -230,6 +230,10 @@ val stats : t -> Ps_util.Stats.t
 (** [n_clauses t] is the number of live problem clauses (excluding learnt). *)
 val n_clauses : t -> int
 
+(** [conflicts t] is the number of conflicts so far, the ["conflicts"]
+    entry of {!stats} without building the table. *)
+val conflicts : t -> int
+
 (** [n_learnts t] is the number of live learnt clauses. *)
 val n_learnts : t -> int
 
@@ -244,11 +248,14 @@ val unsat_core : t -> Lit.t list
     These expose internal machinery for white-box tests and debugging;
     no engine should depend on them. *)
 
-(** Checks the watcher/arena invariants: every clause list entry is a
-    live arena block, the arena's live blocks are exactly the registered
-    clauses, every watcher references a live clause through the negation
-    of one of its two watched literals, and every clause is watched
-    exactly twice. Returns [Error msg] describing the first violation. *)
+(** Checks the watcher/arena invariants: every learnt-list entry is a
+    live arena block, every problem-list entry is live or one of the
+    dead references counted out of {!n_clauses} (left by
+    {!retire_group} until the next collection), the arena's live blocks
+    are exactly the registered clauses, every watcher references a live clause through the negation
+    of one of its two watched literals, every clause is watched exactly
+    twice, and every reason is a live clause holding its variable's
+    literal at position 0. Returns [Error msg] describing the first violation. *)
 val check_watches : t -> (unit, string) Stdlib.result
 
 (** Force a learnt-DB reduction (normally triggered by the learnt-clause

@@ -123,6 +123,19 @@ let iter_assignments n f =
     f a
   done
 
+(* Words allocated by [f ()], net of what the [Gc.counters] calls around
+   it allocate themselves. *)
+let allocated_words f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let w1 = words () in
+  f ();
+  let w2 = words () in
+  int_of_float (w2 -. w1 -. (w1 -. w0))
+
 (* Alcotest wrapper for a QCheck property. *)
 let qtest name ?(count = 100) arbitrary prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arbitrary prop)

@@ -382,6 +382,104 @@ let test_group_arena_reclaim () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "watch invariants: %s" msg
 
+let test_group_retire_cost () =
+  (* Retiring a group costs its own size, not the solver's: no pass over
+     the 10,000 permanent clauses or their variables. *)
+  let s = Solver.create () in
+  let n = 1000 in
+  Solver.ensure_vars s n;
+  for i = 0 to 9_999 do
+    ignore (Solver.add_clause s [ Lit.pos (i mod n); Lit.pos (((7 * i) + 1) mod n) ])
+  done;
+  let g = Solver.new_group s in
+  ignore (Solver.add_grouped s g [ Lit.neg 0; Lit.pos 1 ]);
+  ignore (Solver.add_grouped s g [ Lit.neg 2; Lit.pos 3 ]);
+  Alcotest.check sat "sat with the group" Solver.Sat
+    (Solver.solve ~assumptions:[ Solver.group_lit s g ] s);
+  let words = Helpers.allocated_words (fun () -> Solver.retire_group s g) in
+  if words >= 100 then Alcotest.failf "retire_group allocated %d words" words;
+  check_int "permanent clauses" 10_000 (Solver.n_clauses s);
+  match Solver.check_watches s with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "watch invariants: %s" msg
+
+let test_group_interleaving () =
+  (* 500 groups created and retired among permanent clauses and forced
+     collections. Permanent units on [u] variables make some group
+     clauses (!g | u) root reasons for !g before their group retires. *)
+  let rng = R.create ~seed:20 in
+  let nv = 60 and nu = 20 in
+  let s = Solver.create () in
+  Solver.ensure_vars s (nv + nu);
+  let permanent = ref [] in
+  let live = ref [] in (* (group, its clauses) *)
+  let created = ref 0 in
+  let expected = ref 0 in
+  (* Stored (non-unit, non-satisfied) clauses show up in [n_clauses]. *)
+  let counting f =
+    let n0 = Solver.n_clauses s in
+    f ();
+    let d = Solver.n_clauses s - n0 in
+    if d < 0 || d > 1 then Alcotest.failf "one clause added, n_clauses moved by %d" d;
+    expected := !expected + d
+  in
+  let random_clause () =
+    List.init (1 + R.int rng 3) (fun _ -> Lit.make (R.int rng nv) (R.bool rng))
+  in
+  let add_grouped (g, cls) =
+    let c =
+      if R.int rng 3 = 0 then [ Lit.pos (nv + R.int rng nu) ] else random_clause ()
+    in
+    counting (fun () -> ignore (Solver.add_grouped s g c));
+    cls := c :: !cls
+  in
+  let retire i =
+    let g, _ = List.nth !live i in
+    expected := !expected - Solver.group_clauses s g;
+    Solver.retire_group s g;
+    live := List.filteri (fun j _ -> j <> i) !live
+  in
+  let check step =
+    check_int (Printf.sprintf "n_clauses at step %d" step) !expected (Solver.n_clauses s);
+    (match Solver.check_watches s with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "watch invariants at step %d: %s" step msg);
+    let fresh = Solver.create () in
+    Solver.ensure_vars fresh (nv + nu);
+    List.iter (fun c -> ignore (Solver.add_clause fresh c)) !permanent;
+    List.iter (fun (_, cls) -> List.iter (fun c -> ignore (Solver.add_clause fresh c)) !cls) !live;
+    let assumptions = List.map (fun (g, _) -> Solver.group_lit s g) !live in
+    Alcotest.check sat
+      (Printf.sprintf "solve agrees with a fresh solver at step %d" step)
+      (Solver.solve fresh) (Solver.solve ~assumptions s)
+  in
+  let step = ref 0 in
+  while !created < 500 || !live <> [] do
+    incr step;
+    (match R.int rng 20 with
+    | k when k < 5 && !created < 500 ->
+      incr created;
+      let grp = (Solver.new_group s, ref []) in
+      for _ = 0 to R.int rng 3 do
+        add_grouped grp
+      done;
+      live := grp :: !live
+    | k when k < 10 && !live <> [] -> add_grouped (R.pick rng !live)
+    | k when k < 13 ->
+      let c =
+        if R.int rng 4 = 0 then [ Lit.neg (nv + R.int rng nu) ]
+        else List.init 3 (fun _ -> Lit.make (R.int rng nv) (R.bool rng))
+      in
+      counting (fun () -> ignore (Solver.add_clause s c));
+      permanent := c :: !permanent
+    | k when k < 19 && !live <> [] -> retire (R.int rng (List.length !live))
+    | _ -> Solver.dbg_gc s);
+    if !step mod 10 = 0 then check !step
+  done;
+  check !step;
+  check_int "only permanent clauses remain" !expected (Solver.n_clauses s);
+  check_int "all retired" 500 (Solver.groups_retired s)
+
 let test_group_degenerate_unit () =
   (* A grouped clause whose literals are all root-false degenerates to
      the unit !g: the group is permanently deactivated. *)
@@ -1099,6 +1197,10 @@ let () =
             test_group_arena_reclaim;
           Alcotest.test_case "degenerate unit deactivates" `Quick
             test_group_degenerate_unit;
+          Alcotest.test_case "retirement costs the group's size" `Quick
+            test_group_retire_cost;
+          Alcotest.test_case "retire/add/gc interleaving" `Quick
+            test_group_interleaving;
           group_enumeration_matches_plain;
         ] );
       ( "unsat_core",

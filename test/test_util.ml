@@ -88,8 +88,8 @@ let vec_push_pop_stack =
 (* --- Iheap ------------------------------------------------------------- *)
 
 let test_iheap_order () =
-  let scores = [| 5.0; 1.0; 9.0; 3.0; 7.0 |] in
-  let h = Iheap.create ~score:(fun i -> scores.(i)) in
+  let scores = ref [| 5.0; 1.0; 9.0; 3.0; 7.0 |] in
+  let h = Iheap.create ~score:scores in
   List.iter (Iheap.insert h) [ 0; 1; 2; 3; 4 ];
   check "size" 5 (Iheap.size h);
   let order = List.init 5 (fun _ -> Iheap.remove_max h) in
@@ -97,21 +97,21 @@ let test_iheap_order () =
   check_bool "empty after" true (Iheap.is_empty h)
 
 let test_iheap_mem_dup () =
-  let h = Iheap.create ~score:float_of_int in
+  let h = Iheap.create ~score:(ref (Array.init 8 float_of_int)) in
   Iheap.insert h 3;
   Iheap.insert h 3;
   check "no duplicates" 1 (Iheap.size h);
   check_bool "mem" true (Iheap.mem h 3);
   check_bool "not mem" false (Iheap.mem h 5);
   Alcotest.check_raises "remove_max empty" Not_found (fun () ->
-      let h = Iheap.create ~score:float_of_int in
+      let h = Iheap.create ~score:(ref [||]) in
       ignore (Iheap.remove_max h))
 
 let test_iheap_decrease () =
-  let scores = Array.make 4 0.0 in
-  let h = Iheap.create ~score:(fun i -> scores.(i)) in
+  let scores = ref (Array.make 4 0.0) in
+  let h = Iheap.create ~score:scores in
   List.iter (Iheap.insert h) [ 0; 1; 2; 3 ];
-  scores.(2) <- 10.0;
+  !scores.(2) <- 10.0;
   Iheap.decrease h 2;
   check "bumped to top" 2 (Iheap.remove_max h);
   (* decrease of an absent element is a no-op *)
@@ -119,7 +119,7 @@ let test_iheap_decrease () =
   check "size unchanged" 3 (Iheap.size h)
 
 let test_iheap_rebuild () =
-  let h = Iheap.create ~score:float_of_int in
+  let h = Iheap.create ~score:(ref (Array.init 8 float_of_int)) in
   List.iter (Iheap.insert h) [ 1; 2; 3 ];
   Iheap.rebuild h [ 5; 6 ];
   check "rebuilt size" 2 (Iheap.size h);
@@ -131,11 +131,129 @@ let iheap_sorts =
     QCheck.(list_of_size (QCheck.Gen.int_range 1 40) (int_bound 1000))
     (fun l ->
       let scores = Array.of_list (List.map float_of_int l) in
-      let h = Iheap.create ~score:(fun i -> scores.(i)) in
+      let h = Iheap.create ~score:(ref scores) in
       List.iteri (fun i _ -> Iheap.insert h i) l;
       let out = List.init (Array.length scores) (fun _ -> Iheap.remove_max h) in
       let got = List.map (fun i -> scores.(i)) out in
       got = List.sort (fun a b -> compare b a) (Array.to_list scores))
+
+(* The VSIDS pattern: pop the top, bump a few scores, put elements back.
+   Once the tables have reached their size, none of it allocates. *)
+let test_iheap_no_alloc () =
+  let n = 1000 in
+  let scores = ref (Array.init n (fun i -> float_of_int (i * 7919 mod n))) in
+  let h = Iheap.create ~score:scores in
+  for i = 0 to n - 1 do
+    Iheap.insert h i
+  done;
+  let bump y =
+    !scores.(y) <- !scores.(y) +. 1.5;
+    Iheap.decrease h y
+  in
+  let ops () =
+    for k = 0 to 2_499 do
+      let x = Iheap.remove_max h in
+      bump (k * 31 mod n);
+      Iheap.insert h x;
+      bump (k * 17 mod n)
+    done
+  in
+  ops ();
+  check "words allocated by 10,000 heap operations" 0 (Helpers.allocated_words ops);
+  check "size kept" n (Iheap.size h)
+
+(* The heap this module replaced: MiniSat's swap-based percolation over a
+   closure score. The new heap must pop in exactly its order. *)
+module Swap_heap = struct
+  type t = { heap : int Vec.t; pos : int Vec.t; score : int -> float }
+
+  let create ~score = { heap = Vec.create ~dummy:(-1); pos = Vec.create ~dummy:(-1); score }
+  let size h = Vec.size h.heap
+  let mem h x = x < Vec.size h.pos && Vec.get h.pos x >= 0
+  let lt h a b = h.score a > h.score b
+
+  let swap h i j =
+    let a = Vec.get h.heap i and b = Vec.get h.heap j in
+    Vec.set h.heap i b;
+    Vec.set h.heap j a;
+    Vec.set h.pos a j;
+    Vec.set h.pos b i
+
+  let rec percolate_up h i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if lt h (Vec.get h.heap i) (Vec.get h.heap parent) then begin
+        swap h i parent;
+        percolate_up h parent
+      end
+    end
+
+  let rec percolate_down h i =
+    let n = size h in
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let best = ref i in
+    if l < n && lt h (Vec.get h.heap l) (Vec.get h.heap !best) then best := l;
+    if r < n && lt h (Vec.get h.heap r) (Vec.get h.heap !best) then best := r;
+    if !best <> i then begin
+      swap h i !best;
+      percolate_down h !best
+    end
+
+  let insert h x =
+    if not (mem h x) then begin
+      Vec.grow_to h.pos (x + 1) (-1);
+      Vec.set h.pos x (size h);
+      Vec.push h.heap x;
+      percolate_up h (size h - 1)
+    end
+
+  let remove_max h =
+    let top = Vec.get h.heap 0 in
+    swap h 0 (size h - 1);
+    ignore (Vec.pop h.heap);
+    Vec.set h.pos top (-1);
+    if size h > 0 then percolate_down h 0;
+    top
+
+  let decrease h x = if mem h x then percolate_up h (Vec.get h.pos x)
+end
+
+(* Random insert / remove_max / bump-and-decrease sequences over few
+   distinct scores, so most comparisons are ties. *)
+let iheap_matches_swap_heap =
+  let n = 24 in
+  let op =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun x -> `Insert x) (int_bound (n - 1));
+          return `Pop;
+          map2 (fun x d -> `Bump (x, d)) (int_bound (n - 1)) (int_bound 2);
+        ])
+  in
+  Helpers.qtest ~count:300 "iheap pops in the swap-based heap's order"
+    QCheck.(make Gen.(pair (array_size (return n) (int_bound 3)) (list_size (int_range 1 300) op)))
+    (fun (init, ops) ->
+      let scores = ref (Array.map float_of_int init) in
+      let h = Iheap.create ~score:scores in
+      let r = Swap_heap.create ~score:(fun x -> !scores.(x)) in
+      List.for_all
+        (function
+          | `Insert x ->
+            Iheap.insert h x;
+            Swap_heap.insert r x;
+            Iheap.size h = Swap_heap.size r
+          | `Pop ->
+            Iheap.is_empty h = (Swap_heap.size r = 0)
+            && (Iheap.is_empty h || Iheap.remove_max h = Swap_heap.remove_max r)
+          | `Bump (x, d) ->
+            !scores.(x) <- !scores.(x) +. float_of_int d;
+            Iheap.decrease h x;
+            Swap_heap.decrease r x;
+            Iheap.mem h x = Swap_heap.mem r x)
+        ops
+      && List.init (Iheap.size h) (fun _ -> Iheap.remove_max h)
+         = List.init (Swap_heap.size r) (fun _ -> Swap_heap.remove_max r))
 
 (* --- Luby -------------------------------------------------------------- *)
 
@@ -244,6 +362,8 @@ let () =
           Alcotest.test_case "decrease" `Quick test_iheap_decrease;
           Alcotest.test_case "rebuild" `Quick test_iheap_rebuild;
           iheap_sorts;
+          Alcotest.test_case "no allocation" `Quick test_iheap_no_alloc;
+          iheap_matches_swap_heap;
         ] );
       ( "luby",
         [
