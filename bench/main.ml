@@ -19,11 +19,21 @@ module Stats = Ps_util.Stats
 
 (* --- tiny fixed-width table printer ------------------------------------- *)
 
+(* A cell holding a decimal number (a timing or a ratio) counts as at
+   least [decimal_width] wide, so the columns and the rule under the
+   header keep their width when a run prints such a number with one
+   digit fewer. *)
+let decimal_width = 8
+
 let print_table title header rows =
   let all = header :: rows in
   let ncols = List.length header in
+  let cell_width cell =
+    if String.contains cell '.' then max decimal_width (String.length cell)
+    else String.length cell
+  in
   let width c =
-    List.fold_left (fun w row -> max w (String.length (List.nth row c))) 0 all
+    List.fold_left (fun w row -> max w (cell_width (List.nth row c))) 0 all
   in
   let widths = List.init ncols width in
   let line row =

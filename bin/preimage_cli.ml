@@ -138,6 +138,30 @@ let print_store_stats w =
     (St.path w) s.St.records s.St.bytes s.St.cubes s.St.subsumed_on_write
     s.St.checkpoints
 
+(* The log a [--store FILE] / [--resume FILE] pair asks for, as
+   [(writer, recovered)]: a fresh log headed by [meta ()], or an existing
+   one recovered and reopened for appending. *)
+let open_log ?checkpoint_every ~trace ~store ~resume meta =
+  match (resume, store) with
+  | Some _, Some _ ->
+    die
+      "--store and --resume are mutually exclusive (--resume appends to the \
+       same file)"
+  | Some path, None -> (
+    match St.resume ?checkpoint_every ~trace ~path () with
+    | Ok (r, w) -> (Some w, Some r)
+    | Error e -> die "cannot resume %s: %s" path e)
+  | None, Some path ->
+    (Some (St.create ?checkpoint_every ~trace ~path (meta ())), None)
+  | None, None -> (None, None)
+
+let finalize_log store ~complete =
+  Option.iter
+    (fun w ->
+      St.finalize w ~complete ();
+      print_store_stats w)
+    store
+
 let with_trace path f =
   match path with
   | None -> f Ps_util.Trace.null
@@ -366,30 +390,16 @@ let reach_cmd =
           (* Reach sessions checkpoint once per frame (auto checkpoints
              off), so the log's segments are exactly the frames. *)
           let store, resume =
-            match (resume_file, store_file) with
-            | Some _, Some _ ->
-              die
-                "--store and --resume are mutually exclusive (--resume \
-                 appends to the same file)"
-            | Some path, None -> (
-              match St.resume ~checkpoint_every:0 ~trace ~path () with
-              | Ok (r, w) -> (Some w, Some r)
-              | Error e -> die "cannot resume %s: %s" path e)
-            | None, Some path ->
-              let source_crc =
-                if Sys.file_exists spec then Ps_store.Crc32.file spec else 0
-              in
-              let meta =
+            open_log ~checkpoint_every:0 ~trace ~store:store_file
+              ~resume:resume_file (fun () ->
                 {
                   St.engine = "reach";
                   width = nstate;
                   vars = [||];
                   source = spec;
-                  source_crc;
-                }
-              in
-              (Some (St.create ~checkpoint_every:0 ~trace ~path meta), None)
-            | None, None -> (None, None)
+                  source_crc =
+                    (if Sys.file_exists spec then Ps_store.Crc32.file spec else 0);
+                })
           in
           let r =
             try
@@ -397,11 +407,7 @@ let reach_cmd =
                 target
             with Invalid_argument msg -> die "%s" msg
           in
-          (match store with
-          | Some w ->
-            St.finalize w ~complete:r.R.fixpoint ();
-            print_store_stats w
-          | None -> ());
+          finalize_log store ~complete:r.R.fixpoint;
           r)
     in
     Format.printf "engine=%s steps=%d total_states=%g fixpoint=%b time=%.3fs@."
@@ -480,40 +486,29 @@ let allsat_cmd =
     let w = Ps_allsat.Project.width proj in
     with_trace trace_file (fun trace ->
         let store, recovered =
-          match (resume_file, store_file) with
-          | Some _, Some _ ->
-            die
-              "--store and --resume are mutually exclusive (--resume appends \
-               to the same file)"
-          | Some path, None -> (
-            match St.resume ~trace ~path () with
-            | Ok (r, wtr) ->
-              if r.St.meta.St.width <> w then
-                die "resume: log is %d positions wide but the projection is %d"
-                  r.St.meta.St.width w;
-              if
-                r.St.meta.St.source_crc <> 0
-                && r.St.meta.St.source_crc <> Ps_store.Crc32.file file
-              then
-                die
-                  "resume: %s does not match the log's source formula (CRC \
-                   mismatch)"
-                  file;
-              (Some wtr, Some r)
-            | Error e -> die "cannot resume %s: %s" path e)
-          | None, Some path ->
-            let meta =
+          open_log ~trace ~store:store_file ~resume:resume_file (fun () ->
               {
                 St.engine = "allsat";
                 width = w;
                 vars = Array.copy proj.Ps_allsat.Project.vars;
                 source = file;
                 source_crc = Ps_store.Crc32.file file;
-              }
-            in
-            (Some (St.create ~trace ~path meta), None)
-          | None, None -> (None, None)
+              })
         in
+        Option.iter
+          (fun r ->
+            if r.St.meta.St.width <> w then
+              die "resume: log is %d positions wide but the projection is %d"
+                r.St.meta.St.width w;
+            if
+              r.St.meta.St.source_crc <> 0
+              && r.St.meta.St.source_crc <> Ps_store.Crc32.file file
+            then
+              die
+                "resume: %s does not match the log's source formula (CRC \
+                 mismatch)"
+                file)
+          recovered;
         let sink = Option.map St.sink store in
         (* Resuming: everything already in the log is blocked before the
            fresh enumeration, so the run continues exactly where the
@@ -522,11 +517,7 @@ let allsat_cmd =
         let solver = Ps_sat.Solver.create () in
         if not (Ps_sat.Solver.load solver cnf) then begin
           Format.printf "unsatisfiable at root@.";
-          match store with
-          | Some wtr ->
-            St.finalize wtr ~complete:true ();
-            print_store_stats wtr
-          | None -> ()
+          finalize_log store ~complete:true
         end
         else begin
           let lift =
@@ -562,11 +553,7 @@ let allsat_cmd =
                   end)
                 ()
           in
-          (match store with
-          | Some wtr ->
-            St.finalize wtr ~complete:(Ps_allsat.Run.complete r) ();
-            print_store_stats wtr
-          | None -> ());
+          finalize_log store ~complete:(Ps_allsat.Run.complete r);
           let cubes = prior @ r.Ps_allsat.Run.cubes in
           let cubes =
             if minimize then Ps_allsat.Cube_set.minimize cubes else cubes

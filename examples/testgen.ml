@@ -76,11 +76,7 @@ let () =
   Format.printf "blocking (minterms): %d detecting vectors, %d SAT calls@."
     (List.length r_min.A.Run.cubes) (A.Blocking.sat_calls r_min);
 
-  let lift model =
-    A.Lifting.lift_mask circuit ~root:miter
-      ~values:(Array.sub model 0 (N.num_nets circuit))
-      ~proj_nets
-  in
+  let lift = A.Lifting.lift_mask circuit ~root:miter ~proj_nets in
   let r_lift = A.Blocking.enumerate ~lift (mk_solver ()) proj in
   Format.printf "blocking + lifting:  %d cubes, %d SAT calls@."
     (List.length r_lift.A.Run.cubes) (A.Blocking.sat_calls r_lift);

@@ -89,24 +89,6 @@ let of_bdd f ~width =
 let union_count width cubes =
   B.count_models ~nvars:width (to_bdd (B.new_man ~nvars:width) cubes)
 
-type count = { value : float; exact : bool }
-
-(* Model counts are accumulated in IEEE doubles, whose integers are
-   exact only up to 2^53: for width <= 53 every intermediate count is an
-   integer <= 2^width <= 2^53 and every addition of two such integers
-   with a representable sum is exact, so the result is the true count.
-   Past width 53 intermediate sums can silently round (near-full covers
-   like 2^60 - 1 are not representable), so the result is flagged
-   inexact; and for very large widths 2^width overflows to [infinity],
-   which is clamped to [Float.max_float] so callers never see an
-   infinite "count". *)
-let union_count_checked width cubes =
-  let value = union_count width cubes in
-  if width <= 53 then { value; exact = true }
-  else if Float.is_integer value && value <> Float.infinity then
-    { value; exact = false }
-  else { value = Float.max_float; exact = false }
-
 let equal_union width a b =
   let man = B.new_man ~nvars:width in
   B.equal (to_bdd man a) (to_bdd man b)

@@ -49,23 +49,8 @@ val of_bdd : Ps_bdd.Bdd.t -> width:int -> Cube.t list
     {b Precision}: the count is exact only for [width <= 53]; beyond
     that, IEEE doubles cannot represent every integer count and the
     value may silently round (e.g. a near-full cover of a width-60 space
-    of [2^60 - 1] minterms). Use {!union_count_checked} when the caller
-    must know whether bits were lost. *)
+    of [2^60 - 1] minterms). *)
 val union_count : int -> Cube.t list -> float
-
-(** A model count with an explicit exactness label. [value] is never
-    infinite (counts past [Float.max_float] are clamped); [exact] is a
-    conservative guarantee — [true] only when the float is provably the
-    true integer count (all intermediate sums representable, which holds
-    whenever [width <= 53]). *)
-type count = { value : float; exact : bool }
-
-(** [union_count_checked width cubes] is {!union_count} with the
-    precision made explicit instead of silently losing bits: for
-    [width <= 53] the result is [{ value; exact = true }]; for wider
-    spaces [exact = false] and an overflow to infinity is clamped to
-    [Float.max_float]. *)
-val union_count_checked : int -> Cube.t list -> count
 
 (** [equal_union width a b] — do two cube lists denote the same set? *)
 val equal_union : int -> Cube.t list -> Cube.t list -> bool

@@ -73,7 +73,7 @@ let justify_roots s ~roots ~value =
           done;
           if !pick < 0 then
             (* the values are inconsistent with the netlist *)
-            invalid_arg "Lifting.justify: values are not a valid simulation";
+            invalid_arg "Lifting: values are not a valid simulation";
           Vec.push stack (if !shared >= 0 then !shared else !pick)
         | Some _ | None ->
           (* Non-controlled case (or parity/unary/constant): every fanin
@@ -86,15 +86,10 @@ let justify_roots s ~roots ~value =
 
 let required s net = s.required.(net) = s.epoch
 
-let justify_one n ~root ~values =
-  if Array.length values < N.num_nets n then
-    invalid_arg "Lifting.justify: values too short";
-  let s = scratch n in
-  justify_roots s ~roots:[ root ] ~value:(Array.get values);
-  s
-
-let justify n ~root ~values =
-  Array.init (N.num_nets n) (required (justify_one n ~root ~values))
-
-let lift_mask n ~root ~values ~proj_nets =
-  Array.map (required (justify_one n ~root ~values)) proj_nets
+let lift_mask n ~root ~proj_nets =
+  let s = scratch n and roots = [ root ] in
+  fun values ->
+    if Array.length values < N.num_nets n then
+      invalid_arg "Lifting.lift_mask: values too short";
+    justify_roots s ~roots ~value:(Array.get values);
+    Array.map (required s) proj_nets

@@ -2,7 +2,7 @@
 
     After the solver finds a satisfying assignment, many of the projected
     variables are irrelevant: the objective is already justified by a
-    subset of the leaf values. [justify] walks the constraint cone
+    subset of the leaf values. {!justify_roots} walks the constraint cone
     backwards from the satisfied root, keeping for each gate only a
     minimal set of fanins that force its value — one controlling fanin
     when the gate output is at its controlled value (choosing an
@@ -15,21 +15,13 @@
     at their model values and varying every other leaf arbitrarily keeps
     the root at its model value. *)
 
-(** [justify n ~root ~values] returns a membership array over nets: the
-    leaves (inputs and latch outputs) that the justification requires.
-    [values] must be a consistent simulation of [n] (e.g. from
-    {!Ps_circuit.Sim.eval}); [root] is the net whose value is being
-    justified (any value — justification works for 0 and 1 roots).
-    Only leaf positions are meaningful in the result. *)
-val justify : Ps_circuit.Netlist.t -> root:int -> values:bool array -> bool array
+(** {2 Justification without per-model allocation}
 
-(** {2 Repeated justification without allocation}
-
-    A loop that lifts one model after another (the incremental
-    reachability session) justifies against the same netlist thousands of
-    times. A [scratch] holds the visited/required buffers and the explicit
-    DFS stack once; each {!justify_roots} call reuses them, and reads net
-    values through a function, so no net-sized array is built per model. *)
+    A loop that lifts one model after another justifies against the same
+    netlist thousands of times. A [scratch] holds the visited/required
+    buffers and the explicit DFS stack once; each {!justify_roots} call
+    reuses them, and reads net values through a function, so no
+    net-sized array is built per model. *)
 
 type scratch
 
@@ -39,21 +31,23 @@ val scratch : Ps_circuit.Netlist.t -> scratch
 (** [justify_roots s ~roots ~value] justifies every root in [roots] (in
     order, sharing visited nets and leaves across roots) under the net
     valuation [value], which must be a consistent simulation on the roots'
-    cones. Afterwards {!required} answers for this call; the previous
-    call's answers are gone. The traversal is the one {!justify} makes, so
-    a single root yields the same leaves. *)
+    cones (e.g. from {!Ps_circuit.Sim.eval} or a solver model); a root
+    may have either value. Afterwards {!required} answers for this call:
+    only leaves (inputs and latch outputs) are ever required, and the
+    previous call's answers are gone. Raises [Invalid_argument] when a
+    controlled gate has no controlling fanin under [value]. *)
 val justify_roots : scratch -> roots:int list -> value:(int -> bool) -> unit
 
 (** [required s net] — did the last {!justify_roots} call on [s] require
     the leaf [net]? *)
 val required : scratch -> int -> bool
 
-(** [lift_mask n ~root ~values ~proj_nets] is the justification projected
-    onto the given nets: [mask.(i) = true] iff [proj_nets.(i)] is
-    required. *)
+(** [lift_mask n ~root ~proj_nets] is the justification-lifting
+    callback for {!Blocking.enumerate}: applied to a model (net values of
+    [n] in its first [num_nets n] positions, read in place), it returns
+    the mask [mask.(i) = true] iff [proj_nets.(i)] is required to keep
+    [root] at its model value. The callback owns one {!scratch}, so it
+    serves one enumeration at a time; it raises [Invalid_argument] when
+    the model is shorter than [num_nets n]. *)
 val lift_mask :
-  Ps_circuit.Netlist.t ->
-  root:int ->
-  values:bool array ->
-  proj_nets:int array ->
-  bool array
+  Ps_circuit.Netlist.t -> root:int -> proj_nets:int array -> bool array -> bool array

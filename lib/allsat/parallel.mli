@@ -37,10 +37,6 @@
     [0 <= depth <= width]. *)
 val guiding_paths : width:int -> depth:int -> Cube.t list
 
-(** Default initial split depth: [min width 4] (16 shards), a constant
-    independent of [jobs] so results cannot vary with the pool size. *)
-val default_split_depth : int -> int
-
 (** [run ~width ~run_shard ()] enumerates the whole projection space of
     [width] positions by sharding it across [jobs] worker domains (the
     calling domain is worker 0, so [jobs = 1] spawns nothing and runs

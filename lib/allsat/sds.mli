@@ -52,9 +52,6 @@ type config = private {
 (** [config variant] is the configuration of that engine variant. *)
 val config : variant -> config
 
-(** [config Sds]. *)
-val default_config : config
-
 (** [search ~netlist ~root ~proj_nets ~solver ()] enumerates all
     assignments of [proj_nets] (in the given order) that extend to an
     assignment of the remaining inputs making net [root] true. Every

@@ -130,10 +130,6 @@ let var m v =
   check_var m v;
   node m v m.zero_n m.one_n
 
-let nvar m v =
-  check_var m v;
-  node m v m.one_n m.zero_n
-
 let rec bnot f =
   if is_zero f then f.man.one_n
   else if is_one f then f.man.zero_n
@@ -207,10 +203,7 @@ let rec bxor a b =
       r
   end
 
-let bnand a b = bnot (band a b)
-let bnor a b = bnot (bor a b)
 let bxnor a b = bnot (bxor a b)
-let bimp a b = bor (bnot a) b
 
 let rec ite f g h =
   same_man f g;
@@ -235,10 +228,10 @@ let rec ite f g h =
       r
   end
 
-(* Quantification. The memo key includes the number of remaining
-   quantified variables because the same node can be reached with
+(* Existential quantification. The memo key includes the number of
+   remaining quantified variables because the same node can be reached with
    different suffixes of the variable list. *)
-let quantify ~combine vars f =
+let exists vars f =
   let vars = List.sort_uniq compare vars in
   List.iter (check_var f.man) vars;
   let cache : (int * int, t) Hashtbl.t = Hashtbl.create 256 in
@@ -254,7 +247,7 @@ let quantify ~combine vars f =
         | Some r -> r
         | None ->
           let r =
-            if f.level = v then combine (go f.low rest) (go f.high rest)
+            if f.level = v then bor (go f.low rest) (go f.high rest)
             else node f.man f.level (go f.low vars) (go f.high vars)
           in
           Hashtbl.add cache key r;
@@ -262,9 +255,6 @@ let quantify ~combine vars f =
       end
   in
   go f vars
-
-let exists vars f = quantify ~combine:bor vars f
-let forall vars f = quantify ~combine:band vars f
 
 let and_exists vars f g =
   same_man f g;
@@ -298,23 +288,6 @@ let and_exists vars f g =
         end
   in
   go f g vars
-
-let restrict f ~var ~value =
-  check_var f.man var;
-  let cache : (int, t) Hashtbl.t = Hashtbl.create 64 in
-  let rec go f =
-    if is_terminal f || f.level > var then f
-    else if f.level = var then if value then f.high else f.low
-    else begin
-      match Hashtbl.find_opt cache f.id with
-      | Some r -> r
-      | None ->
-        let r = node f.man f.level (go f.low) (go f.high) in
-        Hashtbl.add cache f.id r;
-        r
-    end
-  in
-  go f
 
 let compose f subst =
   let m = f.man in
@@ -386,20 +359,6 @@ let size f =
   go f;
   Hashtbl.length seen
 
-let support f =
-  let seen = Hashtbl.create 64 in
-  let vars = Hashtbl.create 16 in
-  let rec go f =
-    if (not (is_terminal f)) && not (Hashtbl.mem seen f.id) then begin
-      Hashtbl.add seen f.id ();
-      Hashtbl.replace vars f.level ();
-      go f.low;
-      go f.high
-    end
-  in
-  go f;
-  Hashtbl.fold (fun v () acc -> v :: acc) vars [] |> List.sort compare
-
 let count_models ~nvars f =
   if nvars < f.man.nvars then invalid_arg "Bdd.count_models: nvars too small";
   let cache : (int, float) Hashtbl.t = Hashtbl.create 64 in
@@ -445,37 +404,3 @@ let eval f assignment =
     else go f.low
   in
   go f
-
-let any_sat f =
-  let rec go f acc =
-    if is_one f then Some (List.rev acc)
-    else if is_zero f then None
-    else begin
-      match go f.high ((f.level, true) :: acc) with
-      | Some _ as r -> r
-      | None -> go f.low ((f.level, false) :: acc)
-    end
-  in
-  go f []
-
-let of_cnf m clauses =
-  List.fold_left
-    (fun acc clause ->
-      let c =
-        List.fold_left
-          (fun c (v, sign) -> bor c (if sign then var m v else nvar m v))
-          m.zero_n clause
-      in
-      band acc c)
-    m.one_n clauses
-
-let pp ppf f =
-  if is_zero f then Format.pp_print_string ppf "false"
-  else if is_one f then Format.pp_print_string ppf "true"
-  else
-    Format.fprintf ppf "<bdd id=%d level=%d nodes=%d support=[%a]>" f.id f.level
-      (size f)
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-         Format.pp_print_int)
-      (support f)

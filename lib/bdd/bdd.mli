@@ -2,7 +2,7 @@
 
     A small, self-contained ROBDD package in the style of CUDD/BuDDy minus
     complement edges and dynamic reordering: hash-consed nodes, memoized
-    apply/ITE, quantification, vector composition, restriction, model
+    apply/ITE, existential quantification, vector composition, model
     counting and cube iteration. It serves two roles in this repository:
 
     - the {e baseline engine} for preimage computation (relational product /
@@ -38,9 +38,6 @@ val one : man -> t
 (** [var m v] is the function "variable [v]". *)
 val var : man -> int -> t
 
-(** [nvar m v] is the function "not variable [v]". *)
-val nvar : man -> int -> t
-
 (** [mk m ~level ~lo ~hi] is the reduced, hash-consed node "if variable
     [level] then [hi] else [lo]" ([lo] itself when [lo == hi]). Raises
     [Invalid_argument] when [level] is out of range or a child belongs
@@ -50,7 +47,7 @@ val nvar : man -> int -> t
     variable above [level]. Such a {e free} diagram still works with
     {!eval}, {!size}, {!iter_cubes}, {!copy} and the node accessors, but
     the operations that assume the order ({!band} and the other
-    connectives, {!ite}, quantification, {!restrict}, {!compose},
+    connectives, {!ite}, quantification, {!compose},
     {!count_models}) give wrong results on it. *)
 val mk : man -> level:int -> lo:t -> hi:t -> t
 
@@ -76,10 +73,7 @@ val bnot : t -> t
 val band : t -> t -> t
 val bor : t -> t -> t
 val bxor : t -> t -> t
-val bnand : t -> t -> t
-val bnor : t -> t -> t
 val bxnor : t -> t -> t
-val bimp : t -> t -> t
 
 (** [ite f g h] is if-then-else: [f·g ∨ ¬f·h]. *)
 val ite : t -> t -> t -> t
@@ -87,15 +81,9 @@ val ite : t -> t -> t -> t
 (** [exists vars f] is [∃ vars . f]. *)
 val exists : int list -> t -> t
 
-(** [forall vars f] is [∀ vars . f]. *)
-val forall : int list -> t -> t
-
 (** [and_exists vars f g] is the relational product [∃ vars . f ∧ g],
     computed without building the full conjunction. *)
 val and_exists : int list -> t -> t -> t
-
-(** [restrict f ~var ~value] is the cofactor of [f]. *)
-val restrict : t -> var:int -> value:bool -> t
 
 (** [compose f subst] substitutes, {e simultaneously}, [subst.(v)] for
     every variable [v] of [f] ([subst] must cover all of [f]'s support;
@@ -120,9 +108,6 @@ val cube : man -> (int * bool) list -> t
     terminals included. *)
 val size : t -> int
 
-(** [support f] is the ascending list of variables [f] depends on. *)
-val support : t -> int list
-
 (** [count_models ~nvars f] is the number of satisfying assignments of
     [f] over the full space of [nvars] variables (i.e. free variables
     multiply the count), as a float to tolerate > 2^62. *)
@@ -138,15 +123,5 @@ val iter_cubes : t -> nvars:int -> ((bool option array) -> unit) -> unit
     variable. *)
 val eval : t -> bool array -> bool
 
-(** [any_sat f] is a satisfying partial assignment (as (var, value) pairs)
-    when [f] is not [zero]. *)
-val any_sat : t -> (int * bool) list option
-
-(** [of_cnf m clauses] conjoins clauses given as (variable, sign) literal
-    lists. *)
-val of_cnf : man -> (int * bool) list list -> t
-
 (** [man_of f] is [f]'s manager. *)
 val man_of : t -> man
-
-val pp : Format.formatter -> t -> unit

@@ -151,9 +151,3 @@ let to_string n =
       | Netlist.Input | Netlist.Latch _ -> assert false)
     (Netlist.topo_gates n);
   Buffer.contents buf
-
-let write_file path n =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string n))

@@ -21,5 +21,3 @@ val parse_file : string -> Netlist.t
 (** [to_string n] renders [n] in [.bench] syntax; parsing it back yields
     a netlist isomorphic to [n] (same names, same structure). *)
 val to_string : Netlist.t -> string
-
-val write_file : string -> Netlist.t -> unit

@@ -72,12 +72,6 @@ let xnor_ b ?name fanins = gate b ?name Gate.Xnor fanins
 let const0 b ?name () = gate b ?name Gate.Const0 []
 let const1 b ?name () = gate b ?name Gate.Const1 []
 
-let mux b ~sel ~if1 ~if0 =
-  let nsel = not_ b sel in
-  let a = and_ b [ sel; if1 ] in
-  let c = and_ b [ nsel; if0 ] in
-  or_ b [ a; c ]
-
 let output b net =
   if net < 0 || net >= Vec.size b.drivers then invalid_arg "Builder.output";
   b.outputs <- net :: b.outputs

@@ -40,9 +40,6 @@ val xnor_ : t -> ?name:string -> int list -> int
 val const0 : t -> ?name:string -> unit -> int
 val const1 : t -> ?name:string -> unit -> int
 
-(** [mux b ~sel ~if1 ~if0] is [sel ? if1 : if0] built from basic gates. *)
-val mux : t -> sel:int -> if1:int -> if0:int -> int
-
 (** [output b net] marks [net] as a primary output. *)
 val output : t -> int -> unit
 

@@ -162,28 +162,6 @@ let rec eval e lookup =
   | Or (x, y) -> eval x lookup || eval y lookup
   | Xor (x, y) -> eval x lookup <> eval y lookup
 
-let build b e ~lookup =
-  let rec go = function
-    | Const false -> Builder.const0 b ()
-    | Const true -> Builder.const1 b ()
-    | Var v -> lookup v
-    | Not x -> Builder.not_ b (go x)
-    | And (x, y) -> Builder.and_ b [ go x; go y ]
-    | Or (x, y) -> Builder.or_ b [ go x; go y ]
-    | Xor (x, y) -> Builder.xor_ b [ go x; go y ]
-  in
-  go e
-
-let to_netlist e =
-  let b = Builder.create () in
-  let inputs = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.add inputs v (Builder.input b v)) (vars e);
-  let out = build b e ~lookup:(Hashtbl.find inputs) in
-  (* buffer so the output is always a gate net, even for "e = x" *)
-  let out = Builder.buf b ~name:(Builder.fresh_name b "_expr_out") out in
-  Builder.output b out;
-  Builder.finalize b
-
 let rec pp ppf = function
   | Const b -> Format.pp_print_string ppf (if b then "1" else "0")
   | Var v -> Format.pp_print_string ppf v

@@ -1,8 +1,8 @@
 (** Boolean expression front end.
 
     A small recursive-descent parser turning textual boolean expressions
-    into netlist logic — the convenient way to write targets, properties
-    and test predicates over named nets. Grammar (precedence low→high):
+    into syntax trees — the convenient way to write targets over named
+    nets. Grammar (precedence low→high):
 
     {v
     expr   ::= iff
@@ -35,13 +35,5 @@ val vars : t -> string list
 (** [eval e lookup] evaluates under an environment.
     Raises [Not_found] if [lookup] does. *)
 val eval : t -> (string -> bool) -> bool
-
-(** [build b e ~lookup] emits gates for [e] into a builder, resolving
-    identifiers to nets through [lookup]; returns the output net. *)
-val build : Builder.t -> t -> lookup:(string -> int) -> int
-
-(** [to_netlist e] builds a standalone combinational circuit: one input
-    per identifier (in {!vars} order), one output. *)
-val to_netlist : t -> Netlist.t
 
 val pp : Format.formatter -> t -> unit

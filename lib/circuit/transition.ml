@@ -16,24 +16,3 @@ let of_netlist netlist =
 
 let num_state t = Array.length t.state_nets
 let num_inputs t = Array.length t.input_nets
-
-let state_index t net =
-  let n = num_state t in
-  let rec find i =
-    if i >= n then raise Not_found
-    else if t.state_nets.(i) = net then i
-    else find (i + 1)
-  in
-  find 0
-
-let coi t roots =
-  let mem = Netlist.cone t.netlist roots in
-  let state_bits = ref [] in
-  for i = num_state t - 1 downto 0 do
-    if mem.(t.state_nets.(i)) then state_bits := i :: !state_bits
-  done;
-  let inputs = ref [] in
-  for i = num_inputs t - 1 downto 0 do
-    if mem.(t.input_nets.(i)) then inputs := i :: !inputs
-  done;
-  (mem, !state_bits, !inputs)

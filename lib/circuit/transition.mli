@@ -1,9 +1,8 @@
 (** Sequential transition-structure views.
 
     Collects the index machinery every preimage engine needs: the state
-    variables (latch outputs), the next-state nets (latch data inputs),
-    the primary inputs, and cone-of-influence restriction of the
-    combinational logic feeding a set of roots. *)
+    variables (latch outputs), the next-state nets (latch data inputs)
+    and the primary inputs. *)
 
 type t = {
   netlist : Netlist.t;
@@ -18,12 +17,3 @@ val of_netlist : Netlist.t -> t
 val num_state : t -> int
 
 val num_inputs : t -> int
-
-(** [state_index t net] is the state-bit position of latch-output [net].
-    Raises [Not_found] for other nets. *)
-val state_index : t -> int -> int
-
-(** [coi t roots] is the cone of influence of root nets: membership array
-    over nets, plus the lists of state bits and inputs that the cone
-    actually reads. *)
-val coi : t -> int list -> bool array * int list * int list

@@ -280,9 +280,3 @@ let to_string ?(module_name = "top") n =
     (Netlist.topo_gates n);
   line "endmodule";
   Buffer.contents buf
-
-let write_file ?module_name path n =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?module_name n))

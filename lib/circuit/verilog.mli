@@ -29,5 +29,3 @@ val parse_file : string -> Netlist.t
 
 (** [to_string ?module_name n] renders [n] (default name ["top"]). *)
 val to_string : ?module_name:string -> Netlist.t -> string
-
-val write_file : ?module_name:string -> string -> Netlist.t -> unit

@@ -2,8 +2,6 @@ module N = Ps_circuit.Netlist
 module F = Ps_circuit.Faults
 module A = Ps_allsat
 module Sg = A.Solution_graph
-module Solver = Ps_sat.Solver
-module Lit = Ps_sat.Lit
 
 type fault_report = {
   fault : F.fault;
@@ -32,16 +30,8 @@ let test_set ?(method_ = Engine.Sds) circuit fault =
   (* controllable leaves of the miter = its inputs, which are the shared
      (input ∪ pseudo-input) names; enumerate over all of them *)
   let proj_nets = Array.of_list (N.inputs m) in
-  let proj =
-    A.Project.make ~vars:(Array.copy proj_nets)
-      ~names:(Array.map (N.name m) proj_nets)
-  in
-  let cone = N.cone m [ top ] in
-  let cnf = Ps_circuit.Tseitin.encode ~cone m in
-  let solver = Solver.create () in
-  ignore (Solver.load solver cnf);
-  ignore (Solver.add_clause solver [ Lit.pos top ]);
-  let r = Engine.enumerate method_ ~netlist:m ~root:top ~proj solver in
+  let _, proj, solver = Instance.encode m ~root:top ~proj_nets in
+  let r = Engine.enumerate method_ ~netlist:m ~root:top ~proj (solver ()) in
   let vectors = A.Run.solutions r in
   ( {
       fault;

@@ -67,16 +67,12 @@ let enumerate ?prefix ?limit ?budget ?(trace = Trace.null) method_
       prefix;
     let lift =
       if method_ = BlockingLift then
-        Some
-          (fun model ->
-            A.Lifting.lift_mask netlist ~root
-              ~values:(Array.sub model 0 (Ps_circuit.Netlist.num_nets netlist))
-              ~proj_nets)
+        Some (A.Lifting.lift_mask netlist ~root ~proj_nets)
       else None
     in
     A.Blocking.enumerate ?limit ?budget ~trace ?lift solver proj
 
-let run ?budget ?(trace = Trace.null) ?limit ?jobs ?split_depth method_ instance =
+let run ?budget ?(trace = Trace.null) ?limit ?jobs method_ instance =
   if not (Trace.is_null trace) then
     Trace.emit trace
       (Trace.Phase { engine = method_name method_; phase = "start" });
@@ -92,7 +88,7 @@ let run ?budget ?(trace = Trace.null) ?limit ?jobs ?split_depth method_ instance
     | Some jobs ->
       let width = A.Project.width proj in
       timed (fun () ->
-          A.Parallel.run ~jobs ?split_depth ?limit ?budget ~trace ~width
+          A.Parallel.run ~jobs ?limit ?budget ~trace ~width
             ~run_shard:(fun ~prefix ~limit ~budget ~trace ->
               enumerate ~prefix ?limit ?budget ~trace method_ ~netlist ~root
                 ~proj (Instance.solver instance))

@@ -24,11 +24,6 @@ type method_ = Sds | SdsDynamic | SdsNoMemo | Blocking | BlockingLift
 val method_name : method_ -> string
 val all_methods : method_ list
 
-(** The SDS variant corresponding to an SDS method ([None] for the
-    blocking methods). This is the only mapping between the two enums,
-    so they cannot drift apart. *)
-val sds_variant : method_ -> Ps_allsat.Sds.variant option
-
 (** One engine run. [run] is the unified engine outcome shared by the
     SDS and blocking paths — cubes, optional solution graph, stats, and
     the structured stop reason. The remaining fields are derived
@@ -79,15 +74,14 @@ val complete : result -> bool
     globally across all shards. The merged run carries no solution
     graph, so [graph_nodes] is [None] even for the SDS methods;
     [trace] additionally receives per-shard [Shard_start] /
-    [Shard_done] events. [split_depth] (default [min width 4]) sets the
-    partition: [2^split_depth] shards; omitting [jobs] runs the classic
-    sequential path (no sharding at all). *)
+    [Shard_done] events. The partition has [2^(min width 4)] shards;
+    omitting [jobs] runs the classic sequential path (no sharding at
+    all). *)
 val run :
   ?budget:Ps_util.Budget.t ->
   ?trace:Ps_util.Trace.sink ->
   ?limit:int ->
   ?jobs:int ->
-  ?split_depth:int ->
   method_ ->
   Instance.t ->
   result

@@ -21,6 +21,7 @@ type t = {
   order : order;
   positions : int array;
   cnf : Ps_sat.Cnf.t;
+  fresh_solver : unit -> Solver.t;
 }
 
 (* One net per cube of [cubes] over [nets]: the AND of its literals, a
@@ -51,22 +52,33 @@ let cube_nets b nets cubes ~prefix =
   in
   List.map cube_net cubes
 
-(* Graft the target DNF onto the circuit over the latch-data nets. The
-   root must be a gate net inside the encoded cone so the CNF ties it to
-   the target logic; a buffer covers the single-cube and bare-net cases
-   uniformly. With [negate] the objective becomes "next state misses the
-   target" (used for universal preimages). *)
-let build_target_block ~negate circuit target =
-  let b = B.of_netlist circuit in
-  let tr = T.of_netlist circuit in
+(* The root must be a gate net inside the encoded cone so the CNF ties
+   it to the target logic; a buffer covers the single-cube and bare-net
+   cases uniformly. *)
+let target_block ?(negate = false) netlist ~nets target =
+  let b = B.of_netlist netlist in
   let wrap = if negate then B.not_ else B.buf in
   let root =
-    match cube_nets b tr.T.next_nets target ~prefix:"_t" with
-    | [] -> invalid_arg "Instance.make: empty target"
+    match cube_nets b nets target ~prefix:"_t" with
+    | [] -> invalid_arg "Instance.target_block: empty target"
     | [ single ] -> wrap b ~name:"_target" single
     | nets -> wrap b ~name:"_target" (B.or_ b ~name:"_target_any" nets)
   in
   (B.finalize b, root)
+
+let encode netlist ~root ~proj_nets =
+  let cnf = Ps_circuit.Tseitin.encode ~cone:(N.cone netlist [ root ]) netlist in
+  let proj =
+    Project.make ~vars:(Array.copy proj_nets)
+      ~names:(Array.map (N.name netlist) proj_nets)
+  in
+  let solver () =
+    let s = Solver.create () in
+    ignore (Solver.load s cnf);
+    ignore (Solver.add_clause s [ Lit.pos root ]);
+    s
+  in
+  (cnf, proj, solver)
 
 (* BFS distance of every net from [root], walking fanin edges; leaves the
    target never reads get max_int. *)
@@ -95,9 +107,7 @@ let make ?(include_inputs = false) ?(negate = false) ?(order = Natural) circuit
   let tr = T.of_netlist circuit in
   if Array.length tr.T.state_nets = 0 then
     invalid_arg "Instance.make: circuit has no latches";
-  let augmented, root = build_target_block ~negate circuit target in
-  let cone = N.cone augmented [ root ] in
-  let cnf = Ps_circuit.Tseitin.encode ~cone augmented in
+  let augmented, root = target_block ~negate circuit ~nets:tr.T.next_nets target in
   let canonical =
     if include_inputs then Array.append tr.T.state_nets tr.T.input_nets
     else tr.T.state_nets
@@ -115,25 +125,15 @@ let make ?(include_inputs = false) ?(negate = false) ?(order = Natural) circuit
       idx
   in
   let proj_nets = Array.map (fun i -> canonical.(i)) positions in
-  let names = Array.map (fun net -> N.name augmented net) proj_nets in
-  let proj = Project.make ~vars:(Array.copy proj_nets) ~names in
+  let cnf, proj, fresh_solver = encode augmented ~root ~proj_nets in
   {
     circuit; augmented; root; tr; target; proj; proj_nets; include_inputs;
-    negate; order; positions; cnf;
+    negate; order; positions; cnf; fresh_solver;
   }
 
-let solver i =
-  let s = Solver.create () in
-  ignore (Solver.load s i.cnf);
-  ignore (Solver.add_clause s [ Lit.pos i.root ]);
-  s
+let solver i = i.fresh_solver ()
 
 let num_state i = Array.length i.tr.T.state_nets
 
-let lift i model =
-  let values = Array.sub model 0 (N.num_nets i.augmented) in
-  Ps_allsat.Lifting.lift_mask i.augmented ~root:i.root ~values
-    ~proj_nets:i.proj_nets
-
-let target_holds i next_bits =
-  List.exists (fun c -> Cube.contains c next_bits) i.target
+let lift i =
+  Ps_allsat.Lifting.lift_mask i.augmented ~root:i.root ~proj_nets:i.proj_nets

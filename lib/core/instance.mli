@@ -35,6 +35,7 @@ type t = {
           [nstate + input index]) enumerated at projection position [i];
           the identity under [Natural] *)
   cnf : Ps_sat.Cnf.t;                   (** Tseitin of the cone of [root] *)
+  fresh_solver : unit -> Ps_sat.Solver.t;  (** see {!solver} *)
 }
 
 (** [make ?include_inputs ?negate circuit target] builds the instance.
@@ -54,16 +55,30 @@ val make :
   Ps_allsat.Cube.t list ->
   t
 
-(** [cube_nets b nets cubes ~prefix] adds to [b] one net per cube of
-    [cubes] (in order) that is 1 iff [nets], read at the cube's
-    positions, match the cube: the AND of its literals over shared
-    inverters, the literal's net itself for a one-literal cube, a
-    constant 1 for the empty cube. New nets are named after [prefix].
-    Every target block (this module's and {!Kstep}'s) is these nets
-    under one OR. Raises
-    [Invalid_argument] when a cube's width is not [Array.length nets]. *)
-val cube_nets :
-  Ps_circuit.Builder.t -> int array -> Ps_allsat.Cube.t list -> prefix:string -> int list
+(** [target_block ?negate netlist ~nets target] grafts the target DNF
+    onto [netlist] over [nets] (read at each cube's positions) and
+    returns the extended netlist with the objective net: a buffer (an
+    inverter with [negate]) over the OR of one AND per cube. {!make}
+    passes the latch-data nets, {!Kstep} the last frame's state nets.
+    Raises [Invalid_argument] on an empty [target] or when a cube's
+    width is not [Array.length nets]. *)
+val target_block :
+  ?negate:bool ->
+  Ps_circuit.Netlist.t ->
+  nets:int array ->
+  Ps_allsat.Cube.t list ->
+  Ps_circuit.Netlist.t * int
+
+(** [encode netlist ~root ~proj_nets] sets up a circuit query: the CNF
+    of [root]'s cone, the projection onto [proj_nets] named after those
+    nets, and a function returning a fresh solver loaded with that CNF
+    and the unit clause asserting [root]. {!make}, {!Kstep} and {!Atpg}
+    all build their queries with it. *)
+val encode :
+  Ps_circuit.Netlist.t ->
+  root:int ->
+  proj_nets:int array ->
+  Ps_sat.Cnf.t * Ps_allsat.Project.t * (unit -> Ps_sat.Solver.t)
 
 (** [solver i] is a fresh solver loaded with the instance CNF and the
     unit clause asserting the target. *)
@@ -72,10 +87,7 @@ val solver : t -> Ps_sat.Solver.t
 (** [num_state i] is the number of state bits. *)
 val num_state : t -> int
 
-(** [lift i] is the justification-lifting callback for
-    {!Ps_allsat.Blocking.enumerate}, closed over the instance. *)
+(** [lift i] is a justification-lifting callback for
+    {!Ps_allsat.Blocking.enumerate} ({!Ps_allsat.Lifting.lift_mask} on
+    the instance): it owns one scratch, so build one per enumeration. *)
 val lift : t -> bool array -> bool array
-
-(** [target_holds i next_bits] evaluates the target DNF on a concrete
-    next-state assignment. *)
-val target_holds : t -> bool array -> bool

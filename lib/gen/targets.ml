@@ -16,7 +16,6 @@ let bit_set ~bits i v =
   [ Cube.set (Cube.make bits) i v ]
 
 let bit_high ~bits i = bit_set ~bits i Cube.True
-let bit_low ~bits i = bit_set ~bits i Cube.False
 let upper_half ~bits = bit_high ~bits (bits - 1)
 
 let random ~bits ~ncubes ~density rng =

@@ -20,9 +20,6 @@ val all_zeros : bits:int -> t
     state space. *)
 val bit_high : bits:int -> int -> t
 
-(** [bit_low ~bits i] is "state bit [i] is 0". *)
-val bit_low : bits:int -> int -> t
-
 (** [upper_half ~bits] is "top bit set". *)
 val upper_half : bits:int -> t
 

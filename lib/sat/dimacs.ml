@@ -192,9 +192,3 @@ let to_string cnf =
       Buffer.add_string buf "0\n")
     (List.rev cnf.Cnf.clauses);
   Buffer.contents buf
-
-let write_file path cnf =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string cnf))

@@ -33,18 +33,8 @@ val parse_string_projected : string -> Cnf.t * Lit.var list option
     {!parse_string_projected}. *)
 val parse_file_projected : string -> Cnf.t * Lit.var list option
 
-(** [parse_channel ic] reads a DIMACS document from a channel. *)
-val parse_channel : in_channel -> Cnf.t
-
-(** [parse_channel_projected ic] — channel variant of
-    {!parse_string_projected}. *)
-val parse_channel_projected : in_channel -> Cnf.t * Lit.var list option
-
 (** [parse_file path] reads a DIMACS file. *)
 val parse_file : string -> Cnf.t
 
 (** [to_string cnf] renders [cnf] in DIMACS format. *)
 val to_string : Cnf.t -> string
-
-(** [write_file path cnf] writes [cnf] to [path]. *)
-val write_file : string -> Cnf.t -> unit

@@ -90,13 +90,3 @@ let remove_max h =
   top
 
 let decrease h x = if mem h x then percolate_up h h.pos.(x) x
-
-let clear h =
-  for i = 0 to h.n - 1 do
-    h.pos.(h.heap.(i)) <- -1
-  done;
-  h.n <- 0
-
-let rebuild h xs =
-  clear h;
-  List.iter (insert h) xs

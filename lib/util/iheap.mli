@@ -32,8 +32,3 @@ val remove_max : t -> int
 (** [decrease h x] restores the heap property after [score x] increased
     (the element percolates toward the root). No-op when [x] not in heap. *)
 val decrease : t -> int -> unit
-
-(** [rebuild h xs] clears the heap and inserts all of [xs]. *)
-val rebuild : t -> int list -> unit
-
-val clear : t -> unit

@@ -1,27 +1,14 @@
-type t = {
-  counters : (string, int ref) Hashtbl.t;
-  timers : (string, float ref) Hashtbl.t;
-}
+type t = (string, int ref) Hashtbl.t
 
-let create () = { counters = Hashtbl.create 16; timers = Hashtbl.create 16 }
+let create () : t = Hashtbl.create 16
 
 let counter_ref t name =
-  match Hashtbl.find_opt t.counters name with
+  match Hashtbl.find_opt t name with
   | Some r -> r
   | None ->
     let r = ref 0 in
-    Hashtbl.add t.counters name r;
+    Hashtbl.add t name r;
     r
-
-let timer_ref t name =
-  match Hashtbl.find_opt t.timers name with
-  | Some r -> r
-  | None ->
-    let r = ref 0.0 in
-    Hashtbl.add t.timers name r;
-    r
-
-let incr t name = Stdlib.incr (counter_ref t name)
 
 let add t name n =
   let r = counter_ref t name in
@@ -31,30 +18,13 @@ let set_max t name n =
   let r = counter_ref t name in
   if n > !r then r := n
 
-let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 
-let time t name f =
-  let r = timer_ref t name in
-  let start = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> r := !r +. (Unix.gettimeofday () -. start)) f
-
-let timer t name = match Hashtbl.find_opt t.timers name with Some r -> !r | None -> 0.0
-
-let sorted_assoc tbl deref =
-  Hashtbl.fold (fun k v acc -> (k, deref v) :: acc) tbl []
+let counters t =
+  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let counters t = sorted_assoc t.counters (fun r -> !r)
-
-let timers t = sorted_assoc t.timers (fun r -> !r)
-
-let merge ~into src =
-  List.iter (fun (k, v) -> add into k v) (counters src);
-  List.iter
-    (fun (k, v) ->
-      let r = timer_ref into k in
-      r := !r +. v)
-    (timers src)
+let merge ~into src = List.iter (fun (k, v) -> add into k v) (counters src)
 
 (* Cross-domain summation: each worker domain owns its private Stats and
    only the spawning domain sums them after the workers have been joined
@@ -64,13 +34,3 @@ let sum ts =
   let acc = create () in
   List.iter (fun t -> merge ~into:acc t) ts;
   acc
-
-let pp ppf t =
-  let pp_counter ppf (k, v) = Format.fprintf ppf "%s=%d" k v in
-  let pp_timer ppf (k, v) = Format.fprintf ppf "%s=%.3fs" k v in
-  Format.fprintf ppf "@[<hov 2>{%a%s%a}@]"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") pp_counter)
-    (counters t)
-    (if counters t <> [] && timers t <> [] then "; " else "")
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") pp_timer)
-    (timers t)

@@ -1,15 +1,12 @@
-(** Named counters and wall-clock timers for instrumenting engines.
+(** Named counters for instrumenting engines.
 
-    A [Stats.t] is a mutable bag of named integer counters and accumulated
-    timer durations; engines expose one in their results so benchmarks can
-    report propagation counts, SAT calls, cache hits, etc. *)
+    A [Stats.t] is a mutable bag of named integer counters; engines
+    expose one in their results so benchmarks can report propagation
+    counts, SAT calls, cache hits, etc. *)
 
 type t
 
 val create : unit -> t
-
-(** [incr t name] adds 1 to counter [name] (creating it at 0). *)
-val incr : t -> string -> unit
 
 (** [add t name n] adds [n] to counter [name]. *)
 val add : t -> string -> int -> unit
@@ -20,20 +17,10 @@ val set_max : t -> string -> int -> unit
 (** [get t name] is the counter value, 0 when never touched. *)
 val get : t -> string -> int
 
-(** [time t name f] runs [f ()], accumulating its wall-clock duration
-    under timer [name]. *)
-val time : t -> string -> (unit -> 'a) -> 'a
-
-(** [timer t name] is the accumulated seconds for [name], 0. if unused. *)
-val timer : t -> string -> float
-
 (** [counters t] is the sorted association list of all counters. *)
 val counters : t -> (string * int) list
 
-(** [timers t] is the sorted association list of all timers (seconds). *)
-val timers : t -> (string * float) list
-
-(** [merge ~into src] adds all of [src]'s counters and timers into [into]. *)
+(** [merge ~into src] adds all of [src]'s counters into [into]. *)
 val merge : into:t -> t -> unit
 
 (** [sum ts] is a fresh bag holding the element-wise sum of [ts].
@@ -44,5 +31,3 @@ val merge : into:t -> t -> unit
     happens-before edge). {!Ps_allsat.Parallel} merges per-shard stats
     this way. *)
 val sum : t list -> t
-
-val pp : Format.formatter -> t -> unit

@@ -95,9 +95,4 @@ let of_list xs ~dummy =
   List.iter (push v) xs;
   v
 
-let swap_remove v i =
-  check v i;
-  let x = pop v in
-  if i < v.size then Array.unsafe_set v.data i x
-
 let copy v = { data = Array.copy v.data; size = v.size; dummy = v.dummy }

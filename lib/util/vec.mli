@@ -46,8 +46,4 @@ val to_list : 'a t -> 'a list
 val to_array : 'a t -> 'a array
 val of_list : 'a list -> dummy:'a -> 'a t
 
-(** [swap_remove v i] replaces element [i] by the last element and pops;
-    O(1), does not preserve order. *)
-val swap_remove : 'a t -> int -> unit
-
 val copy : 'a t -> 'a t

@@ -123,12 +123,15 @@ let iter_assignments n f =
     f a
   done
 
-(* Words allocated by [f ()], net of what the [Gc.counters] calls around
-   it allocate themselves. *)
+(* Words allocated by [f ()], net of what the counter reads around it
+   allocate themselves. The minor count comes from [Gc.minor_words],
+   which includes the current minor heap; [Gc.counters] only adds it up
+   at each minor collection, so it misses whatever [f] allocates after
+   the last one. *)
 let allocated_words f =
   let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
   in
   let w0 = words () in
   let w1 = words () in

@@ -261,12 +261,14 @@ let lifting_sound =
       let env = Array.make (N.num_nets n) false in
       List.iter (fun net -> env.(net) <- R.bool rng) leaves;
       let values = Sim.eval n ~env in
-      let required = A.Lifting.justify n ~root ~values in
+      let s = A.Lifting.scratch n in
+      A.Lifting.justify_roots s ~roots:[ root ] ~value:(Array.get values);
+      let required = A.Lifting.required s in
       (* required positions are leaves only *)
       let leaves_only =
         List.for_all
           (fun i ->
-            (not required.(i))
+            (not (required i))
             || (match N.driver n i with N.Input | N.Latch _ -> true | N.Gate _ -> false))
           (List.init (N.num_nets n) Fun.id)
       in
@@ -274,7 +276,7 @@ let lifting_sound =
       for _ = 1 to 16 do
         let env' = Array.make (N.num_nets n) false in
         List.iter
-          (fun net -> env'.(net) <- if required.(net) then env.(net) else R.bool rng)
+          (fun net -> env'.(net) <- if required net then env.(net) else R.bool rng)
           leaves;
         let values' = Sim.eval n ~env:env' in
         if values'.(root) <> values.(root) then sound := false
@@ -341,11 +343,10 @@ let test_lifting_prefers_shared () =
   let g = Ps_circuit.Builder.and_ b ~name:"g" [ x; y ] in
   Ps_circuit.Builder.output b g;
   let n = Ps_circuit.Builder.finalize b in
-  let values = [| false; false; false |] in
-  let req = A.Lifting.justify n ~root:g ~values in
-  check_int "exactly one input required"
-    1
-    ((if req.(x) then 1 else 0) + if req.(y) then 1 else 0)
+  let s = A.Lifting.scratch n in
+  A.Lifting.justify_roots s ~roots:[ g ] ~value:(fun _ -> false);
+  let required net = if A.Lifting.required s net then 1 else 0 in
+  check_int "exactly one input required" 1 (required x + required y)
 
 (* Netlist construction (topological sort), cones and justification walk
    the netlist with explicit stacks: a 100k-gate chain must go through
@@ -372,16 +373,43 @@ let test_lifting_deep_chain () =
   let cone = N.cone n [ !last ] in
   check_int "cone is the whole chain" (depth + 2)
     (Array.fold_left (fun k m -> if m then k + 1 else k) 0 cone);
+  let s = A.Lifting.scratch n in
   let required ~x_value =
     let env = Array.make (N.num_nets n) true in
     env.(x) <- x_value;
-    let req = A.Lifting.justify n ~root:!last ~values:(Sim.eval n ~env) in
-    (req.(x), req.(y))
+    A.Lifting.justify_roots s ~roots:[ !last ] ~value:(Array.get (Sim.eval n ~env));
+    (A.Lifting.required s x, A.Lifting.required s y)
   in
   (* output 1: every AND needs both fanins *)
   check_bool "x and y required" true (required ~x_value:true = (true, true));
   (* output 0: the chain itself controls every AND; y is a don't-care *)
   check_bool "only x required" true (required ~x_value:false = (true, false))
+
+(* One [lift_mask] callback serves a whole enumeration: it reads each
+   model in place and reuses its scratch, so a call allocates the mask
+   and a few small closures, never a net-sized array. *)
+let test_lift_mask_reuses_scratch () =
+  let rng = R.create ~seed:11 in
+  let n = Helpers.random_comb rng ~nin:8 ~ngates:300 in
+  let root = List.hd (N.outputs n) in
+  let proj_nets = Array.of_list (N.inputs n) in
+  let models =
+    Array.init 1_000 (fun _ ->
+        let env = Array.make (N.num_nets n) false in
+        List.iter (fun net -> env.(net) <- R.bool rng) (N.inputs n);
+        Sim.eval n ~env)
+  in
+  let lift = A.Lifting.lift_mask n ~root ~proj_nets in
+  ignore (lift models.(0));
+  let words =
+    Helpers.allocated_words (fun () -> Array.iter (fun m -> ignore (lift m)) models)
+  in
+  let per_call = words / Array.length models in
+  if per_call >= N.num_nets n then
+    Alcotest.failf "%d words per call for %d nets" per_call (N.num_nets n);
+  Alcotest.check_raises "values too short"
+    (Invalid_argument "Lifting.lift_mask: values too short") (fun () ->
+      ignore (lift (Array.make (N.num_nets n - 1) false)))
 
 (* --- Blocking + SDS cross-checks --------------------------------------------- *)
 
@@ -433,9 +461,7 @@ let lifted_blocking_covers_exactly =
     (fun seed ->
       let rng = R.create ~seed in
       let n, root, proj_nets, proj, mk_solver, expected = setup_engines rng in
-      let lift model =
-        A.Lifting.lift_mask n ~root ~values:(Array.sub model 0 (N.num_nets n)) ~proj_nets
-      in
+      let lift = A.Lifting.lift_mask n ~root ~proj_nets in
       let r = A.Blocking.enumerate ~lift (mk_solver ()) proj in
       let w = Array.length proj_nets in
       let ok = ref true in
@@ -456,9 +482,7 @@ let lifted_blocking_adds_no_clause =
     (fun seed ->
       let rng = R.create ~seed in
       let n, root, proj_nets, proj, mk_solver, expected = setup_engines rng in
-      let lift model =
-        A.Lifting.lift_mask n ~root ~values:(Array.sub model 0 (N.num_nets n)) ~proj_nets
-      in
+      let lift = A.Lifting.lift_mask n ~root ~proj_nets in
       let s = mk_solver () in
       let clauses = Solver.n_clauses s in
       let run () =
@@ -849,6 +873,8 @@ let () =
           Alcotest.test_case "controlling choice" `Quick test_lifting_prefers_shared;
           Alcotest.test_case "100k-gate chain, 32k-word stack" `Quick
             test_lifting_deep_chain;
+          Alcotest.test_case "lift_mask reuses its scratch" `Quick
+            test_lift_mask_reuses_scratch;
         ] );
       ( "engines",
         [

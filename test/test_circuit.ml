@@ -223,19 +223,6 @@ let test_builder_errors () =
      Alcotest.fail "expected unconnected-latch failure"
    with Invalid_argument _ -> ())
 
-let test_builder_mux () =
-  let b = B.create () in
-  let s = B.input b "s" in
-  let a = B.input b "a" in
-  let c = B.input b "c" in
-  let m = B.mux b ~sel:s ~if1:a ~if0:c in
-  B.output b m;
-  let n = B.finalize b in
-  Helpers.iter_leaf_assignments n (fun env _ ->
-      let v = Sim.eval n ~env in
-      let expected = if env.(s) then env.(a) else env.(c) in
-      if v.(m) <> expected then Alcotest.fail "mux truth table")
-
 let test_builder_of_netlist () =
   let base = Ps_gen.Iscas.s27 () in
   let b = B.of_netlist base in
@@ -494,22 +481,7 @@ let test_transition_views () =
   Array.iteri
     (fun i net -> check_int (Printf.sprintf "next net %d" i) (N.latch_data n net)
         tr.Tr.next_nets.(i))
-    tr.Tr.state_nets;
-  check_int "state_index" 2 (Tr.state_index tr tr.Tr.state_nets.(2));
-  (try
-     ignore (Tr.state_index tr tr.Tr.input_nets.(0));
-     Alcotest.fail "expected Not_found"
-   with Not_found -> ())
-
-let test_transition_coi () =
-  (* In the ripple counter, the cone of nx1 reads q0, q1 and en but not q2+ *)
-  let n = Ps_gen.Counters.binary ~bits:4 () in
-  let tr = Tr.of_netlist n in
-  let _, state_bits, inputs = Tr.coi tr [ tr.Tr.next_nets.(1) ] in
-  Alcotest.(check (list int)) "state support of nx1" [ 0; 1 ] state_bits;
-  Alcotest.(check (list int)) "input support of nx1" [ 0 ] inputs;
-  let _, state_bits, _ = Tr.coi tr [ tr.Tr.next_nets.(3) ] in
-  Alcotest.(check (list int)) "state support of nx3" [ 0; 1; 2; 3 ] state_bits
+    tr.Tr.state_nets
 
 let suites =
   [
@@ -528,7 +500,6 @@ let suites =
     ( "builder",
       [
         Alcotest.test_case "errors" `Quick test_builder_errors;
-        Alcotest.test_case "mux" `Quick test_builder_mux;
         Alcotest.test_case "of_netlist" `Quick test_builder_of_netlist;
       ] );
     ( "bench",
@@ -561,7 +532,6 @@ let suites =
     ( "transition",
       [
         Alcotest.test_case "views" `Quick test_transition_views;
-        Alcotest.test_case "cone of influence" `Quick test_transition_coi;
       ] );
   ]
 

@@ -336,7 +336,6 @@ let test_targets () =
   check_int "single cube" 1 (List.length t);
   check_bool "all_ones" true (T.mem (T.all_ones ~bits:3) [| true; true; true |]);
   check_bool "upper_half" true (T.mem (T.upper_half ~bits:3) [| false; false; true |]);
-  check_bool "bit_low" true (T.mem (T.bit_low ~bits:3 1) [| true; false; true |]);
   let t2 = T.of_strings [ "1-0"; "0-1" ] in
   check_int "two cubes" 2 (List.length t2);
   check_bool "dnf mem" true (T.mem t2 [| false; true; true |]);

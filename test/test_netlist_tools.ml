@@ -63,12 +63,11 @@ let test_expr_errors () =
   fails "";
   fails "a $ b"
 
-let expr_netlist_matches_eval =
-  Helpers.qtest "Expr.to_netlist computes Expr.eval" ~count:100
+let expr_roundtrip_preserves_eval =
+  Helpers.qtest "pp/parse roundtrip keeps eval" ~count:100
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = R.create ~seed in
-      (* generate via Helpers.expr then print/parse roundtrip *)
       let nvars = 1 + R.int rng 4 in
       let he = Helpers.random_expr rng 4 nvars in
       let rec to_expr = function
@@ -79,16 +78,13 @@ let expr_netlist_matches_eval =
         | Helpers.E_xor (x, y) -> Expr.Xor (to_expr x, to_expr y)
       in
       let e = to_expr he in
-      (* pp/parse roundtrip preserves semantics *)
       let e2 = Expr.parse (Format.asprintf "%a" Expr.pp e) in
-      let n = Expr.to_netlist e in
-      let out = List.hd (N.outputs n) in
       let ok = ref true in
-      Helpers.iter_leaf_assignments n (fun env _ ->
-          let lookup name = env.(N.find n name) in
-          let expected = Expr.eval e lookup in
-          if Expr.eval e2 lookup <> expected then ok := false;
-          if (Sim.eval n ~env).(out) <> expected then ok := false);
+      Helpers.iter_assignments nvars (fun a ->
+          let lookup name =
+            a.(int_of_string (String.sub name 1 (String.length name - 1)))
+          in
+          if Expr.eval e2 lookup <> Expr.eval e lookup then ok := false);
       !ok)
 
 let test_targets_of_expr () =
@@ -161,12 +157,7 @@ let test_all_faults_count () =
 let test_opt_stats () =
   let c = Ps_gen.Counters.binary ~bits:4 () in
   check_bool "depth positive" true (Opt.depth c > 0);
-  check_bool "fanout positive" true (Opt.max_fanout c > 0);
-  let hist = Opt.gate_histogram c in
-  check_int "xor count" 4
-    (List.assoc Ps_circuit.Gate.Xor hist);
-  check_int "and count" 4
-    (List.assoc Ps_circuit.Gate.And hist)
+  check_bool "fanout positive" true (Opt.max_fanout c > 0)
 
 (* --- Atpg ------------------------------------------------------------------------ *)
 
@@ -223,7 +214,7 @@ let suites =
         Alcotest.test_case "parse/eval" `Quick test_expr_parse_eval;
         Alcotest.test_case "operators" `Quick test_expr_operators;
         Alcotest.test_case "errors" `Quick test_expr_errors;
-        expr_netlist_matches_eval;
+        expr_roundtrip_preserves_eval;
         Alcotest.test_case "targets of_expr" `Quick test_targets_of_expr;
       ] );
     ( "faults",

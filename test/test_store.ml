@@ -2,8 +2,7 @@
    subsumption, crash recovery (including truncation at every byte
    offset and single-byte corruption anywhere in the file),
    verification, resume equivalence for all-SAT and reachability, and
-   the Cube_set satellite changes (trie-backed reduce, checked union
-   counts). *)
+   the trie-backed [Cube_set.reduce]. *)
 
 module Cube = Ps_allsat.Cube
 module Cube_set = Ps_allsat.Cube_set
@@ -865,39 +864,6 @@ let test_trie_basics () =
   check_bool "insert fresh" true (Cube_trie.insert t (c "0--"));
   check_int "count after inserts" 2 (Cube_trie.count t)
 
-(* --- satellite 2: checked union counts ----------------------------------- *)
-
-let test_union_count_checked () =
-  let open Cube_set in
-  let small = union_count_checked 4 [ c "1---"; c "01--" ] in
-  check_bool "width 4 exact" true small.exact;
-  check_bool "width 4 value" true (small.value = 12.0);
-  let edge = union_count_checked 53 [ Cube.make 53 ] in
-  check_bool "width 53 still exact" true edge.exact;
-  check_bool "width 53 value" true (edge.value = Float.pow 2.0 53.0);
-  let big = union_count_checked 60 [ Cube.make 60 ] in
-  check_bool "width 60 flagged inexact" false big.exact;
-  check_bool "width 60 value" true (big.value = Float.pow 2.0 60.0);
-  (* 2^60 - 1: all states except the all-zeros minterm -- the example
-     where the plain float count silently lies *)
-  let near_full =
-    List.init 60 (fun i ->
-        let b = Bytes.make 60 '-' in
-        for j = 0 to i - 1 do
-          Bytes.set b j '0'
-        done;
-        Bytes.set b i '1';
-        Cube.of_string (Bytes.to_string b))
-  in
-  let nf = union_count_checked 60 near_full in
-  check_bool "2^60-1 flagged inexact" false nf.exact;
-  check_bool "2^60-1 near the true count" true
-    (nf.value >= Float.pow 2.0 60.0 -. 2.0 && nf.value <= Float.pow 2.0 60.0);
-  (* beyond float range: clamped, never infinite *)
-  let huge = union_count_checked 2000 [ Cube.make 2000 ] in
-  check_bool "huge clamped finite" true (Float.is_finite huge.value);
-  check_bool "huge flagged inexact" false huge.exact
-
 (* --- parallel producer through the sink ---------------------------------- *)
 
 (* [cnf] projected onto its first four variables, enumerated on four
@@ -1032,7 +998,5 @@ let () =
           Alcotest.test_case "trie basics" `Quick test_trie_basics;
           test_reduce_matches_old;
           test_reduce_preserves_union;
-          Alcotest.test_case "union_count_checked" `Quick
-            test_union_count_checked;
         ] );
     ]

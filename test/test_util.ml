@@ -51,16 +51,6 @@ let test_vec_shrink_grow () =
   Vec.clear v;
   check "clear" 0 (Vec.size v)
 
-let test_vec_swap_remove () =
-  let v = Vec.of_list [ 1; 2; 3; 4 ] ~dummy:0 in
-  Vec.swap_remove v 1;
-  check "size" 3 (Vec.size v);
-  check "moved last" 4 (Vec.get v 1);
-  (* removing the last element *)
-  Vec.swap_remove v 2;
-  check "size" 2 (Vec.size v);
-  Alcotest.(check (list int)) "rest" [ 1; 4 ] (Vec.to_list v)
-
 let test_vec_iter_fold () =
   let v = Vec.of_list [ 1; 2; 3; 4 ] ~dummy:0 in
   check "fold sum" 10 (Vec.fold ( + ) 0 v);
@@ -117,14 +107,6 @@ let test_iheap_decrease () =
   (* decrease of an absent element is a no-op *)
   Iheap.decrease h 2;
   check "size unchanged" 3 (Iheap.size h)
-
-let test_iheap_rebuild () =
-  let h = Iheap.create ~score:(ref (Array.init 8 float_of_int)) in
-  List.iter (Iheap.insert h) [ 1; 2; 3 ];
-  Iheap.rebuild h [ 5; 6 ];
-  check "rebuilt size" 2 (Iheap.size h);
-  check "rebuilt max" 6 (Iheap.remove_max h);
-  check_bool "old gone" false (Iheap.mem h 1)
 
 let iheap_sorts =
   Helpers.qtest "iheap removes in score order"
@@ -321,8 +303,7 @@ let test_rng_split () =
 let test_stats_counters () =
   let s = Stats.create () in
   check "missing counter" 0 (Stats.get s "x");
-  Stats.incr s "x";
-  Stats.incr s "x";
+  Stats.add s "x" 2;
   Stats.add s "x" 3;
   check "x" 5 (Stats.get s "x");
   Stats.set_max s "m" 10;
@@ -331,16 +312,16 @@ let test_stats_counters () =
   Alcotest.(check (list (pair string int)))
     "counters sorted" [ ("m", 10); ("x", 5) ] (Stats.counters s)
 
-let test_stats_timers_merge () =
+let test_stats_merge () =
   let s = Stats.create () in
-  let r = Stats.time s "t" (fun () -> 41 + 1) in
-  check "time returns result" 42 r;
-  check_bool "timer accumulated" true (Stats.timer s "t" >= 0.0);
+  Stats.add s "x" 1;
   let s2 = Stats.create () in
   Stats.add s2 "x" 7;
+  Stats.add s2 "y" 2;
   Stats.merge ~into:s s2;
-  check "merged counter" 7 (Stats.get s "x");
-  check_bool "missing timer is 0" true (Stats.timer s "none" = 0.0)
+  check "merged counter" 8 (Stats.get s "x");
+  check "new counter" 2 (Stats.get s "y");
+  check "sum" 15 (Stats.get (Stats.sum [ s; s2 ]) "x")
 
 let () =
   Alcotest.run "ps_util"
@@ -350,7 +331,6 @@ let () =
           Alcotest.test_case "basic" `Quick test_vec_basic;
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
           Alcotest.test_case "shrink/grow" `Quick test_vec_shrink_grow;
-          Alcotest.test_case "swap_remove" `Quick test_vec_swap_remove;
           Alcotest.test_case "iter/fold" `Quick test_vec_iter_fold;
           vec_roundtrip;
           vec_push_pop_stack;
@@ -360,7 +340,6 @@ let () =
           Alcotest.test_case "order" `Quick test_iheap_order;
           Alcotest.test_case "mem/dup" `Quick test_iheap_mem_dup;
           Alcotest.test_case "decrease" `Quick test_iheap_decrease;
-          Alcotest.test_case "rebuild" `Quick test_iheap_rebuild;
           iheap_sorts;
           Alcotest.test_case "no allocation" `Quick test_iheap_no_alloc;
           iheap_matches_swap_heap;
@@ -381,6 +360,6 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "counters" `Quick test_stats_counters;
-          Alcotest.test_case "timers/merge" `Quick test_stats_timers_merge;
+          Alcotest.test_case "merge" `Quick test_stats_merge;
         ] );
     ]
